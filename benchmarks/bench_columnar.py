@@ -6,7 +6,7 @@ arrays with interned strings, :class:`~repro.lsdb.columnar.EventSlice`
 defers :class:`~repro.lsdb.events.LogEvent` materialization to API
 boundaries, and :class:`~repro.lsdb.columnar.ColumnFrame` ships
 replication batches as column slices.  This module measures the three
-headline claims and two context numbers:
+headline claims and one context block:
 
 * **event creation** — appending from loose fields straight into the
   column arena vs constructing a ``LogEvent`` and re-stamping its LSN
@@ -18,9 +18,6 @@ headline claims and two context numbers:
   (``AppendOnlyLog.extend_frame``) of a whole log vs per-event append
   of materialized events, plus a byte-for-byte round-trip equality
   check the gate requires to hold;
-* **shard parallel fold** — ``fold_shards_parallel`` over independent
-  shard slices vs folding them sequentially (recorded, not gated: the
-  workers are GIL-bound threads);
 * **ingest context** — store-level write throughput and raw
   ``append_row`` throughput, for the trajectory record.
 
@@ -52,7 +49,7 @@ from repro.bench.report import ExperimentReport  # noqa: E402
 from repro.lsdb.columnar import ColumnFrame, EventColumns  # noqa: E402
 from repro.lsdb.events import EventKind, LogEvent  # noqa: E402
 from repro.lsdb.log import AppendOnlyLog  # noqa: E402
-from repro.lsdb.rollup import Rollup, fold_shards_parallel  # noqa: E402
+from repro.lsdb.rollup import Rollup  # noqa: E402
 from repro.lsdb.store import LSDBStore  # noqa: E402
 from repro.replication.batching import BatchPolicy  # noqa: E402
 from repro.sim.rng import SeededRNG  # noqa: E402
@@ -221,34 +218,6 @@ def bench_frame_codec(
 
 
 # --------------------------------------------------------------------- #
-# Parallel shard fold (recorded, not gated)
-# --------------------------------------------------------------------- #
-
-
-def bench_shards(deltas_per_shard: int, shards: int = 4) -> dict[str, float]:
-    """Sequential vs threaded fold of independent shard slices.
-
-    Each shard is its own serialization unit (own log, disjoint keys),
-    so the folds share nothing.  The workers are GIL-bound threads; the
-    measured ratio is context, not a gate.
-    """
-    views = [
-        _mixed_log(deltas_per_shard, seed=100 + shard).events()
-        for shard in range(shards)
-    ]
-    rollup = Rollup()
-    total = sum(len(view) for view in views)
-    sequential = best_of(3, lambda: [rollup.fold(view) for view in views])
-    threaded = best_of(3, lambda: fold_shards_parallel(rollup, views))
-    return {
-        "shard_fold_events": float(total),
-        "shard_fold_eps_sequential": total / sequential,
-        "shard_fold_eps_parallel": total / threaded,
-        "shard_parallel_ratio": sequential / threaded,
-    }
-
-
-# --------------------------------------------------------------------- #
 # Ingest context numbers
 # --------------------------------------------------------------------- #
 
@@ -280,14 +249,12 @@ def collect(quick: bool = False) -> dict[str, Any]:
     create_count = 20_000 if quick else 200_000
     fold_deltas = 10_000 if quick else 100_000
     codec_deltas = 10_000 if quick else 100_000
-    shard_deltas = 5_000 if quick else 25_000
     ingest_deltas = 5_000 if quick else 50_000
 
     metrics: dict[str, Any] = {}
     metrics.update(bench_create(create_count))
     metrics.update(bench_fold(fold_deltas))
     metrics.update(bench_frame_codec(codec_deltas))
-    metrics.update(bench_shards(shard_deltas))
     metrics.update(bench_ingest(ingest_deltas))
 
     metrics["event_create_speedup"] = (
@@ -303,7 +270,6 @@ def collect(quick: bool = False) -> dict[str, Any]:
         "create_count": create_count,
         "fold_deltas": fold_deltas,
         "codec_deltas": codec_deltas,
-        "shard_deltas": shard_deltas,
         "ingest_deltas": ingest_deltas,
     }
     return metrics
@@ -323,8 +289,7 @@ def sweep(quick: bool = False) -> ExperimentReport:
         headers=["metric", "value"],
         notes=(
             "events/sec throughout; *_before is the object-per-event "
-            "path, *_after the columnar path; shard_parallel_ratio is "
-            "GIL-bound context, not a gate"
+            "path, *_after the columnar path"
         ),
     )
     for key in (
@@ -338,7 +303,6 @@ def sweep(quick: bool = False) -> ExperimentReport:
         "frame_codec_eps_after",
         "frame_codec_speedup",
         "frame_codec_roundtrip_equal",
-        "shard_parallel_ratio",
         "store_ingest_eps",
         "log_append_row_eps",
     ):
@@ -390,14 +354,11 @@ def trajectory(metrics: dict[str, Any]) -> dict[str, Any]:
             "frame_codec_eps": metrics["frame_codec_eps_after"],
             "store_ingest_eps": metrics["store_ingest_eps"],
             "log_append_row_eps": metrics["log_append_row_eps"],
-            "shard_fold_eps_sequential": metrics["shard_fold_eps_sequential"],
-            "shard_fold_eps_parallel": metrics["shard_fold_eps_parallel"],
         },
         "speedup": {
             "event_create": round(metrics["event_create_speedup"], 2),
             "fold_throughput": round(metrics["fold_speedup"], 2),
             "frame_codec": round(metrics["frame_codec_speedup"], 2),
-            "shard_parallel_ratio": round(metrics["shard_parallel_ratio"], 3),
             "frame_codec_roundtrip_equal":
                 metrics["frame_codec_roundtrip_equal"],
         },

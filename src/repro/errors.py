@@ -188,5 +188,11 @@ class NotMaster(ReplicationError):
     """An update was sent to a replica that does not accept updates."""
 
 
+class MalformedFrame(ReproError):
+    """A received :class:`~repro.lsdb.columnar.ColumnFrame` has ragged
+    columns or a code outside its tables; it is rejected whole, before
+    any row reaches the arena."""
+
+
 class ConsistencyPolicyError(ReproError):
     """No consistency policy matches the requested data class/application."""

@@ -57,6 +57,7 @@ from array import array
 from collections.abc import Sequence
 from typing import Any, Iterator, Mapping, Optional
 
+from repro.errors import MalformedFrame
 from repro.lsdb.events import EventKind, LogEvent
 
 _EMPTY_TAGS: frozenset[str] = frozenset()
@@ -479,6 +480,36 @@ class ColumnFrame:
     # Decode-side reads
     # ------------------------------------------------------------- #
 
+    def validate(self) -> None:
+        """Raise :class:`~repro.errors.MalformedFrame` unless every
+        dense column has one entry per event and every code indexes its
+        table.
+
+        Decoding extends the arena column by column, so a ragged or
+        mis-coded frame would desynchronise the columns halfway through
+        (a negative code even indexes silently) — a wrong fold later.
+        One pass of C-level ``len``/``min``/``max`` per frame.
+        """
+        count = len(self.lsns)
+        if not (
+            len(self.timestamps) == len(self.kinds) == len(self.ref_codes)
+            == len(self.origin_codes) == len(self.origin_seqs)
+            == len(self.schema_versions) == len(self.payloads) == count
+        ):
+            raise MalformedFrame(f"ragged columns in a {count}-event frame")
+        if not count:
+            return
+        for name, codes, size in (
+            ("kinds", self.kinds, len(CODE_KINDS)),
+            ("ref_codes", self.ref_codes, len(self.ref_table)),
+            ("origin_codes", self.origin_codes, len(self.origin_table)),
+        ):
+            if min(codes) < 0 or max(codes) >= size:
+                raise MalformedFrame(
+                    f"{name} outside [0, {size}): "
+                    f"min {min(codes)}, max {max(codes)}"
+                )
+
     def origin_strings(self) -> list[str]:
         """Per-event origin strings, via one list-index per event."""
         table = self.origin_table
@@ -493,7 +524,8 @@ class ColumnFrame:
         ]
 
     def event_at(self, index: int) -> LogEvent:
-        """Materialize one event (per-event fallback paths only)."""
+        """Materialize one event (the frame ingest builds one only for
+        a sequence gap, into the reorder buffer)."""
         entity_type, entity_key = self.ref_table[self.ref_codes[index]]
         return LogEvent.build(
             self.lsns[index],

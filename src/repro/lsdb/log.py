@@ -59,12 +59,9 @@ class AppendOnlyLog:
     :meth:`for_type_since` O(result) integers copied rather than
     O(result) objects.
 
-    Three subscription channels serve the three kinds of consumer:
+    Two append-notification channels serve the two kinds of consumer
+    (neither materializes a :class:`LogEvent`):
 
-    * :meth:`subscribe` — legacy per-event callbacks; sees every
-      append, including each event of a bulk frame apply, as a
-      materialized :class:`LogEvent` (materialized lazily, only when
-      such subscribers exist).
     * :meth:`subscribe_columnar` — ``(on_row, on_batch)`` pairs that
       read columns directly; the store's incremental cache lives here.
     * :meth:`subscribe_counts` — append-count callbacks for consumers
@@ -93,7 +90,6 @@ class AppendOnlyLog:
         #: entity type -> (rows, parallel lsns) in LSN order.
         self._by_type: dict[str, tuple[list[int], list[int]]] = {}
         self._next_lsn = 1
-        self._subscribers: list[Callable[[LogEvent], None]] = []
         self._columnar: list[tuple[Callable, Callable]] = []
         self._counts: list[Callable[[int], None]] = []
         self._structure: list[Callable[[], None]] = []
@@ -120,8 +116,6 @@ class AppendOnlyLog:
         stored = event.with_lsn(lsn)
         for on_row, _on_batch in self._columnar:
             on_row(self._cols, row)
-        for subscriber in self._subscribers:
-            subscriber(stored)
         for counter in self._counts:
             counter(1)
         return stored
@@ -138,6 +132,8 @@ class AppendOnlyLog:
         tx_id: str = "",
         schema_version: int = 1,
         tags: frozenset[str] = _EMPTY_TAGS,
+        trace_id: str = "",
+        span_id: str = "",
     ) -> int:
         """Append one event from loose fields, without constructing a
         :class:`LogEvent`.  The hot ingestion path.
@@ -152,14 +148,11 @@ class AppendOnlyLog:
         row = cols.append_row(
             lsn, timestamp, entity_type, entity_key, kind, payload,
             origin, origin_seq, tx_id, schema_version, tags,
+            trace_id, span_id,
         )
         self._index_row(row, lsn)
         for on_row, _on_batch in self._columnar:
             on_row(cols, row)
-        if self._subscribers:
-            stored = cols.event_at(row)
-            for subscriber in self._subscribers:
-                subscriber(stored)
         for counter in self._counts:
             counter(1)
         return row
@@ -212,10 +205,6 @@ class AppendOnlyLog:
         view = EventSlice(cols, range(row0, row0 + count))
         for _on_row, on_batch in self._columnar:
             on_batch(view)
-        if self._subscribers:
-            for stored in view:
-                for subscriber in self._subscribers:
-                    subscriber(stored)
         for counter in self._counts:
             counter(count)
         return view
@@ -246,18 +235,6 @@ class AppendOnlyLog:
     # ------------------------------------------------------------------ #
     # Subscriptions
     # ------------------------------------------------------------------ #
-
-    def subscribe(self, callback: Callable[[LogEvent], None]) -> None:
-        """Invoke ``callback`` synchronously for every future append,
-        with the stored (materialized) event.
-
-        Used by replication shippers and tests.  Per-event and
-        object-based by contract; consumers that can read columns should
-        prefer :meth:`subscribe_columnar`, and consumers that only count
-        should use :meth:`subscribe_counts` — a log with neither legacy
-        subscriber never materializes on the bulk path.
-        """
-        self._subscribers.append(callback)
 
     def subscribe_columnar(
         self,

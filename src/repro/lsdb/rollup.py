@@ -273,16 +273,6 @@ class GenericReducer:
         state.last_timestamp = last_timestamp
         return state
 
-    def fold_row(
-        self,
-        state: Optional[EntityState],
-        cols: EventColumns,
-        row: int,
-        ref: EntityRef,
-    ) -> EntityState:
-        """Single-row variant of :meth:`fold_rows` (append hot path)."""
-        return self.fold_rows(state, cols, (row,), ref)
-
 
 EntityRef = tuple[str, str]
 StateMap = dict[EntityRef, EntityState]
@@ -621,30 +611,3 @@ class Rollup:
         """
         ref = event.entity_ref
         states[ref] = self.folder_for(event.entity_type)(states.get(ref), event)
-
-
-def fold_shards_parallel(
-    rollup: Rollup,
-    shard_slices: Iterable[EventSlice],
-    max_workers: Optional[int] = None,
-) -> list[StateMap]:
-    """Fold independent serialization units' slices concurrently.
-
-    Paper principle 2.5: partitions are separate serialization units
-    with separate logs — their rollups share nothing, so they can fold
-    in parallel.  Each shard's slice folds into its own fresh state map;
-    results come back in input order.
-
-    The workers are threads: the grouped columnar fold spends its time
-    in C-level array/dict operations, so shards overlap where the
-    interpreter releases the GIL and the helper degrades gracefully to
-    sequential speed in the worst case (``bench_columnar.py`` records
-    the measured ratio rather than gating on it).
-    """
-    shards = list(shard_slices)
-    if len(shards) <= 1:
-        return [rollup.fold(view) for view in shards]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=max_workers or len(shards)) as pool:
-        return list(pool.map(rollup.fold, shards))

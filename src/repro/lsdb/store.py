@@ -17,7 +17,7 @@ ties together the pieces of paper section 3.1:
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 from repro.errors import EntityNotFound, ReproError
 from repro.lsdb.checkpoint import (
@@ -333,34 +333,34 @@ class LSDBStore:
             entity_type, entity_key, EventKind.OBSOLETE, {}, tx_id, tags
         )
 
-    def append_raw(
+    def _append_local(
         self,
         entity_type: str,
         entity_key: str,
         kind: EventKind,
         payload: dict[str, Any],
-        tx_id: str = "",
-        tags: Iterable[str] = (),
-    ) -> int:
-        """Hot-path local write: append without materializing the stored
-        :class:`LogEvent` at all — fields go straight into the columnar
-        arena.  Returns the assigned LSN.
-
-        Semantically identical to the typed write methods (which return
-        the materialized event because they are API boundaries); use
-        this in bulk ingestion loops where the caller does not look at
-        the stored record.
-        """
-        if self.tracer is not None:
-            return self._append_local(
-                entity_type, entity_key, kind, payload, tx_id, tags
-            ).lsn
+        tx_id: str,
+        tags: Iterable[str],
+    ) -> LogEvent:
+        """Write one local event straight into the arena columns; the
+        stored event materializes once, for the API-boundary return."""
         self._origin_seq += 1
         schema_version = (
             self.schema_version_source(entity_type)
             if self.schema_version_source is not None
             else 1
         )
+        tracer = self.tracer
+        trace_id = span_id = ""
+        if tracer is not None:
+            span = tracer.start_span(
+                "store.append",
+                node=self.origin,
+                entity=f"{entity_type}/{entity_key}",
+                kind=kind.value,
+            )
+            trace_id, span_id = span.trace_id, span.span_id
+            self._span_by_identity[(self.origin, self._origin_seq)] = span_id
         row = self.log.append_row(
             self._clock(),
             entity_type,
@@ -372,92 +372,28 @@ class LSDBStore:
             tx_id,
             schema_version,
             frozenset(tags) if tags else _EMPTY_TAGS,
+            trace_id,
+            span_id,
         )
-        return self.log.arena.lsns[row]
-
-    def _append_local(
-        self,
-        entity_type: str,
-        entity_key: str,
-        kind: EventKind,
-        payload: dict[str, Any],
-        tx_id: str,
-        tags: Iterable[str],
-    ) -> LogEvent:
-        tracer = self.tracer
-        if tracer is None:
-            # Untraced fast path: write columns directly, materialize
-            # the stored event once for the API-boundary return value.
-            self._origin_seq += 1
-            schema_version = (
-                self.schema_version_source(entity_type)
-                if self.schema_version_source is not None
-                else 1
-            )
-            row = self.log.append_row(
-                self._clock(),
-                entity_type,
-                entity_key,
-                kind,
-                payload,
-                self.origin,
-                self._origin_seq,
-                tx_id,
-                schema_version,
-                frozenset(tags) if tags else _EMPTY_TAGS,
-            )
-            return self.log.arena.event_at(row)
-        self._origin_seq += 1
-        schema_version = (
-            self.schema_version_source(entity_type)
-            if self.schema_version_source is not None
-            else 1
-        )
-        span = tracer.start_span(
-            "store.append",
-            node=self.origin,
-            entity=f"{entity_type}/{entity_key}",
-            kind=kind.value,
-        )
-        event = LogEvent(
-            lsn=0,
-            timestamp=self._clock(),
-            entity_type=entity_type,
-            entity_key=entity_key,
-            kind=kind,
-            payload=payload,
-            origin=self.origin,
-            origin_seq=self._origin_seq,
-            tx_id=tx_id,
-            schema_version=schema_version,
-            tags=frozenset(tags),
-            trace_id=span.trace_id,
-            span_id=span.span_id,
-        )
-        self._span_by_identity[event.identity] = span.span_id
-        with tracer.resume(span.span_id):
-            stored = self.log.append(event)
-        tracer.end_span(span, lsn=stored.lsn)
+        stored = self.log.arena.event_at(row)
+        if tracer is not None:
+            tracer.end_span(span, lsn=stored.lsn)
         return stored
 
     # ------------------------------------------------------------------ #
     # Remote application (replication / at-least-once delivery)
     # ------------------------------------------------------------------ #
 
-    def apply_remote(self, event: LogEvent, parent_span: Optional[str] = None) -> bool:
-        """Apply an event originated elsewhere, idempotently and in
-        per-origin order.
+    def apply_remote(self, event: LogEvent) -> bool:
+        """Apply one event originated elsewhere, idempotently and in
+        per-origin order — the single-event API edge (synchronous
+        replication, tests) and the reference semantics
+        :meth:`apply_remote_frame` reproduces in column space.
 
         * A duplicate (origin sequence already applied) is rejected.
         * An out-of-order event (a gap in the origin's sequence) is
           buffered and drained once the gap fills, so at-least-once,
           unordered delivery still yields exactly-once, in-order apply.
-
-        Args:
-            event: The remote event to apply.
-            parent_span: Optional span id the apply span should chain to
-                (the replication shipper passes its per-event ship span);
-                falls back to the event's own origin-append span.
 
         Returns:
             ``True`` if the event was appended now, ``False`` if it was
@@ -468,7 +404,7 @@ class LSDBStore:
         if tracer is not None:
             span = tracer.start_span(
                 "store.apply",
-                parent=parent_span or event.span_id or None,
+                parent=event.span_id or None,
                 node=self.origin,
                 origin=event.origin,
                 seq=event.origin_seq,
@@ -502,100 +438,128 @@ class LSDBStore:
         self._drain_buffer(event.origin)
         return True
 
-    def apply_remote_batch(self, events: list[LogEvent]) -> int:
-        """Apply a frame of remote events, amortising the apply prologue.
+    def apply_remote_frame(
+        self,
+        frame: ColumnFrame,
+        parent_spans: Optional[Mapping[int, str]] = None,
+    ) -> int:
+        """Apply a :class:`ColumnFrame` of remote events — the one bulk
+        ingest every shipped event enters a store through.
 
-        Frames ship contiguous runs, so instead of paying the
-        duplicate/gap checks per event this validates a run's head
-        against the version vector once and appends the rest of the run
-        in a tight loop (the vector advances with every append, keeping
-        the invariant intact).  Events that are *not* the next expected
-        sequence — duplicates, gaps, interleaved origins — fall back to
-        :meth:`apply_remote` individually, so the semantics are
-        identical to applying the frame event by event.
+        Semantically ``sum(apply_remote(e) for e in frame.events())``,
+        but each position is classified in column space against the
+        version vector, run by run:
+
+        * a **duplicate** run (sequences already applied — at-least-once
+          shipping re-sends whole suffixes) is counted and skipped
+          without materializing anything;
+        * an **in-order** run bulk-extends the arena via
+          :meth:`~repro.lsdb.log.AppendOnlyLog.extend_frame`, cut short
+          where the reorder buffer holds the next sequence so the
+          buffered copy drains first, exactly as per-event apply would;
+        * a **gap** is the one place a :class:`LogEvent` is built, into
+          the reorder buffer.
+
+        Args:
+            frame: The received frame; validated whole before any row
+                is applied.
+            parent_spans: Frame position -> span id the position's
+                ``store.apply`` span should chain to (the shipper's
+                ``replicate.ship`` spans); positions without one fall
+                back to the event's own origin-append span.  Only read
+                when tracing.
 
         Returns:
-            How many events were appended now (buffered or duplicate
-            events are not counted, matching :meth:`apply_remote`).
-        """
-        if self.tracer is not None:
-            return sum(1 for event in events if self.apply_remote(event))
-        applied = 0
-        vector = self.version_vector
-        log_append = self.log.append
-        position = 0
-        count = len(events)
-        while position < count:
-            event = events[position]
-            origin = event.origin
-            if event.origin_seq != vector.get(origin) + 1:
-                if self.apply_remote(event):
-                    applied += 1
-                position += 1
-                continue
-            expected = event.origin_seq
-            run_end = position
-            while run_end < count:
-                event = events[run_end]
-                if event.origin != origin or event.origin_seq != expected:
-                    break
-                log_append(event)
-                expected += 1
-                run_end += 1
-            applied += run_end - position
-            position = run_end
-            if self._reorder_buffer.get(origin):
-                self._drain_buffer(origin)
-        return applied
+            How many events were appended now (duplicates, buffered and
+            drained-from-buffer events are not counted, matching
+            :meth:`apply_remote`).
 
-    def apply_remote_frame(self, frame: ColumnFrame) -> int:
-        """Apply a :class:`ColumnFrame` of remote events — the columnar
-        twin of :meth:`apply_remote_batch`, without materializing
-        :class:`LogEvent` objects for in-order runs.
-
-        Origins come out of the frame's dictionary in one bulk pass
-        (one list-index per event — no per-event identity tuples or
-        string hashing); runs that continue an origin's sequence
-        bulk-extend the log's columns via
-        :meth:`~repro.lsdb.log.AppendOnlyLog.extend_frame`; everything
-        else (duplicates, gaps, interleavings) falls back to per-event
-        :meth:`apply_remote`, so the semantics are identical to applying
-        the frame's events one by one.
+        Raises:
+            MalformedFrame: Ragged columns or out-of-range codes; the
+                store is untouched.
         """
-        if self.tracer is not None:
-            return sum(
-                1 for event in frame.events() if self.apply_remote(event)
-            )
+        frame.validate()
+        traced = self.tracer is not None
         applied = 0
         vector = self.version_vector
         origins = frame.origin_strings()
         seqs = frame.origin_seqs
-        extend_frame = self.log.extend_frame
         position = 0
         count = len(seqs)
         while position < count:
-            origin = origins[position]
-            expected = vector.get(origin) + 1
-            if seqs[position] != expected:
-                if self.apply_remote(frame.event_at(position)):
-                    applied += 1
-                position += 1
-                continue
-            run_end = position + 1
-            expected += 1
-            while (
-                run_end < count
-                and origins[run_end] == origin
-                and seqs[run_end] == expected
-            ):
-                run_end += 1
-                expected += 1
-            extend_frame(frame, position, run_end)
-            applied += run_end - position
-            position = run_end
-            if self._reorder_buffer.get(origin):
-                self._drain_buffer(origin)
+            start = position
+            origin = origins[start]
+            seq = seqs[start]
+            have = vector.get(origin)
+            position += 1
+            if seq <= have:
+                status = "duplicate"
+                while (
+                    position < count
+                    and origins[position] == origin
+                    and seqs[position] <= have
+                ):
+                    position += 1
+                self.duplicates_rejected += position - start
+                if self._m_duplicates is not None:
+                    self._m_duplicates.inc(position - start)
+            elif seq == have + 1:
+                status = "applied"
+                buffered = self._reorder_buffer.get(origin, ())
+                expected = seq + 1
+                while (
+                    position < count
+                    and origins[position] == origin
+                    and seqs[position] == expected
+                    and expected not in buffered
+                ):
+                    position += 1
+                    expected += 1
+            else:
+                status = "buffered"
+                self._reorder_buffer.setdefault(origin, {})[seq] = (
+                    frame.event_at(start)
+                )
+                self._update_reorder_gauge()
+            if traced:
+                self._trace_frame_applies(
+                    frame, start, position, origin, parent_spans, status
+                )
+            if status == "applied":
+                self.log.extend_frame(frame, start, position)
+                applied += position - start
+                if buffered:
+                    self._drain_buffer(origin)
         return applied
+
+    def _trace_frame_applies(
+        self,
+        frame: ColumnFrame,
+        start: int,
+        stop: int,
+        origin: str,
+        parent_spans: Optional[Mapping[int, str]],
+        status: str,
+    ) -> None:
+        """Tracing's whole share of the frame ingest: one ``store.apply``
+        span per position of a classified run, opened and closed here —
+        the data path above is the same with and without a tracer."""
+        tracer = self.tracer
+        seqs = frame.origin_seqs
+        append_spans = frame.span_ids
+        for position in range(start, stop):
+            span = tracer.start_span(
+                "store.apply",
+                parent=(parent_spans and parent_spans.get(position))
+                or append_spans.get(position)
+                or None,
+                node=self.origin,
+                origin=origin,
+                seq=seqs[position],
+            )
+            if status == "applied":
+                self._span_by_identity[(origin, seqs[position])] = span.span_id
+            tracer.end_span(span, status=status)
 
     def _drain_buffer(self, origin: str) -> None:
         buffered = self._reorder_buffer.get(origin)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.lsdb.events import LogEvent
 from repro.merge.deltas import Delta
 from repro.replication.anti_entropy import AntiEntropy
 from repro.replication.batching import BatchPolicy
@@ -107,7 +108,7 @@ class ActiveActiveGroup:
         """
         replica = self.replicas[replica_id]
         event = replica.store.insert(entity_type, entity_key, fields, tx_id=tx_id)
-        self._propagate(replica, [event])
+        self._propagate(replica, event)
         self.writes_accepted += 1
         return self.sim.now
 
@@ -122,7 +123,7 @@ class ActiveActiveGroup:
         """Apply a commutative delta at one replica (ack immediate)."""
         replica = self.replicas[replica_id]
         event = replica.store.apply_delta(entity_type, entity_key, delta, tx_id=tx_id)
-        self._propagate(replica, [event])
+        self._propagate(replica, event)
         self.writes_accepted += 1
         return self.sim.now
 
@@ -137,7 +138,7 @@ class ActiveActiveGroup:
         """Overwrite fields at one replica (LWW across replicas)."""
         replica = self.replicas[replica_id]
         event = replica.store.set_fields(entity_type, entity_key, fields, tx_id=tx_id)
-        self._propagate(replica, [event])
+        self._propagate(replica, event)
         self.writes_accepted += 1
         return self.sim.now
 
@@ -193,14 +194,16 @@ class ActiveActiveGroup:
     # Propagation & convergence
     # ------------------------------------------------------------------ #
 
-    def _propagate(self, source: ReplicaNode, events: list) -> None:
+    def _propagate(self, source: ReplicaNode, event: LogEvent) -> None:
         if not self.eager:
             return
+        # The event was just appended, so it is the log's one-row tail.
         # offer_events routes through the source's FrameShipper when the
         # batching policy coalesces, shipping immediately otherwise.
+        tail = source.store.events_since(event.lsn - 1)
         for replica_id, replica in self.replicas.items():
             if replica is not source:
-                source.offer_events(replica_id, events)
+                source.offer_events(replica_id, tail)
 
     def is_converged(self) -> bool:
         """Whether all replicas expose identical observable state."""

@@ -21,10 +21,9 @@ keeps the batched and unbatched paths comparable in the benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.lsdb.columnar import EventSlice
-from repro.lsdb.events import LogEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.replication.replica import ReplicaNode
@@ -67,33 +66,15 @@ class BatchPolicy:
         """Whether eager shippers should buffer behind a flush timer."""
         return self.flush_interval > 0
 
-    def chunk(self, events: Iterable[LogEvent]) -> Iterator[list[LogEvent]]:
-        """Split ``events`` into frame-sized contiguous runs.
-
-        Yields non-empty lists of at most :attr:`max_batch` events where
-        each event directly succeeds its predecessor (same-store LSN + 1,
-        or same origin with origin_seq + 1).
-        """
-        limit = 1 if self.max_batch is None else self.max_batch
-        chunk: list[LogEvent] = []
-        previous: Optional[LogEvent] = None
-        for event in events:
-            if chunk and (len(chunk) >= limit or not _succeeds(previous, event)):
-                yield chunk
-                chunk = []
-            chunk.append(event)
-            previous = event
-        if chunk:
-            yield chunk
-
     def chunk_rows(self, view: EventSlice) -> Iterator[EventSlice]:
-        """Columnar twin of :meth:`chunk`: split an :class:`EventSlice`
-        into frame-sized contiguous runs *without materializing events*.
+        """Split an :class:`EventSlice` into frame-sized contiguous
+        runs *without materializing events*.
 
-        Succession is decided straight from the arena's LSN / origin-id
-        / origin-seq columns with exactly the :func:`_succeeds` logic,
-        so a slice chunks into the same frame boundaries the event list
-        would — the property the chaos determinism signature pins.
+        Yields non-empty slices of at most :attr:`max_batch` rows where
+        each row directly succeeds its predecessor — same-store LSN + 1,
+        or same origin with origin_seq + 1 — decided straight from the
+        arena's LSN / origin-id / origin-seq columns.  The chaos
+        determinism signature pins these frame boundaries.
         """
         arena = view.arena
         rows = view.rows
@@ -121,25 +102,15 @@ class BatchPolicy:
         yield EventSlice(arena, rows[start:count])
 
 
-def _succeeds(previous: LogEvent, event: LogEvent) -> bool:
-    """Whether ``event`` directly follows ``previous`` in some feed."""
-    if previous.lsn > 0 and event.lsn == previous.lsn + 1:
-        return True
-    return (
-        event.origin == previous.origin
-        and event.origin_seq == previous.origin_seq + 1
-    )
-
-
 class FrameShipper:
     """Per-destination coalescing buffers for an eager shipper.
 
     Eager propagation (active/active) ships at write time, so without
     help every write is a one-event frame no matter what ``max_batch``
-    says.  The shipper buffers offered events per destination and
-    flushes either when a buffer reaches ``max_batch`` events or when
-    the ``flush_interval`` timer (armed at the first buffered event)
-    fires — whichever comes first.  Losses are not retried here: the
+    says.  The shipper buffers offered rows (of the owning node's
+    arena) per destination and flushes either when a buffer reaches
+    ``max_batch`` rows or when the ``flush_interval`` timer (armed at
+    the first buffered row) fires — whichever comes first.  Losses are not retried here: the
     schemes' anti-entropy probes already repair any dropped frame, and
     apply is idempotent.
 
@@ -152,13 +123,14 @@ class FrameShipper:
     def __init__(self, node: "ReplicaNode", policy: BatchPolicy):
         self.node = node
         self.policy = policy
-        self._buffers: dict[str, list[LogEvent]] = {}
+        self._buffers: dict[str, list[int]] = {}
         self._armed: set[str] = set()
 
-    def offer(self, destination: str, events: list[LogEvent]) -> None:
-        """Buffer events for ``destination``; flush on size or timer."""
+    def offer(self, destination: str, events: EventSlice) -> None:
+        """Buffer the node's own rows for ``destination``; flush on size
+        or timer."""
         buffer = self._buffers.setdefault(destination, [])
-        buffer.extend(events)
+        buffer.extend(events.rows)
         limit = self.policy.max_batch
         if limit is not None and len(buffer) >= limit:
             self.flush(destination)
@@ -181,7 +153,9 @@ class FrameShipper:
         if not buffer:
             return True
         self._buffers[destination] = []
-        return self.node.ship_events(destination, buffer)
+        return self.node.ship_events(
+            destination, EventSlice(self.node.store.log.arena, buffer)
+        )
 
     def flush_all(self) -> None:
         """Ship every non-empty buffer (used at quiesce/shutdown)."""

@@ -5,9 +5,11 @@ block: a :class:`ReplicaNode` owning a local
 :class:`~repro.lsdb.store.LSDBStore` whose events carry the replica's
 identity.  The node speaks a two-message protocol:
 
-* ``{"type": "events", "events": [...]}`` — apply remote events
+* ``{"type": "events", "frame": ColumnFrame}`` — apply remote events
   (idempotently, in per-origin order; duplicates from at-least-once
-  shipping are rejected by the store).
+  shipping are rejected by the store).  Every shipment has this shape,
+  one-event frames and traced runs included; with tracing on an extra
+  ``"ctx": {frame position: ship span id}`` rides along.
 * ``{"type": "vv", "vector": {...}, "reply_to": id}`` — anti-entropy
   probe: compare the sender's version vector with ours and ship back
   whatever the sender is missing.
@@ -22,7 +24,6 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping, Optional
 
 from repro.lsdb.columnar import ColumnFrame, EventSlice
-from repro.lsdb.events import LogEvent
 from repro.lsdb.store import LSDBStore
 from repro.merge.clock import VersionVector
 from repro.replication.batching import BatchPolicy, FrameShipper
@@ -89,45 +90,23 @@ class ReplicaNode(Node):
     def handle_message(self, source: str, message: Mapping[str, Any]) -> None:
         kind = message.get("type")
         if kind == "events":
-            # ``ctx`` maps "origin:seq" to the per-event ship span opened
-            # by the sender; arriving here is what closes that span, and
-            # the apply span chains onto it (the causal hop).
+            # ``ctx`` maps frame positions to the ship spans opened by
+            # the sender; arriving here is what closes them, and the
+            # apply spans chain onto them (the causal hop).
             ctx = message.get("ctx")
             tracer = self.store.tracer
-            frame = message.get("frame")
-            if frame is not None:
-                # Columnar frame: decode straight into the local arena —
-                # one dictionary lookup per distinct string in the frame
-                # tables, not one per event.
-                applied = self.store.apply_remote_frame(frame)
-                if applied:
-                    self.events_received += applied
-                    if self._m_received is not None:
-                        self._m_received.inc(applied)
-                return
-            events = message.get("events", ())
-            if ctx is None and tracer is None and len(events) > 1:
-                # Untraced multi-event frame: the store's batch apply
-                # validates whole contiguous runs at once instead of
-                # paying the per-event apply prologue.
-                applied = self.store.apply_remote_batch(events)
-                if applied:
-                    self.events_received += applied
-                    if self._m_received is not None:
-                        self._m_received.inc(applied)
-                return
-            for event in events:
-                ship_id = None
-                if ctx is not None:
-                    ship_id = ctx.get(f"{event.origin}:{event.origin_seq}")
-                if ship_id is not None and tracer is not None:
+            if ctx and tracer is not None:
+                for ship_id in ctx.values():
                     ship_span = tracer.get(ship_id)
                     if ship_span is not None:
                         tracer.end_span(ship_span, status="delivered")
-                if self.store.apply_remote(event, parent_span=ship_id):
-                    self.events_received += 1
-                    if self._m_received is not None:
-                        self._m_received.inc()
+            # Decode straight into the local arena — one dictionary
+            # lookup per distinct string in the frame tables.
+            applied = self.store.apply_remote_frame(message["frame"], ctx)
+            if applied:
+                self.events_received += applied
+                if self._m_received is not None:
+                    self._m_received.inc(applied)
         elif kind == "vv":
             self._answer_probe(source, message)
         elif kind == "bootstrap":
@@ -158,77 +137,56 @@ class ReplicaNode(Node):
         self.anti_entropy_rounds += 1
         if rows:
             # ship_events (not raw send) so anti-entropy repairs carry
-            # per-event ship spans like first-time shipping does.
+            # per-position ship spans like first-time shipping does.
             self.ship_events(source, EventSlice(self.store.log.arena, rows))
 
     # ------------------------------------------------------------------ #
     # Propagation helpers
     # ------------------------------------------------------------------ #
 
-    def ship_events(
-        self, destination: str, events: "list[LogEvent] | EventSlice"
-    ) -> bool:
-        """Ship a run of events to one peer as wire frames (best-effort).
+    def ship_events(self, destination: str, events: EventSlice) -> bool:
+        """Ship a run of this store's arena rows to one peer as wire
+        frames (best-effort).
 
-        An untraced :class:`EventSlice` run ships multi-event chunks as
-        zero-copy :class:`ColumnFrame` messages (one dictionary lookup
-        per distinct string per frame); everything else — traced runs,
-        plain lists, single-event chunks — keeps the per-event message
-        shape.  The run is cut into LSN-contiguous frames by this node's
-        :class:`~repro.replication.batching.BatchPolicy` — one network
-        frame (one latency draw, one loss coin) per chunk, with the
-        unbatched default degenerating to one event per frame.  Returns
-        ``True`` only when every frame was accepted; callers treat a
-        ``False`` as "re-ship the whole run later", which idempotent
-        apply makes safe.
+        The run is cut into LSN-contiguous chunks by this node's
+        :class:`~repro.replication.batching.BatchPolicy` and each chunk
+        is encoded straight from the arena columns as one
+        :class:`ColumnFrame` message — one network frame (one latency
+        draw, one loss coin) per chunk, with the unbatched default
+        degenerating to one-row frames.  Returns ``True`` only when
+        every frame was accepted; callers treat a ``False`` as "re-ship
+        the whole run later", which idempotent apply makes safe.
 
-        With tracing on, each traced event gets a ``replicate.ship``
-        span parented on its append span; the span ids ride along in
-        the frame's ``ctx`` and are closed by the receiver.  A frame
-        that never arrives leaves its ship spans open — the timeline's
-        way of showing a lost replication hop.
+        Tracing only *adds* to this: each position whose event carries
+        an append span gets a ``replicate.ship`` span parented on it;
+        the span ids ride along in the message's position-keyed ``ctx``
+        and are closed by the receiver.  A frame that never arrives
+        leaves its ship spans open — the timeline's way of showing a
+        lost replication hop.
         """
-        if not events:
-            return True
         tracer = self.store.tracer
         shipped_all = True
-        if tracer is None and isinstance(events, EventSlice):
-            # Columnar fast path: cut the slice into the same contiguous
-            # runs ``chunk`` would produce, but ship multi-event runs as
-            # :class:`ColumnFrame` codecs built straight from the arena
-            # columns.  Single-event runs keep the legacy message shape
-            # so the degenerate unbatched wire model is unchanged.
-            for chunk in self.batching.chunk_rows(events):
-                size = len(chunk)
-                if size == 1:
-                    message = {"type": "events", "events": [chunk[0]]}
-                else:
-                    message = {"type": "events", "frame": ColumnFrame.from_slice(chunk)}
-                if not self.send_batch(destination, [message], size=size):
-                    shipped_all = False
-            return shipped_all
-        for chunk in self.batching.chunk(events):
-            message: dict[str, Any] = {"type": "events", "events": chunk}
-            if tracer is not None:
-                ctx: dict[str, str] = {}
-                for event in chunk:
-                    if event.span_id:
-                        span = tracer.start_span(
-                            "replicate.ship",
-                            parent=event.span_id,
-                            node=self.node_id,
-                            dst=destination,
-                        )
-                        ctx[f"{event.origin}:{event.origin_seq}"] = span.span_id
-                if ctx:
-                    message["ctx"] = ctx
+        for chunk in self.batching.chunk_rows(events):
+            frame = ColumnFrame.from_slice(chunk)
+            message: dict[str, Any] = {"type": "events", "frame": frame}
+            if tracer is not None and frame.span_ids:
+                message["ctx"] = {
+                    position: tracer.start_span(
+                        "replicate.ship",
+                        parent=append_span,
+                        node=self.node_id,
+                        dst=destination,
+                    ).span_id
+                    for position, append_span in frame.span_ids.items()
+                }
             if not self.send_batch(destination, [message], size=len(chunk)):
                 shipped_all = False
         return shipped_all
 
-    def offer_events(self, destination: str, events: list[LogEvent]) -> None:
-        """Eager-shipping entry point: coalesce when a flush timer is
-        configured, ship immediately otherwise."""
+    def offer_events(self, destination: str, events: EventSlice) -> None:
+        """Eager-shipping entry point for rows just appended to this
+        store: coalesce when a flush timer is configured, ship
+        immediately otherwise."""
         if self.shipper is not None:
             self.shipper.offer(destination, events)
         else:

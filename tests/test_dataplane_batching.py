@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.lsdb.columnar import EventColumns, EventSlice
 from repro.lsdb.events import EventKind, LogEvent
 from repro.merge.deltas import Delta
 from repro.replication.asynchronous import AsyncPrimaryBackup
@@ -41,6 +42,15 @@ def make_events(count: int, origin: str = "src", start_lsn: int = 1) -> list[Log
     ]
 
 
+def as_slice(events: list[LogEvent]) -> EventSlice:
+    """The events as arena rows (each under its own LSN) — the only
+    form the data plane chunks and ships."""
+    arena = EventColumns()
+    for event in events:
+        arena.append_event(event, event.lsn)
+    return EventSlice(arena, range(len(arena)))
+
+
 class Recorder(Node):
     """Sink node that records every delivered payload."""
 
@@ -55,18 +65,18 @@ class Recorder(Node):
 class TestBatchPolicy:
     def test_default_is_one_event_per_frame(self):
         events = make_events(5)
-        chunks = list(BatchPolicy().chunk(events))
+        chunks = list(BatchPolicy().chunk_rows(as_slice(events)))
         assert [len(chunk) for chunk in chunks] == [1, 1, 1, 1, 1]
 
     def test_max_batch_splits_contiguous_runs(self):
         events = make_events(10)
-        chunks = list(BatchPolicy(max_batch=4).chunk(events))
+        chunks = list(BatchPolicy(max_batch=4).chunk_rows(as_slice(events)))
         assert [len(chunk) for chunk in chunks] == [4, 4, 2]
         assert [event.lsn for event in chunks[0]] == [1, 2, 3, 4]
 
     def test_frames_never_span_lsn_gaps(self):
         events = make_events(3) + make_events(3, start_lsn=10)
-        chunks = list(BatchPolicy(max_batch=100).chunk(events))
+        chunks = list(BatchPolicy(max_batch=100).chunk_rows(as_slice(events)))
         # origin_seq restarts make the second run non-successive too.
         assert len(chunks) >= 2
         for chunk in chunks:
@@ -82,7 +92,7 @@ class TestBatchPolicy:
                      origin_seq=seq)
             for seq in (1, 2, 3, 7, 8)
         ]
-        chunks = list(BatchPolicy(max_batch=100).chunk(events))
+        chunks = list(BatchPolicy(max_batch=100).chunk_rows(as_slice(events)))
         assert [len(chunk) for chunk in chunks] == [3, 2]
 
     def test_validation(self):
@@ -175,10 +185,9 @@ class TestFrameShipper:
         sink = net.register(ReplicaNode("dst", sim))
         shipper = source.shipper
         assert isinstance(shipper, FrameShipper)
-        events = [
-            source.store.insert("acct", f"a{i}", {"bal": i}) for i in range(3)
-        ]
-        shipper.offer("dst", events)
+        for i in range(3):
+            source.store.insert("acct", f"a{i}", {"bal": i})
+        shipper.offer("dst", source.store.events_since(0))
         assert shipper.pending("dst") == 0  # size trigger flushed eagerly
         sim.run(until=5.0)
         assert sink.events_received == 3
@@ -194,8 +203,8 @@ class TestFrameShipper:
         )
         sink = net.register(ReplicaNode("dst", sim))
         shipper = source.shipper
-        event = source.store.insert("acct", "a", {"bal": 1})
-        shipper.offer("dst", [event])
+        source.store.insert("acct", "a", {"bal": 1})
+        shipper.offer("dst", source.store.events_since(0))
         assert shipper.pending("dst") == 1
         sim.run(until=3.0)
         assert sink.events_received == 0  # still buffered

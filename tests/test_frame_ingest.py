@@ -1,0 +1,211 @@
+"""The single frame ingest: ``LSDBStore.apply_remote_frame``.
+
+Two contracts:
+
+* **frame ingest ≡ per-event ingest.**  ``apply_remote`` is the
+  reference semantics (dedup, reorder buffer, drain); the frame ingest
+  classifies positions in column space and must land on exactly the
+  same store — for frames carrying replays, stale prefixes, gaps,
+  interleaved origins and a repeated sequence inside a run.
+* **malformed frames are rejected whole.**  A ragged or mis-coded frame
+  raises :class:`~repro.errors.MalformedFrame` before a single row
+  reaches the arena.
+"""
+
+from __future__ import annotations
+
+from array import array
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import MalformedFrame, ReproError
+from repro.lsdb.columnar import ColumnFrame, EventSlice
+from repro.lsdb.events import EventKind, LogEvent
+from repro.lsdb.log import AppendOnlyLog
+from repro.lsdb.store import LSDBStore
+from repro.merge.deltas import Delta
+
+ORIGINS = ["r1", "r2", "r3"]
+PER_ORIGIN = 8
+
+
+def donor_log() -> tuple[AppendOnlyLog, dict[tuple[str, int], int]]:
+    """A log holding ``PER_ORIGIN`` events from each origin, interleaved
+    round-robin, plus the ``(origin, seq) -> arena row`` map frames are
+    cut from."""
+    log = AppendOnlyLog("donor")
+    row_of: dict[tuple[str, int], int] = {}
+    for seq in range(1, PER_ORIGIN + 1):
+        for index, origin in enumerate(ORIGINS):
+            key = f"k{(seq + index) % 3}"
+            if seq % 4 == 0:
+                kind, payload = EventKind.SET_FIELDS, {"label": f"{origin}-{seq}"}
+            else:
+                kind = EventKind.DELTA
+                payload = Delta.add("balance", seq + index).to_payload()
+            row_of[(origin, seq)] = len(log.arena)
+            log.append(
+                LogEvent(
+                    lsn=0, timestamp=float(seq), entity_type="acct",
+                    entity_key=key, kind=kind, payload=payload,
+                    origin=origin, origin_seq=seq,
+                )
+            )
+    return log, row_of
+
+
+@st.composite
+def frame_plans(draw):
+    """One to five frames, each a concatenation of per-origin sequence
+    runs.  Run starts are unconstrained, so across frames they replay
+    applied sequences, reach back into stale prefixes, jump ahead over
+    gaps and interleave origins; ``repeat`` doubles one sequence inside
+    a run."""
+    plans = []
+    for _ in range(draw(st.integers(1, 5))):
+        runs = []
+        for _ in range(draw(st.integers(1, 4))):
+            origin = draw(st.sampled_from(ORIGINS))
+            first = draw(st.integers(1, PER_ORIGIN))
+            last = draw(st.integers(first, PER_ORIGIN))
+            seqs = list(range(first, last + 1))
+            if draw(st.booleans()):
+                repeat = draw(st.integers(0, len(seqs) - 1))
+                seqs.insert(repeat, seqs[repeat])
+            runs.extend((origin, seq) for seq in seqs)
+        plans.append(runs)
+    return plans
+
+
+def fingerprint(store: LSDBStore):
+    return (
+        store.current_state(),
+        store.version_vector.to_dict(),
+        store.duplicates_rejected,
+        store._reorder_buffer,
+        store.log.events().identities(),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(plans=frame_plans())
+def test_frame_ingest_equals_per_event_ingest(plans):
+    log, row_of = donor_log()
+    by_frame = LSDBStore(origin="x")
+    by_event = LSDBStore(origin="x")
+    for plan in plans:
+        rows = [row_of[identity] for identity in plan]
+        frame = ColumnFrame.from_slice(EventSlice(log.arena, rows))
+        frame_count = by_frame.apply_remote_frame(frame)
+        event_count = sum(by_event.apply_remote(e) for e in frame.events())
+        assert frame_count == event_count
+        assert fingerprint(by_frame) == fingerprint(by_event)
+
+
+def test_buffered_copy_drains_before_the_frame_reaches_it():
+    """The case the run cut exists for: seq 3 sits in the reorder
+    buffer when a frame carrying 1..4 arrives.  Per-event apply drains
+    the buffered 3 after 2 and then rejects the frame's own 3; the
+    frame ingest must not bulk-extend across it."""
+    log, row_of = donor_log()
+    store = LSDBStore(origin="x")
+    store.apply_remote(log.arena.event_at(row_of[("r1", 3)]))
+    assert store._reorder_buffer == {"r1": {3: log.arena.event_at(row_of[("r1", 3)])}}
+    rows = [row_of[("r1", seq)] for seq in (1, 2, 3, 4)]
+    frame = ColumnFrame.from_slice(EventSlice(log.arena, rows))
+    assert store.apply_remote_frame(frame) == 3  # 1, 2, 4; 3 came from the buffer
+    assert store.duplicates_rejected == 1
+    assert store._reorder_buffer == {}
+    assert store.version_vector.get("r1") == 4
+
+
+# ---------------------------------------------------------------------- #
+# Malformed frames
+# ---------------------------------------------------------------------- #
+
+
+def good_frame() -> ColumnFrame:
+    log, row_of = donor_log()
+    rows = [row_of[("r1", seq)] for seq in (1, 2, 3)]
+    return ColumnFrame.from_slice(EventSlice(log.arena, rows))
+
+
+def truncate_payloads(frame):
+    frame.payloads = frame.payloads[:-1]
+
+
+def truncate_origin_seqs(frame):
+    frame.origin_seqs = frame.origin_seqs[:-1]
+
+
+def extra_timestamp(frame):
+    frame.timestamps.append(9.0)
+
+
+def ref_code_past_table(frame):
+    frame.ref_codes[1] = len(frame.ref_table)
+
+
+def negative_ref_code(frame):
+    frame.ref_codes[2] = -1
+
+
+def origin_code_past_table(frame):
+    frame.origin_codes = array("i", [0, 0, 7])
+
+
+def negative_origin_code(frame):
+    frame.origin_codes[0] = -1
+
+
+def unknown_kind_code(frame):
+    frame.kinds[1] = len(EventKind)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        truncate_payloads,
+        truncate_origin_seqs,
+        extra_timestamp,
+        ref_code_past_table,
+        negative_ref_code,
+        origin_code_past_table,
+        negative_origin_code,
+        unknown_kind_code,
+    ],
+)
+def test_malformed_frame_is_rejected_before_the_arena_moves(corrupt):
+    store = LSDBStore(origin="x")
+    store.apply_remote_frame(good_frame())  # some state to leave untouched
+    rows_before = len(store.log.arena)
+    vector_before = store.version_vector.to_dict()
+    states_before = store.current_state()
+
+    # A fresh run 4..6 would apply cleanly if it were well-formed.
+    log, row_of = donor_log()
+    rows = [row_of[("r1", seq)] for seq in (4, 5, 6)]
+    frame = ColumnFrame.from_slice(EventSlice(log.arena, rows))
+    corrupt(frame)
+    with pytest.raises(MalformedFrame):
+        store.apply_remote_frame(frame)
+
+    assert len(store.log.arena) == rows_before
+    assert store.version_vector.to_dict() == vector_before
+    assert store._states == states_before
+    assert store.duplicates_rejected == 0
+    assert store._reorder_buffer == {}
+
+
+def test_malformed_frame_is_a_repro_error():
+    assert issubclass(MalformedFrame, ReproError)
+
+
+def test_well_formed_and_empty_frames_validate():
+    good_frame().validate()
+    log, _ = donor_log()
+    empty = ColumnFrame.from_slice(EventSlice(log.arena, []))
+    empty.validate()
+    assert LSDBStore(origin="x").apply_remote_frame(empty) == 0

@@ -43,7 +43,10 @@ class TestAppend:
     def test_subscribers_see_every_append(self):
         log = AppendOnlyLog()
         seen = []
-        log.subscribe(lambda event: seen.append(event.lsn))
+        log.subscribe_columnar(
+            lambda arena, row: seen.append(arena.lsns[row]),
+            lambda view: seen.extend(view.lsn_at(i) for i in range(len(view))),
+        )
         log.append(make_event())
         log.append(make_event())
         assert seen == [1, 2]

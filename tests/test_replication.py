@@ -29,9 +29,9 @@ class TestReplicaProtocol:
         sim, net = world()
         a = net.register(ReplicaNode("a", sim))
         b = net.register(ReplicaNode("b", sim))
-        event = a.store.insert("t", "k", {"v": 1})
-        a.ship_events("b", [event])
-        a.ship_events("b", [event])  # duplicate shipment
+        a.store.insert("t", "k", {"v": 1})
+        a.ship_events("b", a.store.events_since(0))
+        a.ship_events("b", a.store.events_since(0))  # duplicate shipment
         sim.run()
         assert b.store.get("t", "k").fields["v"] == 1
         assert b.store.duplicates_rejected == 1
