@@ -40,7 +40,7 @@ class _MasterSurface:
         self.group = group
 
     def read(self, entity_type, entity_key):
-        return self.group.read(self.group.master.node_id, entity_type, entity_key)
+        return self.group.read_at(self.group.master.node_id, entity_type, entity_key)
 
     def insert(self, entity_type, entity_key, fields):
         self.group.write_insert(entity_type, entity_key, fields)

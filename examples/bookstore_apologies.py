@@ -64,7 +64,7 @@ def main() -> None:
 
     sim.run(until=200.0)
     assert group.is_converged()
-    stock = group.read("store-eu", "book_stock", "moby-dick")
+    stock = group.read_at("store-eu", "book_stock", "moby-dick")
     print(f"partition healed; converged availability = {stock.fields['available']}")
     print(f"(physical copies: {stock.fields['copies_physical']}) — oversold!\n")
 

@@ -92,7 +92,7 @@ class ReplicaSurface:
         self.replica_id = replica_id
 
     def read(self, entity_type, entity_key):
-        return self.group.read(self.replica_id, entity_type, entity_key)
+        return self.group.read_at(self.replica_id, entity_type, entity_key)
 
     def insert(self, entity_type, entity_key, fields):
         self.group.write_insert(self.replica_id, entity_type, entity_key, fields)
@@ -115,7 +115,7 @@ class MasterReadSlaveSurface:
         self.slave_id = slave_id
 
     def read(self, entity_type, entity_key):
-        return self.group.read(self.slave_id, entity_type, entity_key)
+        return self.group.read_at(self.slave_id, entity_type, entity_key)
 
     def insert(self, entity_type, entity_key, fields):
         self.group.write_insert(entity_type, entity_key, fields)

@@ -34,6 +34,7 @@ from typing import Any, Callable, Optional
 
 from repro.core.compensation import CompensationManager
 from repro.core.constraints import ConstraintManager
+from repro.core.readpath import ReadRequest, ReadResult
 from repro.core.transaction import TransactionManager
 from repro.lsdb.store import LSDBStore
 from repro.obs.export import render_timeline, trace_payload
@@ -144,39 +145,34 @@ class Cluster:
         entity_type: str,
         entity_key: str,
         *,
-        request: Any = None,
+        request: Optional[ReadRequest] = None,
         site: Optional[str] = None,
-    ) -> Optional[Any]:
+    ) -> ReadResult:
         """Canonical read against the cluster's primary read surface.
 
-        With a typed ``request`` (:class:`~repro.core.readpath.ReadRequest`)
-        the read goes through the front door when one was built
+        Always answers with a :class:`~repro.core.readpath.ReadResult`
+        stamped with the delivered consistency, measured staleness, and
+        — on a geo-replicated cluster — the site that served it;
+        ``request=None`` means ``ReadRequest()``, i.e. STRONG.  The read
+        goes through the front door when one was built
         (``with_front_door``) — admission, backpressure, breakers and
-        the degrade ladder all apply, and the answer is a
-        :class:`~repro.core.readpath.ReadResult` stamped with the
-        delivered consistency, measured staleness, and — on a
-        geo-replicated cluster — the site that served it.  Without a
-        front door the typed read goes straight to the replication
-        scheme (or the standalone store).  The bare legacy call returns
-        the raw state.
+        the degrade ladder all apply — and straight to the replication
+        scheme (or the standalone store) otherwise.
 
         Args:
             site: On a geo cluster, the datacenter the caller is in;
-                reads prefer replicas local to it.  Ignored (and
-                rejected when the cluster has no topology) otherwise.
+                reads prefer replicas local to it (a front door reads
+                from its own site instead).  Rejected when the cluster
+                has no topology.
         """
-        from repro.core.readpath import read_from
-
         if site is not None and self.placement is None:
             raise ValueError("site= requires a geo cluster (with_topology)")
-        if request is not None and self.front_door is not None:
+        if self.front_door is not None:
             return self.front_door.read(entity_type, entity_key, request=request)
         surface = self.replication if self.replication is not None else self.store
         if surface is None:
             raise RuntimeError("cluster has no readable surface")
-        if site is not None:
-            return surface.read(entity_type, entity_key, request=request, site=site)
-        return read_from(surface, entity_type, entity_key, request=request)
+        return surface.read(entity_type, entity_key, request=request, site=site)
 
     # ------------------------------------------------------------------ #
     # Elasticity (ring membership changes)
@@ -584,8 +580,8 @@ class ClusterBuilder:
         strong and replica copies, the warehouse extract or checkpoint
         snapshots as the bottom rung — with per-tenant admission
         control, backpressure signals, circuit breakers, and the
-        degrade ladder.  ``cluster.read(..., request=ReadRequest(...))``
-        then routes through the door.
+        degrade ladder.  Every ``cluster.read(...)`` then routes through
+        the door.
 
         Args:
             **options: Forwarded to

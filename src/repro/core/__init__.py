@@ -68,7 +68,6 @@ from repro.core.readpath import (
     ReadRequest,
     ReadResult,
     ReadSurface,
-    read_from,
 )
 from repro.core.process import JoinContext, ProcessEngine, ProcessStep, StepContext
 from repro.core.transaction import (
@@ -125,7 +124,6 @@ __all__ = [
     "ReadRequest",
     "ReadResult",
     "ReadSurface",
-    "read_from",
     "JoinContext",
     "ProcessEngine",
     "ProcessStep",

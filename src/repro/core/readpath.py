@@ -1,50 +1,54 @@
-"""The unified read protocol, now typed.
+"""The read protocol: one primitive per surface, one shared stamp.
 
-Historically each surface grew its own read-path name: stores exposed
-``get``/``require``, replication groups exposed positional ``read``
-variants keyed by node id, warehouses exposed ``get`` over extracts,
-indexes exposed ``lookup``.  Call sites could not swap one surface for
-another without rewriting every read.
+Every copy of the data that can answer a point read — a store, a read
+cache, a warehouse extract, each replication scheme — is a
+:class:`ReadSurface`.  A surface implements exactly one thing::
 
-The canonical protocol, implemented by every surface in the library::
+    surface.serve(entity_type, entity_key, level, *, max_staleness=None,
+                  site=None) -> (state, delivered_level, staleness,
+                                 served_by, site)
 
-    surface.read(entity_type, entity_key)                      # legacy
-    surface.read(entity_type, entity_key, request=ReadRequest(...))
+*Pick the copy the level selects and report what it honestly holds.*
+``serve`` knows nothing about the caller's policy: it never raises for
+a weaker-than-asked answer, never compares staleness with a bound and
+never builds a :class:`ReadResult`.  ``max_staleness`` is only a budget
+for the copies behind it (a read cache may serve an entry that old);
+``site`` is where the reader sits, for surfaces that span datacenters.
 
-* ``entity_type`` / ``entity_key`` name the entity, exactly as in the
-  entity catalog.
-* ``request`` is a :class:`ReadRequest` carrying everything the caller
-  wants the read path to honour: the requested
-  :class:`~repro.core.consistency.ConsistencyLevel`, a tolerated
-  staleness bound, a deadline, the requesting tenant, and whether the
-  caller accepts a degraded (weaker-than-requested) answer.
-* With a ``request``, the surface returns a :class:`ReadResult` stamped
-  with the consistency *actually delivered* and the staleness it
-  measured while serving — delivered-vs-requested is first-class, which
-  is what lets the front door degrade reads honestly instead of lying
-  about them (paper sections 2.3/2.9: serve and apologize rather than
-  block).
-* Without a ``request`` the legacy behaviour is unchanged: the raw
-  :class:`~repro.lsdb.rollup.EntityState` (or ``None``) comes back.
+Callers get the one shared entry point, inherited from the base class::
 
-The loose ``consistency`` keyword argument that predated the typed
-protocol completed its one-cycle deprecation and is gone; passing it
-now raises ``TypeError`` like any unknown keyword.  ``store.get(...)``
-/ ``warehouse.get(...)`` and the three-positional
-``group.read(node_id, entity_type, entity_key)`` forms are unaffected
-aliases, not scheduled for removal.
+    surface.read(entity_type, entity_key, *, request=None, site=None)
 
-:func:`read_from` is the dispatch helper for code that receives an
-arbitrary surface (the policy router, the front door, experiment
-harnesses).  It is also where :class:`ConsistencyPolicy.max_staleness`
-is finally enforced: a delivered staleness above the declared bound
-marks the result and increments ``read.staleness_violations``.
+which is ``deliver(*serve(request.level, ...), request)``: the served
+tuple stamped into a :class:`ReadResult` with the two checks every
+caller is owed — *degraded* (delivered weaker than requested; raises
+:class:`ConsistencyUnavailable` when ``allow_degraded=False``) and
+*bound_violated* (measured staleness above ``request.max_staleness``,
+counted in ``read.staleness_violations``).  ``request=None`` means
+``ReadRequest()``: the caller who does not think about consistency gets
+STRONG.  There is no untyped form; ``store.get(...)`` /
+``warehouse.get(...)`` are the raw accessors and
+``group.read_at(node_id, entity_type, entity_key)`` the raw
+node-addressed one (master/slave, active/active).
+
+:class:`~repro.replication.quorum.QuorumGroup` is the one surface that
+overrides ``read``: a quorum answer arrives later, so its STRONG read
+returns a pending :class:`ReadResult` completed in place, and its
+``serve(STRONG)`` raises :class:`ConsistencyUnavailable`.
+
+The front door (:mod:`repro.frontdoor`) calls ``serve`` too, not
+``read``: a ladder rung stamps its own :class:`ReadResult` once, with
+the rung's level as the delivered level (a copy that holds less than
+the rung promises is a refusal and a walk down the ladder, never a
+relabel) and, deliberately, without the ``bound_violated`` check — see
+:meth:`repro.frontdoor.ladder.Rung.serve`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Protocol, runtime_checkable
+from abc import ABC, abstractmethod
+from dataclasses import dataclass
+from typing import Any, Optional
 
 from repro.core.consistency import ConsistencyLevel
 from repro.core.policy import Deadline
@@ -289,9 +293,33 @@ def deliver(
     return result
 
 
-@runtime_checkable
-class ReadSurface(Protocol):
-    """Anything that can answer a canonical read."""
+#: What :meth:`ReadSurface.serve` returns: ``(state, delivered_level,
+#: staleness, served_by, site)``.
+Served = tuple[Any, ConsistencyLevel, Optional[float], str, str]
+
+
+class ReadSurface(ABC):
+    """Anything that can answer a canonical read (see the module
+    docstring): subclasses implement :meth:`serve`, callers use
+    :meth:`read`."""
+
+    #: Registry :meth:`read` counts ``read.staleness_violations`` in;
+    #: surfaces bound to a simulator set it to the simulator's.
+    metrics: Any = None
+
+    @abstractmethod
+    def serve(
+        self,
+        entity_type: str,
+        entity_key: str,
+        level: ConsistencyLevel,
+        *,
+        max_staleness: Optional[float] = None,
+        site: Optional[str] = None,
+    ) -> Served:
+        """Pick the copy ``level`` selects and report what it honestly
+        holds.  No request policy: a weaker ``delivered_level`` than
+        ``level`` is reported, not raised."""
 
     def read(
         self,
@@ -299,82 +327,30 @@ class ReadSurface(Protocol):
         entity_key: str,
         *,
         request: Optional[ReadRequest] = None,
-    ) -> Optional[Any]:
-        """Current state of one entity; a :class:`ReadResult` when a
-        typed request is passed, the raw state otherwise."""
-        ...
+        site: Optional[str] = None,
+    ) -> ReadResult:
+        """Serve at ``request.level`` and stamp the answer
+        (``request=None`` means ``ReadRequest()``, i.e. STRONG).
 
-
-def read_from(
-    surface: Any,
-    entity_type: str,
-    entity_key: str,
-    *,
-    request: Optional[ReadRequest] = None,
-    policy: Any = None,
-    metrics: Any = None,
-) -> Any:
-    """Read from any surface, old or new.
-
-    Prefers the canonical ``read`` protocol; falls back to a bare
-    ``get`` for objects predating it.  With a typed ``request`` the
-    answer is a :class:`ReadResult`; surfaces that predate the typed
-    protocol get wrapped with an honest "staleness unknown" stamp.
-
-    ``policy`` (a :class:`~repro.core.consistency.ConsistencyPolicy`)
-    fills in the request's level and staleness bound when the caller
-    has only metadata — this is how the policy router finally enforces
-    ``max_staleness`` on EVENTUAL/EXTRACT paths.
-    """
-    if request is None and policy is not None:
-        request = ReadRequest(
-            level=policy.level, max_staleness=policy.max_staleness
+        Raises:
+            ConsistencyUnavailable: The surface delivered a weaker level
+                and the request forbids degradation.
+        """
+        if request is None:
+            request = ReadRequest()
+        state, delivered, staleness, served_by, served_site = self.serve(
+            entity_type,
+            entity_key,
+            request.level,
+            max_staleness=request.max_staleness,
+            site=site,
         )
-    elif request is not None and policy is not None:
-        if request.max_staleness is None and policy.max_staleness is not None:
-            request = ReadRequest(
-                level=request.level,
-                max_staleness=policy.max_staleness,
-                deadline=request.deadline,
-                tenant=request.tenant,
-                allow_degraded=request.allow_degraded,
-            )
-
-    reader = getattr(surface, "read", None)
-    if request is None:
-        if reader is not None:
-            return reader(entity_type, entity_key)
-        return surface.get(entity_type, entity_key)
-
-    if reader is not None:
-        try:
-            result = reader(entity_type, entity_key, request=request)
-        except TypeError:
-            # Pre-typed surface: serve legacy, wrap with unknown staleness.
-            value = reader(entity_type, entity_key)
-            result = deliver(
-                value, request, request.level, staleness=None, metrics=metrics
-            )
-        if isinstance(result, ReadResult):
-            # Re-check the bound here for surfaces that stamped staleness
-            # but had no registry of their own to count violations in.
-            if (
-                metrics is not None
-                and not result.bound_violated
-                and request.max_staleness is not None
-                and result.staleness is not None
-                and result.staleness > request.max_staleness
-            ):
-                result.bound_violated = True
-                metrics.counter(
-                    "read.staleness_violations",
-                    level=(
-                        result.delivered_level.value
-                        if result.delivered_level
-                        else "unknown"
-                    ),
-                ).inc()
-            return result
-        return deliver(result, request, request.level, staleness=None, metrics=metrics)
-    value = surface.get(entity_type, entity_key)
-    return deliver(value, request, request.level, staleness=None, metrics=metrics)
+        return deliver(
+            state,
+            request,
+            delivered,
+            staleness=staleness,
+            served_by=served_by,
+            site=served_site,
+            metrics=self.metrics,
+        )

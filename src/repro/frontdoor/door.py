@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.core.consistency import ConsistencyLevel
-from repro.core.readpath import ReadRequest, ReadResult
+from repro.core.readpath import ReadRequest, ReadResult, Served
 from repro.frontdoor.admission import AdmissionController, TenantQuota, TokenBucket
 from repro.frontdoor.backpressure import BackpressureMonitor
 from repro.frontdoor.breaker import BreakerBoard
@@ -253,27 +253,29 @@ class FrontDoor:
     ) -> "FrontDoor":
         """Wire a door over whatever the cluster was built with.
 
-        Rungs are assembled from the cluster's surfaces:
+        Each rung is the cluster's read surface — the replication
+        scheme, else the store — ``serve``-d at the rung's level (see
+        :mod:`repro.core.readpath`); a copy that honestly holds less
+        than the rung's level makes the rung refuse and the walk go on:
 
-        * **STRONG** — the replication scheme's strong read (master /
-          primary / quorum), breaker on the primary node's live crash
-          state, optional capacity bucket (``strong_capacity`` reads
-          per unit time);
-        * **BOUNDED_STALENESS** — the scheme's replica read, present
-          when the scheme has a second copy; refuses above
-          ``bounded_staleness`` (default: twice the scheme's shipping
-          interval when it has one, else 100 time units);
+        * **STRONG** — master / primary / home replica; breaker on the
+          primary node's live crash state, optional capacity bucket
+          (``strong_capacity`` reads per unit time).  A scheme with no
+          synchronous strong copy (active/active, quorum) refuses here;
+        * **BOUNDED_STALENESS** — the scheme's replica copy, present
+          when the scheme has one; refuses above ``bounded_staleness``
+          (default: twice the scheme's shipping interval when it has
+          one, else 100 time units);
         * **EVENTUAL** — the cheapest copy that never says no: the
           warehouse extract when one was built, else the primary
           store's latest rollup checkpoint, else the store itself.
 
         On a geo-replicated cluster the door is additionally *sited*:
         ``site`` names the datacenter this door fronts, and every rung
-        prefers a site-local replica before crossing the WAN — the
-        strong rung refuses (walking the ladder) rather than lie when
-        a true strong read is unreachable, the bounded rung serves the
-        nearest hosting replica with its measured cross-DC staleness
-        against the declared bound.
+        — the eventual one included — asks the group, which prefers a
+        site-local replica before crossing the WAN; the bounded rung
+        gates the measured cross-DC staleness against the declared
+        bound, and the breakers watch the site gateways.
 
         Backpressure signals are registered for ``queue_depth_limit``
         (over ``sim.pending``), ``lag_limit_events`` (over the scheme's
@@ -282,8 +284,7 @@ class FrontDoor:
         """
         sim = cluster.sim
         scheme = cluster.replication
-        store = cluster.store
-        if scheme is None and store is None:
+        if scheme is None and cluster.store is None:
             raise ValueError("front door needs a readable surface")
         clock = lambda: sim.now
         board = BreakerBoard(
@@ -292,27 +293,15 @@ class FrontDoor:
             failure_threshold=breaker_threshold,
             reset=breaker_reset,
         )
-        if _is_geo(scheme):
-            rungs = _geo_rungs(
-                scheme,
-                site,
-                clock=clock,
-                board=board,
-                bounded_staleness=bounded_staleness,
-                strong_capacity=strong_capacity,
-                bounded_capacity=bounded_capacity,
-            )
-        else:
-            rungs = _flat_rungs(
-                cluster,
-                scheme,
-                store,
-                clock=clock,
-                board=board,
-                bounded_staleness=bounded_staleness,
-                strong_capacity=strong_capacity,
-                bounded_capacity=bounded_capacity,
-            )
+        rungs = _rungs(
+            cluster,
+            site,
+            clock=clock,
+            board=board,
+            bounded_staleness=bounded_staleness,
+            strong_capacity=strong_capacity,
+            bounded_capacity=bounded_capacity,
+        )
 
         monitor = BackpressureMonitor(metrics=sim.metrics)
         if queue_depth_limit is not None:
@@ -355,131 +344,8 @@ class FrontDoor:
 # ---------------------------------------------------------------------- #
 
 
-def _is_geo(scheme) -> bool:
-    """Whether the scheme is a geo-replicated group (site placement plus
-    per-site WAN gateways)."""
-    return (
-        getattr(scheme, "placement", None) is not None
-        and hasattr(scheme, "gateways")
-    )
-
-
-def _flat_rungs(
+def _rungs(
     cluster,
-    scheme,
-    store,
-    *,
-    clock,
-    board,
-    bounded_staleness,
-    strong_capacity,
-    bounded_capacity,
-) -> list:
-    """The single-datacenter ladder: master/primary/quorum strong rung,
-    backup/slave bounded rung, warehouse/checkpoint/store eventual rung."""
-    rungs: list[Rung] = []
-
-    primary_node = (
-        getattr(scheme, "primary", None)
-        or getattr(scheme, "master", None)
-        or getattr(scheme, "coordinator", None)
-    )
-    strong_surface = scheme if scheme is not None else store
-
-    def strong_reader(entity_type, entity_key, request):
-        result = strong_surface.read(
-            entity_type,
-            entity_key,
-            request=ReadRequest(
-                level=ConsistencyLevel.STRONG,
-                max_staleness=request.max_staleness,
-                tenant=request.tenant,
-            ),
-        )
-        return ReadResult(
-            result.unwrap() if isinstance(result, ReadResult) else result,
-            requested_level=request.level,
-            delivered_level=ConsistencyLevel.STRONG,
-            staleness=result.staleness if isinstance(result, ReadResult) else 0.0,
-            served_by=result.served_by if isinstance(result, ReadResult) else "",
-        )
-
-    strong_health = None
-    if primary_node is not None:
-        strong_health = lambda: not getattr(primary_node, "crashed", False)
-    rungs.append(
-        Rung(
-            level=ConsistencyLevel.STRONG,
-            reader=strong_reader,
-            cost=4.0,
-            capacity=(
-                TokenBucket(strong_capacity, strong_capacity, clock)
-                if strong_capacity is not None
-                else None
-            ),
-            breaker=board.get("strong", health=strong_health),
-        )
-    )
-
-    replica_surface = scheme if _has_replica_copy(scheme) else None
-    if replica_surface is not None:
-        if bounded_staleness is None:
-            ship = getattr(scheme, "ship_interval", None)
-            bounded_staleness = 2.0 * ship if ship else 100.0
-
-        def bounded_reader(entity_type, entity_key, request):
-            result = replica_surface.read(
-                entity_type,
-                entity_key,
-                request=ReadRequest(
-                    level=ConsistencyLevel.BOUNDED_STALENESS,
-                    max_staleness=request.max_staleness,
-                    tenant=request.tenant,
-                ),
-            )
-            return ReadResult(
-                result.unwrap(),
-                requested_level=request.level,
-                delivered_level=ConsistencyLevel.BOUNDED_STALENESS,
-                staleness=result.staleness,
-                degraded=request.level is ConsistencyLevel.STRONG,
-                served_by=result.served_by,
-            )
-
-        backup_node = _replica_node_of(scheme)
-        bounded_health = None
-        if backup_node is not None:
-            bounded_health = (
-                lambda: not getattr(backup_node, "crashed", False)
-            )
-        rungs.append(
-            Rung(
-                level=ConsistencyLevel.BOUNDED_STALENESS,
-                reader=bounded_reader,
-                cost=2.0,
-                capacity=(
-                    TokenBucket(bounded_capacity, bounded_capacity, clock)
-                    if bounded_capacity is not None
-                    else None
-                ),
-                breaker=board.get("bounded", health=bounded_health),
-                declared_bound=bounded_staleness,
-            )
-        )
-
-    eventual_reader = _eventual_reader_for(cluster)
-    rungs.append(
-        Rung(
-            level=ConsistencyLevel.EVENTUAL,
-            reader=eventual_reader,
-            cost=1.0,
-        )
-    )
-    return rungs
-
-
-def _geo_rungs(
-    scheme,
     site,
     *,
     clock,
@@ -488,81 +354,83 @@ def _geo_rungs(
     strong_capacity,
     bounded_capacity,
 ) -> list:
-    """The sited ladder over a geo group.
+    """The ladder over the cluster's read surface: one ``serve`` per
+    level, plus the flat clusters' cheapest-copy bottom reader."""
+    scheme = cluster.replication
+    surface = scheme if scheme is not None else cluster.store
+    # A geo group (per-site WAN gateways) answers every level itself,
+    # site-aware; a flat cluster bottoms out in its cheapest copy.
+    geo = hasattr(scheme, "gateways")
 
-    Every rung delegates to the group's placement-aware read with the
-    door's home ``site``, so site-local replicas answer before any WAN
-    hop.  The strong rung forbids degradation — when the shard's home
-    replica is down or lagging, the group raises and the rung refuses,
-    which is exactly how the walk reaches the bounded rung instead of
-    serving a strong lie.  The scheme's own honest stamp (delivered
-    level, measured cross-DC staleness, serving site) is re-anchored to
-    the outer request so degradation accounting stays truthful.
-    """
-    from repro.core.readpath import is_weaker
-
-    def sited_reader(level, allow_degraded):
+    def serve_at(level):
         def reader(entity_type, entity_key, request):
-            result = scheme.read(
+            return surface.serve(
                 entity_type,
                 entity_key,
-                request=ReadRequest(
-                    level=level,
-                    max_staleness=request.max_staleness,
-                    tenant=request.tenant,
-                    allow_degraded=allow_degraded,
-                ),
+                level,
+                max_staleness=request.max_staleness,
                 site=site,
-            )
-            delivered = result.delivered_level
-            return ReadResult(
-                result.unwrap(),
-                requested_level=request.level,
-                delivered_level=delivered,
-                staleness=result.staleness,
-                degraded=is_weaker(delivered, request.level),
-                served_by=result.served_by,
-                site=result.site,
             )
 
         return reader
 
-    def any_gateway_up():
-        return any(not gw.crashed for gw in scheme.gateways.values())
+    def bucket(capacity):
+        if capacity is None:
+            return None
+        return TokenBucket(capacity, capacity, clock)
 
-    if bounded_staleness is None:
-        bounded_staleness = 2.0 * scheme.ship_interval
+    def up(node):
+        if node is None:
+            return None
+        return lambda: not getattr(node, "crashed", False)
 
-    return [
+    if geo:
+        strong_health = bounded_health = lambda: any(
+            not gateway.crashed for gateway in scheme.gateways.values()
+        )
+    else:
+        strong_health = up(
+            getattr(scheme, "primary", None)
+            or getattr(scheme, "master", None)
+            or getattr(scheme, "coordinator", None)
+        )
+        bounded_health = up(_replica_node_of(scheme))
+
+    rungs = [
         Rung(
             level=ConsistencyLevel.STRONG,
-            reader=sited_reader(ConsistencyLevel.STRONG, False),
+            reader=serve_at(ConsistencyLevel.STRONG),
             cost=4.0,
-            capacity=(
-                TokenBucket(strong_capacity, strong_capacity, clock)
-                if strong_capacity is not None
-                else None
-            ),
-            breaker=board.get("strong", health=any_gateway_up),
-        ),
-        Rung(
-            level=ConsistencyLevel.BOUNDED_STALENESS,
-            reader=sited_reader(ConsistencyLevel.BOUNDED_STALENESS, True),
-            cost=2.0,
-            capacity=(
-                TokenBucket(bounded_capacity, bounded_capacity, clock)
-                if bounded_capacity is not None
-                else None
-            ),
-            breaker=board.get("bounded", health=any_gateway_up),
-            declared_bound=bounded_staleness,
-        ),
+            capacity=bucket(strong_capacity),
+            breaker=board.get("strong", health=strong_health),
+        )
+    ]
+    if _has_replica_copy(scheme):
+        if bounded_staleness is None:
+            ship = getattr(scheme, "ship_interval", None)
+            bounded_staleness = 2.0 * ship if ship else 100.0
+        rungs.append(
+            Rung(
+                level=ConsistencyLevel.BOUNDED_STALENESS,
+                reader=serve_at(ConsistencyLevel.BOUNDED_STALENESS),
+                cost=2.0,
+                capacity=bucket(bounded_capacity),
+                breaker=board.get("bounded", health=bounded_health),
+                declared_bound=bounded_staleness,
+            )
+        )
+    rungs.append(
         Rung(
             level=ConsistencyLevel.EVENTUAL,
-            reader=sited_reader(ConsistencyLevel.EVENTUAL, True),
+            reader=(
+                serve_at(ConsistencyLevel.EVENTUAL)
+                if geo
+                else _bottom_reader(cluster)
+            ),
             cost=1.0,
-        ),
-    ]
+        )
+    )
+    return rungs
 
 
 # ---------------------------------------------------------------------- #
@@ -610,8 +478,9 @@ def _rebalance_in_progress(cluster) -> bool:
     return any(not getattr(run, "done", True) for run in runs)
 
 
-def _eventual_reader_for(cluster):
-    """The bottom rung: the cheapest copy that always answers.
+def _bottom_reader(cluster):
+    """The bottom rung: the cheapest copy that always answers, served
+    as EVENTUAL.
 
     Preference order: the warehouse extract (already a read model),
     else the primary store's latest rollup checkpoint (a frozen
@@ -621,46 +490,20 @@ def _eventual_reader_for(cluster):
     sim = cluster.sim
     warehouse = getattr(cluster, "warehouse", None)
     store = cluster.store
+    eventual = ConsistencyLevel.EVENTUAL
 
-    def reader(entity_type, entity_key, request):
-        snapshot_request = ReadRequest(
-            level=ConsistencyLevel.EVENTUAL, tenant=request.tenant
-        )
+    def reader(entity_type, entity_key, request) -> Served:
         if warehouse is not None and warehouse.extracted_at >= 0:
-            result = warehouse.read(
-                entity_type, entity_key, request=snapshot_request
+            state, _extract, staleness, _by, _site = warehouse.serve(
+                entity_type, entity_key, eventual
             )
-            return ReadResult(
-                result.unwrap(),
-                requested_level=request.level,
-                delivered_level=ConsistencyLevel.EVENTUAL,
-                staleness=result.staleness,
-                degraded=request.level is not ConsistencyLevel.EVENTUAL
-                and request.level is not ConsistencyLevel.EXTRACT,
-                served_by="warehouse",
-            )
-        checkpoint = None
+            return state, eventual, staleness, "warehouse", ""
         manager = getattr(store, "checkpoints", None)
-        if manager is not None:
-            checkpoint = manager.latest()
+        checkpoint = manager.latest() if manager is not None else None
         if checkpoint is not None:
             state = checkpoint.states.get((entity_type, entity_key))
-            return ReadResult(
-                state,
-                requested_level=request.level,
-                delivered_level=ConsistencyLevel.EVENTUAL,
-                staleness=max(0.0, sim.now - checkpoint.taken_at),
-                degraded=request.level is not ConsistencyLevel.EVENTUAL,
-                served_by="checkpoint",
-            )
-        result = store.read(entity_type, entity_key, request=snapshot_request)
-        return ReadResult(
-            result.unwrap(),
-            requested_level=request.level,
-            delivered_level=ConsistencyLevel.EVENTUAL,
-            staleness=result.staleness,
-            degraded=request.level is not ConsistencyLevel.EVENTUAL,
-            served_by=result.served_by,
-        )
+            age = max(0.0, sim.now - checkpoint.taken_at)
+            return state, eventual, age, "checkpoint", ""
+        return store.serve(entity_type, entity_key, eventual)
 
     return reader

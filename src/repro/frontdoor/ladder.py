@@ -11,7 +11,8 @@ for exactly this case).  The ladder encodes that as an ordered list of
     BOUNDED_STALENESS slave / backup read         staleness <= declared bound
     EVENTUAL          checkpoint snapshot read    staleness measured, unbounded
 
-Each rung owns a reader closure, an optional service-capacity
+Each rung owns a reader (a surface's ``serve`` bound to the rung's
+level — see :mod:`repro.core.readpath`), an optional service-capacity
 :class:`~repro.frontdoor.admission.TokenBucket` (the rung's throughput
 model), an optional circuit breaker, and — for the bounded rung — a
 *declared* staleness bound the rung refuses to exceed: a slave that has
@@ -27,7 +28,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.core.consistency import ConsistencyLevel
-from repro.core.readpath import LEVEL_STRENGTH, ReadRequest, ReadResult
+from repro.core.readpath import (
+    LEVEL_STRENGTH,
+    ReadRequest,
+    ReadResult,
+    Served,
+    is_weaker,
+)
 from repro.frontdoor.admission import TokenBucket
 from repro.frontdoor.breaker import CircuitBreaker
 
@@ -38,8 +45,9 @@ class Rung:
 
     Args:
         level: The consistency level this rung delivers.
-        reader: ``(entity_type, entity_key, request) -> ReadResult``
-            closure serving at this level.
+        reader: ``(entity_type, entity_key, request) -> (state, level,
+            staleness, served_by, site)`` — what the rung's copy
+            honestly holds (:meth:`ReadSurface.serve`'s tuple).
         cost: Admission tokens a read on this rung charges the tenant
             (strong reads cost more than snapshot reads).
         capacity: Optional service-capacity bucket — the rung's
@@ -54,7 +62,7 @@ class Rung:
     """
 
     level: ConsistencyLevel
-    reader: Callable[[str, str, ReadRequest], ReadResult]
+    reader: Callable[[str, str, ReadRequest], Served]
     cost: float = 1.0
     capacity: Optional[TokenBucket] = None
     breaker: Optional[CircuitBreaker] = None
@@ -74,24 +82,34 @@ class Rung:
     def serve(
         self, entity_type: str, entity_key: str, request: ReadRequest
     ) -> Optional[ReadResult]:
-        """Attempt the read at this rung.
+        """Attempt the read at this rung and stamp the answer.
 
-        Returns ``None`` when the rung refuses (capacity empty, reader
-        raised, or the measured staleness exceeds the declared bound);
-        the caller then falls through to the next rung.
+        Returns ``None`` when the rung refuses — capacity empty, reader
+        raised, the copy holds less than this rung's level (both breaker
+        failures: the rung never relabels a weaker answer), or the
+        measured staleness exceeds the declared bound — and the caller
+        falls through to the next rung.
+
+        A served read is stamped here, once: delivered at the rung's
+        level, degraded when that is weaker than requested.
+        ``bound_violated`` is deliberately not set: the declared bound
+        above is the bound the door enforces, and a read the bounded
+        rung refused is served further down as a *degraded* read with
+        an apology, not a violated one.
         """
         if self.capacity is not None and not self.capacity.try_take(1.0):
             return None
         try:
-            result = self.reader(entity_type, entity_key, request)
+            served = self.reader(entity_type, entity_key, request)
         except Exception:
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            return None
+            return self._failed()
+        state, held, staleness, served_by, site = served
+        if is_weaker(held, self.level):
+            return self._failed()
         if (
             self.declared_bound is not None
-            and result.staleness is not None
-            and result.staleness > self.declared_bound
+            and staleness is not None
+            and staleness > self.declared_bound
         ):
             # Serving would exceed what this rung declares; refuse and
             # let a rung with no bound (or a wider one) answer.
@@ -99,7 +117,20 @@ class Rung:
             return None
         if self.breaker is not None:
             self.breaker.record_success()
-        return result
+        return ReadResult(
+            state,
+            requested_level=request.level,
+            delivered_level=self.level,
+            staleness=staleness,
+            degraded=is_weaker(self.level, request.level),
+            served_by=served_by,
+            site=site,
+        )
+
+    def _failed(self) -> None:
+        if self.breaker is not None:
+            self.breaker.record_failure()
+        return None
 
 
 class DegradeLadder:

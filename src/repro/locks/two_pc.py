@@ -148,8 +148,7 @@ class TwoPCCoordinator(Node):
             giving up.  Default: one round, the pre-policy behaviour.
 
     The pre-policy ``vote_timeout`` kwarg, deprecated in PR 3, has
-    completed its cycle and was removed; the read-only property of that
-    name remains.
+    completed its cycle and was removed; read :attr:`timeout_policy`.
     """
 
     #: The historical single-round vote timeout.
@@ -168,12 +167,6 @@ class TwoPCCoordinator(Node):
         self._rng = None  # forked lazily from the network's simulator
         self._pending: dict[str, _PendingCommit] = {}
         self.results: list[TwoPCResult] = []
-
-    @property
-    def vote_timeout(self) -> float:
-        """The per-round vote timeout (legacy name for introspection)."""
-        per_attempt = self.timeout_policy.per_attempt
-        return per_attempt if per_attempt is not None else float("inf")
 
     def begin(
         self,

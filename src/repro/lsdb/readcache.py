@@ -42,7 +42,11 @@ from collections import OrderedDict
 from typing import Any, Callable, Optional
 
 from repro.core.consistency import ConsistencyLevel
-from repro.core.readpath import deliver
+
+# ``deliver`` is unused here since the shared ``ReadSurface.read`` does
+# the stamping, but the name stays importable from this module: the
+# end-to-end harness (benchmarks/e2e) asserts it wraps and restores it.
+from repro.core.readpath import ReadSurface, Served, deliver  # noqa: F401
 from repro.lsdb.rollup import EntityState
 
 EntityRef = tuple[str, str]
@@ -93,7 +97,7 @@ class HotSetTracker:
         return len(self._counts)
 
 
-class ReadCache:
+class ReadCache(ReadSurface):
     """A read-through, watermark-validated snapshot cache.
 
     The cache never owns truth: ``head(ref)`` asks the backing surface
@@ -153,7 +157,7 @@ class ReadCache:
         self.evictions = 0
         self.invalidations = 0
         self.served_by = served_by or f"{name}"
-        self._metrics = metrics
+        self.metrics = metrics
         if metrics is not None:
             self._m_hits = metrics.counter("cache.hits", cache=name)
             self._m_misses = metrics.counter("cache.misses", cache=name)
@@ -291,41 +295,30 @@ class ReadCache:
         self._install(ref, frozen, self._head(ref))
         return frozen, 0.0
 
-    def read(
+    def serve(
         self,
         entity_type: str,
         entity_key: str,
+        level: ConsistencyLevel,
         *,
-        request=None,
-    ):
-        """The unified read protocol, served through the cache.
+        max_staleness: Optional[float] = None,
+        site: Optional[str] = None,
+    ) -> Served:
+        """The read protocol's primitive, served through the cache.
 
         ``STRONG`` always revalidates (only a watermark-current entry
         counts as a hit; anything else refreshes — staleness 0 by
         construction).  ``BOUNDED_STALENESS`` serves a stale entry only
-        within ``request.max_staleness``; ``EVENTUAL`` and weaker serve
-        any cached entry, stamping its honest measured age.
+        within ``max_staleness``; ``EVENTUAL`` and weaker serve any
+        cached entry, stamping its honest measured age.
         """
-        if request is None:
-            state, _ = self.lookup(entity_type, entity_key)
-            return state
-        level = request.level
         if level is ConsistencyLevel.STRONG:
             state, age = self.lookup(entity_type, entity_key, revalidate=True)
         elif level is ConsistencyLevel.BOUNDED_STALENESS:
-            state, age = self.lookup(
-                entity_type, entity_key, budget=request.max_staleness
-            )
+            state, age = self.lookup(entity_type, entity_key, budget=max_staleness)
         else:
-            state, age = self.lookup(entity_type, entity_key, budget=None)
-        return deliver(
-            state,
-            request,
-            level,
-            staleness=age,
-            served_by=self.served_by,
-            metrics=self._metrics,
-        )
+            state, age = self.lookup(entity_type, entity_key)
+        return state, level, age, self.served_by, ""
 
     # ------------------------------------------------------------------ #
     # Maintenance

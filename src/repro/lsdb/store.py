@@ -19,6 +19,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Any, Callable, Iterable, Mapping, Optional
 
+from repro.core.consistency import ConsistencyLevel
+from repro.core.readpath import ReadSurface, Served
 from repro.errors import EntityNotFound, ReproError
 from repro.lsdb.checkpoint import (
     Checkpoint,
@@ -39,7 +41,7 @@ from repro.merge.clock import VersionVector
 from repro.merge.deltas import Delta
 
 
-class LSDBStore:
+class LSDBStore(ReadSurface):
     """A log-structured, main-memory entity store.
 
     Args:
@@ -711,22 +713,21 @@ class LSDBStore:
             self.coalescer.flush()
         return self._states.get((entity_type, entity_key))
 
-    def read(
+    def serve(
         self,
         entity_type: str,
         entity_key: str,
+        level: ConsistencyLevel,
         *,
-        request=None,
-    ):
-        """The unified read protocol (see :mod:`repro.core.readpath`).
+        max_staleness: Optional[float] = None,
+        site: Optional[str] = None,
+    ) -> Served:
+        """The read protocol's primitive (see :mod:`repro.core.readpath`).
 
         A single store has one copy of the data, so every consistency
-        level reads the same rollup; the parameter exists so callers
-        can swap a store for a replicated surface without changing call
-        sites.  With a typed ``request`` the answer is a
-        :class:`~repro.core.readpath.ReadResult` delivered at the
-        requested level with zero staleness (this *is* the copy of
-        record in an unreplicated deployment).
+        level reads the same rollup and is delivered as asked at zero
+        staleness (this *is* the copy of record in an unreplicated
+        deployment).
 
         With a read cache attached (:meth:`attach_read_cache`) the read
         routes through it: ``STRONG`` revalidates the watermark every
@@ -734,20 +735,10 @@ class LSDBStore:
         fold stamped with its honest measured age.
         """
         if self.read_cache is not None:
-            return self.read_cache.read(entity_type, entity_key, request=request)
-        state = self.get(entity_type, entity_key)
-        if request is None:
-            return state
-        from repro.core.readpath import deliver
-
-        return deliver(
-            state,
-            request,
-            request.level,
-            staleness=0.0,
-            served_by=self.name,
-            metrics=self.metrics,
-        )
+            return self.read_cache.serve(
+                entity_type, entity_key, level, max_staleness=max_staleness
+            )
+        return self.get(entity_type, entity_key), level, 0.0, self.name, ""
 
     def require(self, entity_type: str, entity_key: str) -> EntityState:
         """Like :meth:`get` but raises for missing or deleted entities."""

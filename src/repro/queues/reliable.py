@@ -61,8 +61,7 @@ class ReliableQueue:
             ``deadline_expired`` verdict instead of being retried.
             (The pre-policy ``redelivery_timeout``/``max_attempts``
             kwargs, deprecated in PR 3, have completed their cycle and
-            were removed; the read-only properties of those names
-            remain.)
+            were removed; read :attr:`retry_policy` instead.)
         ack_loss_probability: Probability that a *successful* handler
             run's ack is lost (consumer crashed after processing, before
             acknowledging) — the classic source of duplicates that
@@ -130,18 +129,6 @@ class ReliableQueue:
         else:
             self._m_enqueued = self._m_delivered = None
             self._m_redelivered = self._m_dead = self._m_deadline = None
-
-    # -- legacy attribute views (kept for introspection/back-compat) ----- #
-
-    @property
-    def redelivery_timeout(self) -> float:
-        """The retry policy's base delay (legacy name)."""
-        return self.retry_policy.base_delay
-
-    @property
-    def max_attempts(self) -> int:
-        """The retry policy's attempt cap (legacy name)."""
-        return self.retry_policy.max_attempts
 
     def subscribe(self, topic: str, handler: Handler) -> None:
         """Register ``handler`` for ``topic``.

@@ -19,16 +19,24 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.core.consistency import ConsistencyLevel
+from repro.core.readpath import ReadSurface, Served, is_weaker
 from repro.lsdb.events import LogEvent
+from repro.lsdb.rollup import EntityState
 from repro.merge.deltas import Delta
 from repro.replication.anti_entropy import AntiEntropy
 from repro.replication.batching import BatchPolicy
-from repro.replication.replica import ReplicaNode, converged
+from repro.replication.replica import (
+    ReplicaNode,
+    converged,
+    lag_behind_peers,
+    read_follower,
+)
 from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
 
 
-class ActiveActiveGroup:
+class ActiveActiveGroup(ReadSurface):
     """A set of peer replicas, all writable.
 
     Args:
@@ -71,6 +79,7 @@ class ActiveActiveGroup:
         if len(replica_ids) < 2:
             raise ValueError("an active/active group needs at least two replicas")
         self.sim = sim
+        self.metrics = sim.metrics
         self.network = network
         self.eager = eager
         self.batching = batching if batching is not None else BatchPolicy()
@@ -142,53 +151,38 @@ class ActiveActiveGroup:
         self.writes_accepted += 1
         return self.sim.now
 
-    def read(self, *args: str, request=None):
-        """Subjective read — typed, canonical, or legacy form.
+    def serve(
+        self,
+        entity_type: str,
+        entity_key: str,
+        level: ConsistencyLevel,
+        *,
+        max_staleness: Optional[float] = None,
+        site: Optional[str] = None,
+    ) -> Served:
+        """The read protocol's primitive (see :mod:`repro.core.readpath`).
 
-        Typed (unified protocol): ``read(entity_type, entity_key,
-        request=ReadRequest(...))`` serves from the first replica and
-        returns a :class:`~repro.core.readpath.ReadResult` delivered at
+        Serves the first replica's subjective view, delivered at
         ``EVENTUAL`` at best — there is no strong copy in an
         active/active group, so a ``STRONG`` request is honestly
-        stamped as degraded.  The staleness stamp is the simulator's
+        reported as weaker.  The staleness stamp is the simulator's
         omniscient view: the age of the oldest peer event the serving
-        replica has not applied yet.  Canonical two-arg and legacy
-        three-positional ``read(replica_id, entity_type, entity_key)``
-        forms return the raw state.
+        replica has not applied yet.
         """
-        if len(args) == 3:
-            replica_id, entity_type, entity_key = args
-        elif len(args) == 2:
-            entity_type, entity_key = args
-            replica_id = next(iter(self.replicas))
-        else:
-            raise TypeError(
-                "read() takes (entity_type, entity_key) or "
-                f"(replica_id, entity_type, entity_key); got {len(args)} args"
-            )
-        state = self.replicas[replica_id].store.get(entity_type, entity_key)
-        if request is None:
-            return state
-        from repro.core.consistency import ConsistencyLevel
-        from repro.core.readpath import LEVEL_STRENGTH, deliver
-        from repro.replication.replica import staleness_behind
-
-        serving = self.replicas[replica_id]
-        staleness = 0.0
-        for peer in self.replicas.values():
-            if peer is not serving:
-                staleness = max(staleness, staleness_behind(peer, serving))
-        delivered = request.level
-        if LEVEL_STRENGTH[delivered] < LEVEL_STRENGTH[ConsistencyLevel.EVENTUAL]:
-            delivered = ConsistencyLevel.EVENTUAL
-        return deliver(
-            state,
-            request,
-            delivered,
-            staleness=staleness,
-            served_by=replica_id,
-            metrics=self.sim.metrics,
+        serving = next(iter(self.replicas.values()))
+        lag = lag_behind_peers(serving, self.replicas.values())
+        state, staleness = read_follower(
+            serving, lag, entity_type, entity_key, max_staleness
         )
+        if is_weaker(ConsistencyLevel.EVENTUAL, level):
+            level = ConsistencyLevel.EVENTUAL
+        return state, level, staleness, serving.node_id, ""
+
+    def read_at(
+        self, replica_id: str, entity_type: str, entity_key: str
+    ) -> Optional[EntityState]:
+        """The raw subjective state one explicit replica holds."""
+        return self.replicas[replica_id].store.get(entity_type, entity_key)
 
     # ------------------------------------------------------------------ #
     # Propagation & convergence

@@ -17,7 +17,7 @@ from typing import Any, Optional
 from repro.lsdb.events import LogEvent
 from repro.merge.deltas import Delta
 from repro.replication.batching import BatchPolicy
-from repro.replication.replica import ReplicaNode
+from repro.replication.replica import PrimaryCopySurface, ReplicaNode
 from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
 
@@ -64,7 +64,7 @@ class FailoverReport:
     lost_tx_ids: list[str]
 
 
-class AsyncPrimaryBackup:
+class AsyncPrimaryBackup(PrimaryCopySurface):
     """Primary/backup replication with asynchronous log shipping.
 
     Args:
@@ -102,6 +102,7 @@ class AsyncPrimaryBackup:
         batching: Optional[BatchPolicy] = None,
     ):
         self.sim = sim
+        self.metrics = sim.metrics
         self.network = network
         self.ship_interval, self.batching = resolve_batching(
             ship_interval, batching, "AsyncPrimaryBackup"
@@ -140,46 +141,9 @@ class AsyncPrimaryBackup:
         self.primary.store.apply_delta(entity_type, entity_key, delta, tx_id=tx_id)
         return self.sim.now
 
-    def read(
-        self,
-        entity_type: str,
-        entity_key: str,
-        *,
-        request=None,
-    ):
-        """The unified read protocol (see :mod:`repro.core.readpath`).
-
-        A ``STRONG`` request (and the bare legacy call) reads the
-        primary, which has every acknowledged write; weaker levels read
-        the backup, which lags by up to one shipping interval.  With a
-        typed ``request`` the answer is a
-        :class:`~repro.core.readpath.ReadResult` whose staleness is the
-        age of the oldest primary event the backup has not applied.
-        """
-        from repro.core.consistency import ConsistencyLevel
-
-        if request is None:
-            return self.primary.store.get(entity_type, entity_key)
-        from repro.core.readpath import deliver, replica_level
-        from repro.replication.replica import staleness_behind
-
-        if request.level is ConsistencyLevel.STRONG:
-            return deliver(
-                self.primary.store.get(entity_type, entity_key),
-                request,
-                ConsistencyLevel.STRONG,
-                staleness=0.0,
-                served_by=self.primary.node_id,
-                metrics=self.sim.metrics,
-            )
-        return deliver(
-            self.backup.store.get(entity_type, entity_key),
-            request,
-            replica_level(request.level),
-            staleness=staleness_behind(self.primary, self.backup),
-            served_by=self.backup.node_id,
-            metrics=self.sim.metrics,
-        )
+    def _read_nodes(self) -> tuple[ReplicaNode, ReplicaNode]:
+        # The backup lags the primary by up to one shipping interval.
+        return self.primary, self.backup
 
     # ------------------------------------------------------------------ #
     # Shipping loop

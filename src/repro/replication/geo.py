@@ -34,16 +34,16 @@ from typing import Any, Mapping, Optional
 
 from repro.core.consistency import ConsistencyLevel
 from repro.core.readpath import (
-    LEVEL_STRENGTH,
     ConsistencyUnavailable,
-    deliver,
+    ReadSurface,
+    Served,
     replica_level,
 )
 from repro.errors import ReplicationError
 from repro.merge.deltas import Delta
 from repro.partition.placement import PlacementPolicy
 from repro.replication.batching import BatchPolicy
-from repro.replication.replica import ReplicaNode, converged, staleness_behind
+from repro.replication.replica import ReplicaNode, converged, lag_behind_peers
 from repro.sim.network import Network, Node
 from repro.sim.scheduler import Simulator
 from repro.sim.topology import SiteTopology
@@ -177,7 +177,7 @@ class GeoShardReplica(ReplicaNode):
         return shipped_all
 
 
-class GeoReplicaGroup:
+class GeoReplicaGroup(ReadSurface):
     """Partially replicated shard groups across datacenters.
 
     The geo twin of the flat replication schemes: ``placement`` decides
@@ -238,6 +238,7 @@ class GeoReplicaGroup:
                 f"{list(topology.sites)}"
             )
         self.sim = sim
+        self.metrics = sim.metrics
         self.network = network
         self.topology = topology
         self.placement = placement
@@ -335,33 +336,30 @@ class GeoReplicaGroup:
     # Reads: site-local preference, honest delivered-level stamping
     # ------------------------------------------------------------------ #
 
-    def read(
+    def serve(
         self,
         entity_type: str,
         entity_key: str,
+        level: ConsistencyLevel,
         *,
-        request=None,
+        max_staleness: Optional[float] = None,
         site: Optional[str] = None,
-    ):
-        """Read an entity from its shard group.
+    ) -> Served:
+        """The read protocol's primitive (see :mod:`repro.core.readpath`).
 
         ``site`` names where the reader sits: among the live hosting
         replicas the site-local one is preferred, then the nearest by
         WAN latency — a cross-DC hop only happens when the local site
-        does not host (or has lost) the shard.  ``STRONG`` requests are
-        served by the shard's home replica and stamped ``STRONG`` only
-        when it has genuinely seen every group write (measured staleness
-        zero); anything else is stamped with the replica floor and the
+        does not host (or has lost) the shard.  ``STRONG`` is served by
+        the shard's home replica and reported ``STRONG`` only when it
+        has genuinely seen every group write (measured staleness zero);
+        anything else is reported at the replica floor with the
         measured cross-site staleness, which is what the front door's
-        bounded rung gates on.
-
-        Without ``request`` the legacy raw-state form serves from the
-        first live hosting replica (site preference still applies).
+        bounded rung gates on.  The replicas' read caches are not
+        consulted (``max_staleness`` is unused).
 
         Raises:
-            ConsistencyUnavailable: No live site hosts the shard, or
-                ``STRONG`` was required (``allow_degraded=False``) and
-                the home site cannot serve it.
+            ConsistencyUnavailable: No live site hosts the shard.
         """
         shard = self.placement.shard_of(entity_type, entity_key)
         members = self.groups[shard]
@@ -371,35 +369,14 @@ class GeoReplicaGroup:
                 f"no live site hosts shard {shard} for "
                 f"{entity_type}/{entity_key}"
             )
-        level = request.level if request is not None else ConsistencyLevel.STRONG
         home = members[0]
-        strong_wanted = (
-            LEVEL_STRENGTH[level] <= LEVEL_STRENGTH[ConsistencyLevel.STRONG]
-        )
-        if strong_wanted and home in live:
+        if level is ConsistencyLevel.STRONG and home in live:
             serving = home
         else:
-            if (
-                strong_wanted
-                and request is not None
-                and not request.allow_degraded
-            ):
-                raise ConsistencyUnavailable(
-                    f"shard {shard} home site {home.site!r} is down and the "
-                    "request forbids degradation"
-                )
             serving = self._nearest(live, site)
-        staleness = 0.0
-        for peer in members:
-            if peer is not serving:
-                staleness = max(staleness, staleness_behind(peer, serving))
-        state = serving.store.get(entity_type, entity_key)
-        if request is None:
-            return state
-        if serving is home and staleness == 0.0:
-            delivered = level
-        else:
-            delivered = replica_level(level)
+        staleness = lag_behind_peers(serving, members)
+        if not (serving is home and staleness == 0.0):
+            level = replica_level(level)
         if self._h_staleness is not None and serving is not home:
             self._h_staleness.record(
                 sum(
@@ -411,15 +388,8 @@ class GeoReplicaGroup:
                     if peer is not serving
                 )
             )
-        return deliver(
-            state,
-            request,
-            delivered,
-            staleness=staleness,
-            served_by=serving.node_id,
-            site=serving.site,
-            metrics=self.sim.metrics,
-        )
+        state = serving.store.get(entity_type, entity_key)
+        return state, level, staleness, serving.node_id, serving.site
 
     def _nearest(
         self, live: list[GeoShardReplica], site: Optional[str]

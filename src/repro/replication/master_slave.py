@@ -17,17 +17,19 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.core.consistency import ConsistencyLevel
+from repro.core.readpath import Served
 from repro.errors import NotMaster
 from repro.lsdb.rollup import EntityState
 from repro.merge.deltas import Delta
 from repro.replication.asynchronous import resolve_batching
 from repro.replication.batching import BatchPolicy
-from repro.replication.replica import ReplicaNode
+from repro.replication.replica import PrimaryCopySurface, ReplicaNode
 from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
 
 
-class MasterSlaveGroup:
+class MasterSlaveGroup(PrimaryCopySurface):
     """One writable master, many read-only slaves.
 
     Args:
@@ -47,10 +49,10 @@ class MasterSlaveGroup:
         ...                          ship_interval=10.0,
         ...                          batching=BatchPolicy(max_batch=64))
         >>> _ = group.write_insert("stock", "book", {"copies": 5})
-        >>> group.read("slave-1", "stock", "book") is None   # not shipped yet
+        >>> group.read_at("slave-1", "stock", "book") is None   # not shipped yet
         True
         >>> _ = sim.run(until=30.0)
-        >>> group.read("slave-1", "stock", "book").fields["copies"]
+        >>> group.read_at("slave-1", "stock", "book").fields["copies"]
         5
     """
 
@@ -65,6 +67,7 @@ class MasterSlaveGroup:
         batching: Optional[BatchPolicy] = None,
     ):
         self.sim = sim
+        self.metrics = sim.metrics
         self.network = network
         self.ship_interval, self.batching = resolve_batching(
             ship_interval, batching, "MasterSlaveGroup"
@@ -119,93 +122,41 @@ class MasterSlaveGroup:
     # Reads: anywhere, with staleness at slaves
     # ------------------------------------------------------------------ #
 
-    def read(self, *args: str, request=None):
-        """Read an entity — typed, canonical, or legacy form.
+    def _read_nodes(self) -> tuple[ReplicaNode, ReplicaNode]:
+        return self.master, next(iter(self.slaves.values()))
 
-        Typed (the unified protocol, :mod:`repro.core.readpath`)::
-
-            group.read(entity_type, entity_key, request=ReadRequest(...))
-
-        routes by the requested level — ``STRONG`` to the master,
-        anything weaker to the first slave — and returns a
-        :class:`~repro.core.readpath.ReadResult` stamped with the
-        delivered level and the slave's measured staleness (age of the
-        oldest master event the slave has not applied).
-
-        Canonical ``read(entity_type, entity_key)`` serves the master
-        and returns the raw state; the legacy three-positional form
-        ``read(node_id, entity_type, entity_key)`` addresses an
-        explicit node.
-
-        Slave reads record their staleness (master events not yet
-        applied at the serving slave) into the ``read.staleness_events``
-        histogram when metrics are attached.
-        """
-        if len(args) == 3:
-            node_id, entity_type, entity_key = args
-        elif len(args) == 2:
-            entity_type, entity_key = args
-            from repro.core.consistency import ConsistencyLevel
-
-            level = request.level if request is not None else None
-            if level is None or level is ConsistencyLevel.STRONG:
-                node_id = self.master.node_id
-            else:
-                node_id = next(iter(self.slaves))
-        else:
-            raise TypeError(
-                "read() takes (entity_type, entity_key) or "
-                f"(node_id, entity_type, entity_key); got {len(args)} args"
-            )
-        if node_id == self.master.node_id:
-            state = self.master.store.get(entity_type, entity_key)
-            if request is None:
-                return state
-            from repro.core.consistency import ConsistencyLevel
-            from repro.core.readpath import deliver
-
-            return deliver(
-                state,
-                request,
-                ConsistencyLevel.STRONG,
-                staleness=0.0,
-                served_by=node_id,
-                metrics=self.sim.metrics,
-            )
-        if self._h_staleness is not None:
-            self._h_staleness.record(self.slave_lag_events(node_id))
-        follower = self.slaves[node_id]
-        if request is None:
-            return follower.store.get(entity_type, entity_key)
-        from repro.core.readpath import deliver, replica_level
-        from repro.replication.replica import staleness_behind
-
-        staleness = staleness_behind(self.master, follower)
-        cache = follower.store.read_cache
-        if cache is not None:
-            # The scheme's replication lag already eats part of the
-            # caller's staleness budget; the cache may only add what's
-            # left.  Total measured staleness is the oldest write the
-            # answer misses: scheme lag or cache age, whichever is
-            # worse.
-            if request.max_staleness is None:
-                budget = None
-            else:
-                budget = max(0.0, request.max_staleness - staleness)
-            state, cache_age = cache.lookup(
-                entity_type, entity_key, budget=budget
-            )
-            staleness = max(staleness, cache_age)
-        else:
-            state = follower.store.get(entity_type, entity_key)
-        return deliver(
-            state,
-            request,
-            replica_level(request.level),
-            staleness=staleness,
-            served_by=node_id,
-            metrics=self.sim.metrics,
+    def serve(
+        self,
+        entity_type: str,
+        entity_key: str,
+        level: ConsistencyLevel,
+        *,
+        max_staleness: Optional[float] = None,
+        site: Optional[str] = None,
+    ) -> Served:
+        """``STRONG`` reads the master, anything weaker the first slave
+        (see :class:`PrimaryCopySurface`); slave reads record their lag
+        in events into the ``read.staleness_events`` histogram when
+        metrics are attached."""
+        if level is not ConsistencyLevel.STRONG:
+            self._record_slave_read(next(iter(self.slaves)))
+        return super().serve(
+            entity_type, entity_key, level, max_staleness=max_staleness
         )
+
+    def read_at(
+        self, node_id: str, entity_type: str, entity_key: str
+    ) -> Optional[EntityState]:
+        """The raw state one explicit node holds right now (slave reads
+        are recorded in ``read.staleness_events`` like typed ones)."""
+        if node_id == self.master.node_id:
+            return self.master.store.get(entity_type, entity_key)
+        self._record_slave_read(node_id)
+        return self.slaves[node_id].store.get(entity_type, entity_key)
+
+    def _record_slave_read(self, slave_id: str) -> None:
+        if self._h_staleness is not None:
+            self._h_staleness.record(self.slave_lag_events(slave_id))
 
     def slave_lag_events(self, slave_id: str) -> int:
         """Master events not yet applied at ``slave_id``."""

@@ -16,9 +16,18 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
+from repro.core.consistency import ConsistencyLevel
 from repro.core.policy import Deadline, RetryPolicy, TimeoutPolicy
+from repro.core.readpath import (
+    ConsistencyUnavailable,
+    ReadRequest,
+    ReadResult,
+    ReadSurface,
+    Served,
+    replica_level,
+)
 from repro.errors import QuorumUnavailable, RetryExhausted
-from repro.replication.replica import ReplicaNode
+from repro.replication.replica import ReplicaNode, lag_behind_peers, read_follower
 from repro.sim.network import Network, Node
 from repro.sim.scheduler import Simulator
 
@@ -272,7 +281,7 @@ class QuorumCoordinator(Node):
             )
 
 
-class QuorumGroup:
+class QuorumGroup(ReadSurface):
     """N replicas with R/W quorum operations.
 
     Args:
@@ -310,6 +319,7 @@ class QuorumGroup:
         if count < 1:
             raise ValueError("quorum group needs at least one replica")
         self.sim = sim
+        self.metrics = sim.metrics
         self.network = network
         self.write_quorum = write_quorum or count // 2 + 1
         self.read_quorum = read_quorum or count // 2 + 1
@@ -352,12 +362,6 @@ class QuorumGroup:
             self._m_repairs = None
             self._m_retries = None
 
-    @property
-    def timeout(self) -> float:
-        """The per-attempt timeout (legacy name for introspection)."""
-        per_attempt = self.timeout_policy.per_attempt
-        return per_attempt if per_attempt is not None else float("inf")
-
     def write(
         self,
         entity_type: str,
@@ -378,85 +382,89 @@ class QuorumGroup:
             on_done or (lambda _outcome: None),
         )
 
+    def serve(
+        self,
+        entity_type: str,
+        entity_key: str,
+        level: ConsistencyLevel,
+        *,
+        max_staleness: Optional[float] = None,
+        site: Optional[str] = None,
+    ) -> Served:
+        """The read protocol's primitive (see :mod:`repro.core.readpath`).
+
+        Anything weaker than ``STRONG`` is the consistency downgrade:
+        skip the quorum entirely and serve one replica's local state
+        right now, with measured staleness — the cheap rung the front
+        door degrades to when the quorum is slow or unreachable.
+
+        Raises:
+            ConsistencyUnavailable: ``STRONG`` — a quorum answer arrives
+                later and ``serve`` answers now; :meth:`read` is the
+                strong path.
+        """
+        if level is ConsistencyLevel.STRONG:
+            raise ConsistencyUnavailable(
+                "a quorum read completes later; QuorumGroup.read returns "
+                "the pending result"
+            )
+        serving = self.replicas[0]
+        lag = lag_behind_peers(serving, self.replicas)
+        state, staleness = read_follower(
+            serving, lag, entity_type, entity_key, max_staleness
+        )
+        return state, replica_level(level), staleness, serving.node_id, ""
+
     def read(
         self,
         entity_type: str,
         entity_key: str,
         on_done: Optional[Callable[[QuorumOutcome], None]] = None,
         *,
-        request=None,
-    ):
+        request: Optional[ReadRequest] = None,
+        site: Optional[str] = None,
+    ) -> ReadResult:
         """Quorum read; the freshest replica value wins.
 
-        The callback form (``on_done``) starts a quorum read and
-        returns the request id, as ever.  With a typed ``request``
-        (:class:`~repro.core.readpath.ReadRequest`) the behaviour
-        depends on the requested level:
-
-        * ``STRONG`` starts the quorum read and returns a
-          :class:`~repro.core.readpath.ReadResult` immediately; the
-          result is *pending* (``delivered_level`` is ``None``) and is
-          completed in place — ``value`` (the winning fields dict),
-          delivered level, or a ``quorum_unavailable`` rejection — once
-          the simulator delivers the quorum.  ``on_done`` still fires.
-        * anything weaker is the consistency downgrade: skip the quorum
-          entirely and serve one replica's local state right now, with
-          measured staleness.  This is the cheap rung the front door
-          degrades to when the quorum is slow or unreachable.
+        A ``STRONG`` request (the default) starts the quorum read and
+        returns a :class:`~repro.core.readpath.ReadResult` immediately;
+        the result is *pending* (``delivered_level`` is ``None``) and
+        is completed in place — ``value`` (the winning fields dict),
+        delivered level, or a ``quorum_unavailable`` rejection — once
+        the simulator delivers the quorum, at which point ``on_done``
+        fires with the :class:`QuorumOutcome`.  Anything weaker is the
+        shared :meth:`~repro.core.readpath.ReadSurface.read` over
+        :meth:`serve`.
         """
-        if request is not None:
-            from repro.core.consistency import ConsistencyLevel
-            from repro.core.readpath import ReadResult, deliver, replica_level
-            from repro.replication.replica import staleness_behind
+        if request is None:
+            request = ReadRequest()
+        if request.level is not ConsistencyLevel.STRONG:
+            return super().read(entity_type, entity_key, request=request, site=site)
+        result = ReadResult(
+            None,
+            requested_level=request.level,
+            delivered_level=None,
+            staleness=None,
+        )
 
-            if request.level is not ConsistencyLevel.STRONG:
-                serving = self.replicas[0]
-                state = serving.store.get(entity_type, entity_key)
-                staleness = 0.0
-                for peer in self.replicas:
-                    if peer is not serving:
-                        staleness = max(
-                            staleness, staleness_behind(peer, serving)
-                        )
-                return deliver(
-                    state,
-                    request,
-                    replica_level(request.level),
-                    staleness=staleness,
-                    served_by=serving.node_id,
-                    metrics=self.sim.metrics,
-                )
-            result = ReadResult(
-                None,
-                requested_level=request.level,
-                delivered_level=None,
-                staleness=None,
-            )
+        def _complete(outcome: QuorumOutcome) -> None:
+            result.value = outcome.value
+            if outcome.ok:
+                result.delivered_level = ConsistencyLevel.STRONG
+                result.staleness = 0.0
+            else:
+                result.rejected = True
+                result.reject_reason = "quorum_unavailable"
+            if on_done is not None:
+                on_done(outcome)
 
-            def _complete(outcome: QuorumOutcome) -> None:
-                result.value = outcome.value
-                if outcome.ok:
-                    result.delivered_level = ConsistencyLevel.STRONG
-                    result.staleness = 0.0
-                else:
-                    result.rejected = True
-                    result.reject_reason = "quorum_unavailable"
-                if on_done is not None:
-                    on_done(outcome)
-
-            self.coordinator.start(
-                "read",
-                self.read_quorum,
-                {"entity_type": entity_type, "entity_key": entity_key},
-                _complete,
-            )
-            return result
-        return self.coordinator.start(
+        self.coordinator.start(
             "read",
             self.read_quorum,
             {"entity_type": entity_type, "entity_key": entity_key},
-            on_done or (lambda _outcome: None),
+            _complete,
         )
+        return result
 
     @property
     def failure_rate(self) -> float:

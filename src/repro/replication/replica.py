@@ -21,9 +21,13 @@ node's log.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Optional
+from abc import abstractmethod
+from typing import Any, Callable, Iterable, Mapping, Optional
 
+from repro.core.consistency import ConsistencyLevel
+from repro.core.readpath import ReadSurface, Served, replica_level
 from repro.lsdb.columnar import ColumnFrame, EventSlice
+from repro.lsdb.rollup import EntityState
 from repro.lsdb.store import LSDBStore
 from repro.merge.clock import VersionVector
 from repro.replication.batching import BatchPolicy, FrameShipper
@@ -257,6 +261,70 @@ def staleness_behind(authority: ReplicaNode, follower: ReplicaNode) -> float:
     if not backlog:
         return 0.0
     return max(0.0, authority.sim.now - backlog[0].timestamp)
+
+
+def lag_behind_peers(serving: ReplicaNode, peers: Iterable[ReplicaNode]) -> float:
+    """The worst :func:`staleness_behind` of ``serving`` against every
+    other node in ``peers`` — the age of the oldest write, from anyone,
+    that ``serving`` has not applied."""
+    staleness = 0.0
+    for peer in peers:
+        if peer is not serving:
+            staleness = max(staleness, staleness_behind(peer, serving))
+    return staleness
+
+
+def read_follower(
+    serving: ReplicaNode,
+    lag: float,
+    entity_type: str,
+    entity_key: str,
+    max_staleness: Optional[float],
+) -> tuple[Optional[EntityState], float]:
+    """What a copy lagging by ``lag`` holds, and how stale that answer is.
+
+    Without a read cache on ``serving``'s store this is its current
+    fold at ``lag``.  With one, the replication lag already eats part
+    of the caller's staleness budget and the cache may only add what is
+    left (``budget = max(0, max_staleness - lag)``, unbounded when
+    ``max_staleness`` is ``None``); the stamp is the oldest write the
+    answer misses — replication lag or cache age, whichever is worse.
+    """
+    cache = serving.store.read_cache
+    if cache is None:
+        return serving.store.get(entity_type, entity_key), lag
+    budget = None if max_staleness is None else max(0.0, max_staleness - lag)
+    state, cache_age = cache.lookup(entity_type, entity_key, budget=budget)
+    return state, max(lag, cache_age)
+
+
+class PrimaryCopySurface(ReadSurface):
+    """``serve`` for schemes with one authoritative copy: ``STRONG``
+    reads the authority at staleness zero, anything weaker reads a
+    follower (:func:`read_follower`) at the replica floor."""
+
+    @abstractmethod
+    def _read_nodes(self) -> tuple[ReplicaNode, ReplicaNode]:
+        """``(authority, follower)``."""
+
+    def serve(
+        self,
+        entity_type: str,
+        entity_key: str,
+        level: ConsistencyLevel,
+        *,
+        max_staleness: Optional[float] = None,
+        site: Optional[str] = None,
+    ) -> Served:
+        authority, follower = self._read_nodes()
+        if level is ConsistencyLevel.STRONG:
+            state = authority.store.get(entity_type, entity_key)
+            return state, level, 0.0, authority.node_id, ""
+        lag = staleness_behind(authority, follower)
+        state, staleness = read_follower(
+            follower, lag, entity_type, entity_key, max_staleness
+        )
+        return state, replica_level(level), staleness, follower.node_id, ""
 
 
 def converged(replicas: list[ReplicaNode]) -> bool:

@@ -20,7 +20,7 @@ from repro.core.policy import RetryPolicy, TimeoutPolicy
 from repro.errors import DeadlineExceeded, RetryExhausted
 from repro.lsdb.events import LogEvent
 from repro.merge.deltas import Delta
-from repro.replication.replica import ReplicaNode
+from repro.replication.replica import PrimaryCopySurface, ReplicaNode
 from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
 
@@ -66,7 +66,7 @@ class _SyncBackup(ReplicaNode):
             self.send(source, {"type": "replication-ack", "tx": message.get("tx")})
 
 
-class SyncPrimaryBackup:
+class SyncPrimaryBackup(PrimaryCopySurface):
     """Primary/backup replication with commit-time acknowledgement.
 
     Args:
@@ -82,8 +82,7 @@ class SyncPrimaryBackup:
 
     The PR 3 legacy ``ack_timeout=<seconds>`` constructor kwarg has
     completed its deprecation cycle and was removed; pass
-    ``timeout=TimeoutPolicy(per_attempt=...)``.  The read-only
-    :attr:`ack_timeout` property remains for introspection.
+    ``timeout=TimeoutPolicy(per_attempt=...)``.
     """
 
     #: The historical single-knob ack timeout.
@@ -99,6 +98,7 @@ class SyncPrimaryBackup:
         retry: Optional[RetryPolicy] = None,
     ):
         self.sim = sim
+        self.metrics = sim.metrics
         self.network = network
         self.timeout_policy = timeout if timeout is not None else self.DEFAULT_TIMEOUT
         self.retry_policy = retry if retry is not None else RetryPolicy.none()
@@ -116,12 +116,6 @@ class SyncPrimaryBackup:
         network.register(self.backup)
         self.results: list[SyncWriteResult] = []
         self._tx_counter = itertools.count(1)
-
-    @property
-    def ack_timeout(self) -> float:
-        """The per-attempt ack timeout (legacy name for introspection)."""
-        per_attempt = self.timeout_policy.per_attempt
-        return per_attempt if per_attempt is not None else float("inf")
 
     def write_insert(
         self,
@@ -154,47 +148,11 @@ class SyncPrimaryBackup:
         )
         return self._write(event, on_done)
 
-    def read(
-        self,
-        entity_type: str,
-        entity_key: str,
-        *,
-        request=None,
-    ):
-        """The unified read protocol (see :mod:`repro.core.readpath`).
-
-        Both nodes hold every acknowledged write, so the level only
-        picks which copy answers: ``STRONG`` (and the bare legacy call)
-        reads the primary, weaker levels read the backup.  With a typed
-        ``request`` the answer is a
-        :class:`~repro.core.readpath.ReadResult`; the backup can still
-        be mid-flight on an unacknowledged write, so its staleness is
-        measured rather than assumed zero.
-        """
-        from repro.core.consistency import ConsistencyLevel
-
-        if request is None:
-            return self.primary.store.get(entity_type, entity_key)
-        from repro.core.readpath import deliver, replica_level
-        from repro.replication.replica import staleness_behind
-
-        if request.level is ConsistencyLevel.STRONG:
-            return deliver(
-                self.primary.store.get(entity_type, entity_key),
-                request,
-                ConsistencyLevel.STRONG,
-                staleness=0.0,
-                served_by=self.primary.node_id,
-                metrics=self.sim.metrics,
-            )
-        return deliver(
-            self.backup.store.get(entity_type, entity_key),
-            request,
-            replica_level(request.level),
-            staleness=staleness_behind(self.primary, self.backup),
-            served_by=self.backup.node_id,
-            metrics=self.sim.metrics,
-        )
+    def _read_nodes(self) -> tuple[ReplicaNode, ReplicaNode]:
+        # Both hold every acknowledged write, but the backup can be
+        # mid-flight on an unacknowledged one: its staleness is
+        # measured, not assumed zero.
+        return self.primary, self.backup
 
     def _write(
         self,

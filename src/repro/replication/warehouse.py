@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.core.consistency import ConsistencyLevel
+from repro.core.readpath import ReadSurface, Served
 from repro.lsdb.rollup import EntityState
 from repro.lsdb.store import LSDBStore
 from repro.sim.scheduler import Simulator
 
 
-class WarehouseExtract:
+class WarehouseExtract(ReadSurface):
     """Periodic full extract of an OLTP store's current state.
 
     Args:
@@ -47,6 +49,7 @@ class WarehouseExtract:
         if max_batch is not None and max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.sim = sim
+        self.metrics = sim.metrics
         self.source = source
         self.interval = interval
         self.incremental = incremental
@@ -114,21 +117,21 @@ class WarehouseExtract:
         first extract or for unknown entities)."""
         return self._snapshot.get((entity_type, entity_key))
 
-    def read(
+    def serve(
         self,
         entity_type: str,
         entity_key: str,
+        level: ConsistencyLevel,
         *,
-        request=None,
-    ):
-        """The unified read protocol (see :mod:`repro.core.readpath`).
+        max_staleness: Optional[float] = None,
+        site: Optional[str] = None,
+    ) -> Served:
+        """The read protocol's primitive (see :mod:`repro.core.readpath`).
 
         A warehouse has exactly one consistency level — ``EXTRACT`` —
-        so every answer comes from the last extract regardless of what
-        was requested.  With a typed ``request`` the
-        :class:`~repro.core.readpath.ReadResult` stamps ``EXTRACT`` as
-        the delivered level and the extract's measured staleness: zero
-        when the feed has drained (:attr:`lag_events` is zero, the
+        so every answer comes from the last extract regardless of the
+        level asked for, stamped with the extract's measured staleness:
+        zero when the feed has drained (:attr:`lag_events` is zero, the
         snapshot *is* current), otherwise the time since the extract
         was taken.
         """
@@ -136,20 +139,9 @@ class WarehouseExtract:
             state, _ = self.read_cache.lookup(entity_type, entity_key)
         else:
             state = self.get(entity_type, entity_key)
-        if request is None:
-            return state
-        from repro.core.consistency import ConsistencyLevel
-        from repro.core.readpath import deliver
-
         staleness = 0.0 if self.lag_events == 0 else self.staleness
-        return deliver(
-            state,
-            request,
-            ConsistencyLevel.EXTRACT,
-            staleness=staleness,
-            served_by="warehouse" if self.read_cache is None else "warehouse+cache",
-            metrics=self.sim.metrics,
-        )
+        served_by = "warehouse" if self.read_cache is None else "warehouse+cache"
+        return state, ConsistencyLevel.EXTRACT, staleness, served_by, ""
 
     def scan(self, entity_type: str) -> list[EntityState]:
         """All live entities of a type as of the last extract."""

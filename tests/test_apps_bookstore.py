@@ -115,7 +115,7 @@ class TestReplicatedOverbooking:
         sim.run(until=200.0)
         assert group.is_converged()
         # Converged availability is negative: 3 - 6.
-        assert group.read("r1", "book_stock", "moby").fields["available"] == -3
+        assert group.read_at("r1", "book_stock", "moby").fields["available"] == -3
         report = shop.fulfill(store, "moby")
         assert report.fulfilled == 3
         assert report.apologized == 3

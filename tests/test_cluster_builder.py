@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Cluster, ClusterBuilder, ConsistencyLevel
-from repro.core.readpath import ReadRequest, ReadSurface, read_from
+from repro.core.readpath import ReadRequest, ReadSurface
 from repro.lsdb.store import LSDBStore
 from repro.replication import (
     ActiveActiveGroup,
@@ -159,8 +159,8 @@ class TestLegacyConstructors:
         group.write_insert("order", "o-1", {"total": 4})
         sim.run(until=20.0)
         # Three-positional form still addresses an explicit replica.
-        assert group.read("master", "order", "o-1").fields["total"] == 4
-        assert group.read("slave", "order", "o-1").fields["total"] == 4
+        assert group.read_at("master", "order", "o-1").fields["total"] == 4
+        assert group.read_at("slave", "order", "o-1").fields["total"] == 4
 
 
 class TestReadProtocol:
@@ -195,13 +195,6 @@ class TestReadProtocol:
         # like any unknown keyword instead of being quietly accepted.
         with pytest.raises(TypeError):
             store.read("order", "o-1", consistency=ConsistencyLevel.STRONG)
-
-    def test_read_from_falls_back_to_get(self):
-        class LegacySurface:
-            def get(self, entity_type, entity_key):
-                return (entity_type, entity_key)
-
-        assert read_from(LegacySurface(), "order", "o-1") == ("order", "o-1")
 
     def test_builder_round_trips_all_modes(self):
         for mode, count in (

@@ -37,7 +37,7 @@ def run_replicated_scenario(seed: int) -> tuple:
             ),
         )
     sim.run(until=500.0)
-    state = group.read("r1", "stock", "k")
+    state = group.read_at("r1", "stock", "k")
     return (
         sim.processed,
         net.stats.sent,

@@ -1,6 +1,7 @@
-"""Run every docstring example in the library as part of the suite.
+"""Run every docstring example in the library, and every ``python``
+block of the README, as part of the suite.
 
-Docstring examples are the first code a reader copies; a refactor that
+These examples are the first code a reader copies; a refactor that
 breaks one should fail here, not in a user's shell.
 """
 
@@ -8,7 +9,9 @@ from __future__ import annotations
 
 import doctest
 import importlib
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -44,3 +47,17 @@ def test_docstring_examples_exist_somewhere():
         for module in MODULES
     )
     assert attempted >= 20
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+
+
+@pytest.mark.parametrize("index", range(len(README_BLOCKS)))
+def test_readme_python_block_runs(index):
+    """Each fenced block is self-contained: it runs in a fresh namespace."""
+    exec(compile(README_BLOCKS[index], f"README.md[python block {index}]", "exec"), {})
+
+
+def test_readme_python_blocks_exist():
+    assert len(README_BLOCKS) >= 7

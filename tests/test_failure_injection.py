@@ -115,7 +115,7 @@ class TestActiveActiveFailures:
             )
         sim.run(until=600.0)
         assert group.is_converged()
-        assert group.read("r1", "stock", "w").fields["n"] == 12
+        assert group.read_at("r1", "stock", "w").fields["n"] == 12
 
     def test_writes_during_own_partition_survive(self):
         """A partitioned minority replica's accepted writes are not lost
@@ -129,7 +129,7 @@ class TestActiveActiveFailures:
         net.heal()
         sim.run(until=100.0)
         for replica_id in ("r2", "r3"):
-            assert group.read(replica_id, "stock", "w").fields["n"] == 7
+            assert group.read_at(replica_id, "stock", "w").fields["n"] == 7
 
 
 class TestQuorumFailures:
@@ -183,13 +183,13 @@ class TestMasterSlaveFailures:
         injector.crash_window(group.slaves["s1"], start=0.0, duration=35.0)
         group.write_insert("stock", "b", {"copies": 5})
         sim.run(until=30.0)
-        assert group.read("s1", "stock", "b") is None
+        assert group.read_at("s1", "stock", "b") is None
         sim.run(until=100.0)
-        assert group.read("s1", "stock", "b").fields["copies"] == 5
+        assert group.read_at("s1", "stock", "b").fields["copies"] == 5
 
     def test_master_reads_unaffected_by_slave_crash(self):
         sim, net = world()
         group = MasterSlaveGroup(sim, net, "m", ["s1"])
         group.slaves["s1"].crash()
         group.write_insert("stock", "b", {"copies": 5})
-        assert group.read("m", "stock", "b").fields["copies"] == 5
+        assert group.read_at("m", "stock", "b").fields["copies"] == 5

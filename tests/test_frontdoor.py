@@ -138,13 +138,7 @@ class TestCircuitBreaker:
 
 def make_rung(level, value="v", *, staleness=0.0, **kwargs):
     def reader(entity_type, entity_key, request):
-        return ReadResult(
-            value,
-            requested_level=request.level,
-            delivered_level=level,
-            staleness=staleness,
-            degraded=level is not request.level,
-        )
+        return value, level, staleness, "fake", ""
 
     return Rung(level=level, reader=reader, **kwargs)
 
@@ -343,6 +337,57 @@ class TestForCluster:
         assert result.delivered_level is ConsistencyLevel.STRONG
         assert result.fields["total"] == 4
         assert cluster.front_door.reads == 1
+
+    def test_untyped_cluster_read_goes_through_the_door_too(self):
+        cluster = self.make_cluster()
+        cluster.replication.write_insert("order", "o-1", {"total": 4})
+        result = cluster.read("order", "o-1")
+        assert result.delivered_level is ConsistencyLevel.STRONG
+        assert cluster.front_door.reads == 1
+
+    def test_weaker_than_bottom_request_is_not_a_downgrade(self):
+        cluster = self.make_cluster()
+        cluster.replication.write_insert("order", "o-1", {"total": 4})
+        result = cluster.read(
+            "order", "o-1", request=ReadRequest(level=ConsistencyLevel.EXTRACT)
+        )
+        assert result.delivered_level is ConsistencyLevel.EVENTUAL
+        assert not result.degraded and result.apology is None
+        assert cluster.front_door.degraded_serves == 0
+
+    def test_active_active_strong_is_served_eventual_with_apology(self):
+        from repro import Cluster
+
+        cluster = (
+            Cluster.build(seed=1)
+            .with_replicas(3, mode="active_active")
+            .with_front_door()
+            .create()
+        )
+        cluster.replication.write_insert("r1", "order", "o-1", {"total": 5})
+        result = cluster.read("order", "o-1", request=ReadRequest.strong())
+        # No strong copy exists: the door says what the scheme says.
+        assert result.delivered_level is ConsistencyLevel.EVENTUAL
+        assert result.degraded and result.apology is not None
+        assert result.fields["total"] == 5
+
+    def test_quorum_strong_refuses_and_bounded_rung_serves_the_value(self):
+        from repro import Cluster
+
+        cluster = (
+            Cluster.build(seed=1)
+            .with_replicas(3, mode="quorum")
+            .with_front_door()
+            .create()
+        )
+        cluster.replication.write("order", "o-1", {"total": 5})
+        cluster.sim.run(until=50.0)
+        result = cluster.read("order", "o-1", request=ReadRequest.strong())
+        # A quorum answers later and a rung answers now: never a
+        # forever-pending ``ReadResult(None, delivered=strong)``.
+        assert result.delivered_level is ConsistencyLevel.BOUNDED_STALENESS
+        assert result.degraded and result.apology is not None
+        assert result.fields["total"] == 5
 
     def test_crashed_master_degrades_to_replica(self):
         cluster = self.make_cluster(bounded_staleness=100.0)

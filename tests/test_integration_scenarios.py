@@ -164,11 +164,11 @@ class TestMixedConsistencySingleInfrastructure:
         ))
         router.bind(ConsistencyLevel.STRONG, SchemeBinding(
             write=lambda etype, key, fields: group.write_insert(etype, key, fields),
-            read=lambda etype, key: group.read("master", etype, key),
+            read=lambda etype, key: group.read_at("master", etype, key),
         ))
         router.bind(ConsistencyLevel.BOUNDED_STALENESS, SchemeBinding(
             write=lambda etype, key, fields: group.write_insert(etype, key, fields),
-            read=lambda etype, key: group.read("slave", etype, key),
+            read=lambda etype, key: group.read_at("slave", etype, key),
         ))
         router.bind(ConsistencyLevel.EXTRACT, SchemeBinding(
             write=lambda *args: (_ for _ in ()).throw(RuntimeError("read-only")),

@@ -117,8 +117,8 @@ class TestTimeoutPolicyAndDeadline:
 
 class TestRemovedLegacyKwargs:
     """Satellite: the PR 3 deprecation cycle is complete — the legacy
-    retry/timeout kwargs are gone, but the read-only introspection
-    properties of those names survive."""
+    retry/timeout kwargs are gone, and so are the read-only properties
+    of those names: the policy objects are the one place to look."""
 
     def test_queue_legacy_kwargs_removed(self):
         from repro.queues.reliable import ReliableQueue
@@ -134,8 +134,9 @@ class TestRemovedLegacyKwargs:
         queue = ReliableQueue(
             Simulator(), retry=RetryPolicy(max_attempts=7, base_delay=3.0)
         )
-        assert queue.redelivery_timeout == 3.0  # legacy introspection alias
-        assert queue.max_attempts == 7
+        assert queue.retry_policy.base_delay == 3.0
+        assert queue.retry_policy.max_attempts == 7
+        assert not hasattr(queue, "redelivery_timeout")
 
     def test_sync_replication_ack_timeout_removed(self):
         from repro.core.policy import TimeoutPolicy
@@ -149,7 +150,8 @@ class TestRemovedLegacyKwargs:
         pair = SyncPrimaryBackup(
             sim, Network(sim), timeout=TimeoutPolicy(per_attempt=40.0)
         )
-        assert pair.ack_timeout == 40.0
+        assert pair.timeout_policy.per_attempt == 40.0
+        assert not hasattr(pair, "ack_timeout")
 
     def test_quorum_float_timeout_removed(self):
         from repro.core.policy import TimeoutPolicy
@@ -164,7 +166,8 @@ class TestRemovedLegacyKwargs:
             sim, Network(sim), ["a", "b", "c"],
             timeout=TimeoutPolicy(per_attempt=33.0),
         )
-        assert group.timeout == 33.0
+        assert group.timeout_policy.per_attempt == 33.0
+        assert not hasattr(group, "timeout")
 
     def test_twopc_vote_timeout_removed(self):
         from repro.core.policy import TimeoutPolicy
@@ -175,4 +178,5 @@ class TestRemovedLegacyKwargs:
         coordinator = TwoPCCoordinator(
             "c", timeout=TimeoutPolicy(per_attempt=25.0)
         )
-        assert coordinator.vote_timeout == 25.0
+        assert coordinator.timeout_policy.per_attempt == 25.0
+        assert not hasattr(coordinator, "vote_timeout")

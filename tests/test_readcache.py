@@ -231,6 +231,17 @@ class TestTypedReadsThroughCache:
         assert result.value.fields == {"bal": 15}
         assert result.staleness == 0.0 and not result.bound_violated
 
+    def test_default_request_is_strong_not_an_unstamped_stale_hit(
+        self, store, cache
+    ):
+        store.insert("acct", "a", {"bal": 1})
+        store.read("acct", "a")  # fill
+        store.apply_delta("acct", "a", Delta.add("bal", 10))
+        result = store.read("acct", "a")
+        assert result.fields == store.get("acct", "a").fields == {"bal": 11}
+        assert result.delivered_level is ConsistencyLevel.STRONG
+        assert result.staleness == 0.0
+
     def test_eventual_serves_any_age_honestly(self, store, cache, clock):
         store.insert("acct", "a", {"bal": 10})
         store.read("acct", "a", request=ReadRequest.eventual())
@@ -428,6 +439,28 @@ class TestReplicatedReadPath:
         result = cluster.read("acct", "a", request=ReadRequest.bounded(50.0))
         assert slave.store.read_cache.hits == hits_before + 1
         assert not result.bound_violated
+
+    @pytest.mark.parametrize(
+        "mode, count", [("async", 2), ("sync", 2), ("active_active", 3), ("quorum", 3)]
+    )
+    def test_every_scheme_follower_reads_through_its_cache(self, mode, count):
+        from repro.cluster import Cluster
+
+        cluster = (
+            Cluster.build(seed=5)
+            .with_replicas(count, mode=mode)
+            .with_read_cache()
+            .create()
+        )
+        bounded = ReadRequest.bounded(1000.0)
+        first = cluster.read("acct", "a", request=bounded)
+        again = cluster.read("acct", "a", request=bounded)
+        follower = next(
+            c for c in cluster.read_caches if c.served_by == f"{first.served_by}+cache"
+        )
+        assert (follower.misses, follower.hits) == (1, 1)
+        assert again.served_by == first.served_by
+        assert sum(c.hits + c.misses for c in cluster.read_caches) == 2
 
     def test_strong_reads_unaffected_by_cache(self):
         from repro.cluster import Cluster

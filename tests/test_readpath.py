@@ -13,7 +13,6 @@ from repro.core.readpath import (
     ReadResult,
     deliver,
     is_weaker,
-    read_from,
     replica_level,
 )
 from repro.lsdb.store import LSDBStore
@@ -217,49 +216,6 @@ class TestTypedSchemeReads:
         # fails like any unknown keyword.
         with pytest.raises(TypeError):
             group.read("order", "o-1", consistency=ConsistencyLevel.STRONG)
-
-
-class TestReadFrom:
-    def test_request_none_returns_raw(self):
-        store = LSDBStore()
-        store.insert("order", "o-1", {"total": 1})
-        state = read_from(store, "order", "o-1")
-        assert not isinstance(state, ReadResult)
-        assert state.fields["total"] == 1
-
-    def test_typed_request_returns_result(self):
-        store = LSDBStore()
-        store.insert("order", "o-1", {"total": 1})
-        result = read_from(
-            store, "order", "o-1", request=ReadRequest.strong()
-        )
-        assert isinstance(result, ReadResult)
-        assert result.delivered_level is ConsistencyLevel.STRONG
-
-    def test_deprecated_consistency_kwarg_removed(self):
-        store = LSDBStore()
-        store.insert("order", "o-1", {"total": 1})
-        with pytest.raises(TypeError):
-            read_from(
-                store, "order", "o-1",
-                consistency=ConsistencyLevel.EVENTUAL,
-            )
-
-    def test_pre_typed_surface_falls_back(self):
-        class OldSurface:
-            def __init__(self):
-                self.store = LSDBStore()
-                self.store.insert("order", "o-1", {"total": 2})
-
-            def read(self, entity_type, entity_key):
-                return self.store.get(entity_type, entity_key)
-
-        result = read_from(
-            OldSurface(), "order", "o-1", request=ReadRequest.strong()
-        )
-        assert isinstance(result, ReadResult)
-        assert result.fields["total"] == 2
-        assert result.staleness is None  # surface could not measure it
 
 
 class TestQuorumTypedReads:

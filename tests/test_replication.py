@@ -134,7 +134,7 @@ class TestActiveActive:
         group.write_delta("r1", "stock", "w", Delta.add("n", 5))
         sim.run(until=30.0)
         assert group.is_converged()
-        assert group.read("r3", "stock", "w").fields["n"] == 5
+        assert group.read_at("r3", "stock", "w").fields["n"] == 5
 
     def test_concurrent_deltas_from_all_replicas_sum(self):
         sim, net = world()
@@ -143,7 +143,7 @@ class TestActiveActive:
             group.write_delta(replica_id, "stock", "w", Delta.add("n", 1))
         sim.run(until=60.0)
         assert group.is_converged()
-        assert group.read("r1", "stock", "w").fields["n"] == 3
+        assert group.read_at("r1", "stock", "w").fields["n"] == 3
 
     def test_available_and_divergent_under_partition(self):
         sim, net = world()
@@ -166,7 +166,7 @@ class TestActiveActive:
         net.heal()
         sim.run(until=100.0)
         assert group.is_converged()
-        assert group.read("r1", "stock", "w").fields["n"] == 3
+        assert group.read_at("r1", "stock", "w").fields["n"] == 3
 
     def test_without_anti_entropy_lost_messages_never_repair(self):
         sim, net = world()
@@ -185,7 +185,7 @@ class TestActiveActive:
         group.write_set_fields("r2", "doc", "d", {"title": "from-r2"})
         sim.run(until=100.0)
         assert group.is_converged()
-        assert group.read("r1", "doc", "d").fields["title"] == "from-r2"
+        assert group.read_at("r1", "doc", "d").fields["title"] == "from-r2"
 
     def test_group_requires_two_replicas(self):
         sim, net = world()
@@ -254,17 +254,17 @@ class TestMasterSlave:
             sim, net, "m", ["s1"], ship_interval=10.0, batching=BatchPolicy()
         )
         group.write_insert("stock", "b", {"copies": 5})
-        assert group.read("s1", "stock", "b") is None
+        assert group.read_at("s1", "stock", "b") is None
         assert group.slave_lag_events("s1") == 1
         sim.run(until=20.0)
-        assert group.read("s1", "stock", "b").fields["copies"] == 5
+        assert group.read_at("s1", "stock", "b").fields["copies"] == 5
         assert group.slave_lag_events("s1") == 0
 
     def test_master_reads_are_fresh(self):
         sim, net = world()
         group = MasterSlaveGroup(sim, net, "m", ["s1"])
         group.write_insert("stock", "b", {"copies": 5})
-        assert group.read("m", "stock", "b").fields["copies"] == 5
+        assert group.read_at("m", "stock", "b").fields["copies"] == 5
 
     def test_slave_rejects_updates(self):
         from repro.errors import NotMaster
@@ -282,8 +282,8 @@ class TestMasterSlave:
         )
         group.write_delta("stock", "b", Delta.add("copies", 3))
         sim.run(until=20.0)
-        assert group.read("s1", "stock", "b").fields["copies"] == 3
-        assert group.read("s2", "stock", "b").fields["copies"] == 3
+        assert group.read_at("s1", "stock", "b").fields["copies"] == 3
+        assert group.read_at("s2", "stock", "b").fields["copies"] == 3
 
 
 class TestWarehouse:
