@@ -42,13 +42,14 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.core.constraints import ConstraintManager, Violation
 from repro.core.ops import PendingOp, preview_state
 from repro.errors import LockUnavailable, TransactionAborted, ValidationFailed
 from repro.locks.logical import LockMode, LogicalLockManager
 from repro.locks.optimistic import OCCValidator
+from repro.lsdb.columnar import EventSlice
 from repro.lsdb.events import EventKind, LogEvent
 from repro.lsdb.rollup import EntityState
 from repro.lsdb.store import LSDBStore
@@ -187,7 +188,9 @@ class CommitReceipt:
             mode this precedes :attr:`actions_done_at`; the gap is the
             read-your-writes staleness window experiment E2 measures.
         actions_done_at: Virtual time the last deferred action applied.
-        events: Log events the transaction appended.
+        events: Log events the transaction appended — a lazy view of
+            the appended arena rows that reads like a list (events
+            materialize on access).
         violations: Managed constraint violations recorded at commit.
         isolation: The :class:`IsolationLevel` value the transaction ran
             at ("" for plain :class:`CCMode` transactions).
@@ -208,7 +211,7 @@ class CommitReceipt:
     submitted_at: float = 0.0
     acked_at: float = 0.0
     actions_done_at: float = 0.0
-    events: list[LogEvent] = field(default_factory=list)
+    events: Sequence[LogEvent] = ()
     violations: list[Violation] = field(default_factory=list)
     isolation: str = ""
     site: str = ""
@@ -680,7 +683,12 @@ class TransactionManager:
                 return self._abort(tx, "blocking constraint violation", occ_done=True)
             violations = outcome.violations
         # 3. Make the primary events durable.
-        events = [self._append_op(op, tx.tx_id) for op in tx.ops]
+        rows = [
+            self.store.append_local(
+                op.entity_type, op.entity_key, op.kind, op.payload, tx.tx_id, op.tags
+            )
+            for op in tx.ops
+        ]
         if tx.isolation is not None:
             self._register_commit(tx)
         # 4. Commit the descriptor listing pending actions (the SAP
@@ -694,10 +702,9 @@ class TransactionManager:
                     "actions": [action.name for action in tx.actions],
                 },
             )
-        # 5. Hold logical locks on touched entities until the deferred
-        #    actions complete (they exclude *other* lock-respecting
-        #    users, never the owner).
-        if tx.actions:
+            # 5. Hold logical locks on touched entities until the
+            #    deferred actions complete (they exclude *other*
+            #    lock-respecting users, never the owner).
             for ref in sorted(tx.touched_entities()):
                 self.locks.acquire(f"{ref[0]}/{ref[1]}", tx.tx_id, LockMode.EXCLUSIVE)
         # 6. Publish the outbox (events exist only for committed work).
@@ -718,31 +725,10 @@ class TransactionManager:
             submitted_at=submitted_at,
             acked_at=acked_at,
             actions_done_at=actions_done_at,
-            events=events,
+            events=EventSlice(self.store.log.arena, rows),
             violations=violations,
             **self._receipt_tracking(tx),
         )
-
-    def _append_op(self, op: PendingOp, tx_id: str) -> LogEvent:
-        if op.kind is EventKind.INSERT:
-            return self.store.insert(
-                op.entity_type, op.entity_key, dict(op.payload), tx_id, op.tags
-            )
-        if op.kind is EventKind.DELTA:
-            return self.store.apply_delta(
-                op.entity_type,
-                op.entity_key,
-                Delta.from_payload(op.payload),
-                tx_id,
-                op.tags,
-            )
-        if op.kind is EventKind.SET_FIELDS:
-            return self.store.set_fields(
-                op.entity_type, op.entity_key, dict(op.payload), tx_id, op.tags
-            )
-        if op.kind is EventKind.TOMBSTONE:
-            return self.store.tombstone(op.entity_type, op.entity_key, tx_id, op.tags)
-        return self.store.mark_obsolete(op.entity_type, op.entity_key, tx_id, op.tags)
 
     def _schedule_actions(
         self, tx: Transaction, submitted_at: float

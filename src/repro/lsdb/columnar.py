@@ -271,17 +271,9 @@ class EventColumns:
             self.span_ids.get(row, ""),
         )
 
-    def ref_at(self, row: int) -> tuple[str, str]:
-        """The shared ``(entity_type, entity_key)`` tuple for ``row``."""
-        return self.ref_tuples[self.ref_ids[row]]
-
     def origin_at(self, row: int) -> str:
         """Origin replica id string for ``row``."""
         return self.origins.value(self.origin_ids[row])
-
-    def identity_at(self, row: int) -> tuple[str, int]:
-        """``(origin, origin_seq)`` for ``row``."""
-        return (self.origin_at(row), self.origin_seqs[row])
 
     def tags_at(self, row: int) -> frozenset[str]:
         """Tag set for ``row`` (shared empty set when untagged)."""
@@ -332,12 +324,6 @@ class EventSlice(Sequence):
             return False
         return all(mine == theirs for mine, theirs in zip(self, other))
 
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
     __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other) -> list[LogEvent]:
@@ -362,10 +348,6 @@ class EventSlice(Sequence):
         seqs = arena.origin_seqs
         value = arena.origins.value
         return [(value(origin_ids[r]), seqs[r]) for r in self.rows]
-
-    def to_events(self) -> list[LogEvent]:
-        """Materialize the whole view as a plain list."""
-        return list(self)
 
 
 class ColumnFrame:
@@ -515,12 +497,16 @@ class ColumnFrame:
         table = self.origin_table
         return [table[code] for code in self.origin_codes]
 
-    def identities(self) -> list[tuple[str, int]]:
-        """Bulk ``(origin, origin_seq)`` identities for dedup checks."""
-        table = self.origin_table
+    def origin_runs(self) -> list[tuple[str, int, int]]:
+        """``(origin, first_seq, last_seq)`` of each maximal same-origin
+        run, in frame order (what a shipper's send cursor advances by)."""
+        table, codes, seqs = self.origin_table, self.origin_codes, self.origin_seqs
+        if len(table) == 1:
+            return [(table[0], seqs[0], seqs[-1])]
+        cuts = [i for i in range(1, len(codes)) if codes[i] != codes[i - 1]]
         return [
-            (table[code], seq)
-            for code, seq in zip(self.origin_codes, self.origin_seqs)
+            (table[codes[lo]], seqs[lo], seqs[hi - 1])
+            for lo, hi in zip([0, *cuts], [*cuts, len(codes)])
         ]
 
     def event_at(self, index: int) -> LogEvent:

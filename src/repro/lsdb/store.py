@@ -97,6 +97,9 @@ class LSDBStore(ReadSurface):
         #: events verbatim).
         self._by_origin: dict[str, list[int]] = {}
         self._by_origin_seqs: dict[str, list[int]] = {}
+        #: Whether every feed's rows ascend (false only once an event
+        #: injected outside the replication protocol was insert-sorted).
+        self._feeds_in_row_order = True
         #: entity type -> refs in first-event order (entities are never
         #: physically removed, so this only grows).
         self._type_refs: dict[str, list[tuple[str, str]]] = {}
@@ -279,9 +282,10 @@ class LSDBStore(ReadSurface):
         tags: Iterable[str] = (),
     ) -> LogEvent:
         """Record a new entity version (insert-only storage, 2.7)."""
-        return self._append_local(
+        row = self.append_local(
             entity_type, entity_key, EventKind.INSERT, dict(fields), tx_id, tags
         )
+        return self.log.arena.event_at(row)
 
     def apply_delta(
         self,
@@ -292,9 +296,10 @@ class LSDBStore(ReadSurface):
         tags: Iterable[str] = (),
     ) -> LogEvent:
         """Record a commutative adjustment (operations, not consequences)."""
-        return self._append_local(
+        row = self.append_local(
             entity_type, entity_key, EventKind.DELTA, delta.to_payload(), tx_id, tags
         )
+        return self.log.arena.event_at(row)
 
     def set_fields(
         self,
@@ -306,9 +311,10 @@ class LSDBStore(ReadSurface):
     ) -> LogEvent:
         """Record a field overwrite (resolved last-update-wins across
         replicas; prefer deltas where the domain allows)."""
-        return self._append_local(
+        row = self.append_local(
             entity_type, entity_key, EventKind.SET_FIELDS, dict(fields), tx_id, tags
         )
+        return self.log.arena.event_at(row)
 
     def tombstone(
         self,
@@ -318,9 +324,10 @@ class LSDBStore(ReadSurface):
         tags: Iterable[str] = (),
     ) -> LogEvent:
         """Mark an entity deleted (the data stays readable, 2.7)."""
-        return self._append_local(
+        row = self.append_local(
             entity_type, entity_key, EventKind.TOMBSTONE, {}, tx_id, tags
         )
+        return self.log.arena.event_at(row)
 
     def mark_obsolete(
         self,
@@ -331,21 +338,24 @@ class LSDBStore(ReadSurface):
     ) -> LogEvent:
         """Mark a tentative entity obsolete — visible and durable, but no
         longer current (section 3.2)."""
-        return self._append_local(
+        row = self.append_local(
             entity_type, entity_key, EventKind.OBSOLETE, {}, tx_id, tags
         )
+        return self.log.arena.event_at(row)
 
-    def _append_local(
+    def append_local(
         self,
         entity_type: str,
         entity_key: str,
         kind: EventKind,
         payload: dict[str, Any],
-        tx_id: str,
-        tags: Iterable[str],
-    ) -> LogEvent:
-        """Write one local event straight into the arena columns; the
-        stored event materializes once, for the API-boundary return."""
+        tx_id: str = "",
+        tags: Iterable[str] = (),
+    ) -> int:
+        """The one local ingest: write one event straight into the
+        arena columns and return its row.  ``payload`` is stored by
+        reference and nothing materializes (``log.arena.event_at(row)``
+        builds the :class:`LogEvent` for callers that want one)."""
         self._origin_seq += 1
         schema_version = (
             self.schema_version_source(entity_type)
@@ -377,10 +387,9 @@ class LSDBStore(ReadSurface):
             trace_id,
             span_id,
         )
-        stored = self.log.arena.event_at(row)
         if tracer is not None:
-            tracer.end_span(span, lsn=stored.lsn)
-        return stored
+            tracer.end_span(span, lsn=self.log.arena.lsns[row])
+        return row
 
     # ------------------------------------------------------------------ #
     # Remote application (replication / at-least-once delivery)
@@ -647,6 +656,7 @@ class LSDBStore(ReadSurface):
             position = bisect_right(seqs, seq)
             seqs.insert(position, seq)
             rows.insert(position, row)
+            self._feeds_in_row_order = False
 
     def _on_append_batch(self, view: EventSlice) -> None:
         """Bulk bookkeeping for a frame apply: one grouped fold over the
@@ -694,6 +704,7 @@ class LSDBStore(ReadSurface):
                     seqs.extend(seqs_col[r] for r in run_rows)
                 else:  # pragma: no cover - frames never regress, but
                     # keep the sorted-feed invariant for direct callers
+                    self._feeds_in_row_order = False
                     for r in run_rows:
                         seq = seqs_col[r]
                         insert_at = bisect_right(seqs, seq)
@@ -947,20 +958,17 @@ class LSDBStore(ReadSurface):
     # ------------------------------------------------------------------ #
 
     def events_since(self, lsn: int) -> EventSlice:
-        """Local-log catch-up feed (async backup shipping).  A columnar
-        view — nothing materializes until the consumer touches events,
-        and frame shipping encodes straight from the columns."""
+        """Local-log catch-up feed (eager propagation, warehouse
+        extracts).  A columnar view — nothing materializes until the
+        consumer touches events, and frame shipping encodes straight
+        from the columns."""
         return self.log.since(lsn)
-
-    def iter_events_since(self, lsn: int) -> Iterable[LogEvent]:
-        """Streaming variant of :meth:`events_since` (see
-        :meth:`~repro.lsdb.log.AppendOnlyLog.iter_since`)."""
-        return self.log.iter_since(lsn)
 
     def events_from_origin(self, origin: str, after_seq: int) -> EventSlice:
         """Events originated at ``origin`` with sequence > ``after_seq``
-        (anti-entropy fills version-vector gaps from this feed).
-        O(log n + result) via bisect over the per-origin sequence array.
+        (pushes and probe answers both ship from this feed).  One
+        bisect over the per-origin sequence array; the result is a
+        zero-copy range when the rows are arena-contiguous.
         Served from arena rows, so the feed still carries raw originals
         for sequences whose live-log events were compacted away."""
         arena = self.log.arena
@@ -968,7 +976,13 @@ class LSDBStore(ReadSurface):
         if not seqs or after_seq >= seqs[-1]:
             return EventSlice(arena, ())
         rows = self._by_origin[origin]
-        return EventSlice(arena, rows[bisect_right(seqs, after_seq):])
+        start = bisect_right(seqs, after_seq)
+        first, last = rows[start], rows[-1]
+        if self._feeds_in_row_order and last - first == len(rows) - 1 - start:
+            # Arena-contiguous (a single writer's feed always is): a
+            # range view, which frame encoding slices without a copy.
+            return EventSlice(arena, range(first, last + 1))
+        return EventSlice(arena, rows[start:])
 
     def count_from_origin(self, origin: str, after_seq: int) -> int:
         """How many events from ``origin`` have sequence > ``after_seq``,

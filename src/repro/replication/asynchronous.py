@@ -111,7 +111,6 @@ class AsyncPrimaryBackup(PrimaryCopySurface):
         self.backup = ReplicaNode(backup_id, sim, batching=self.batching)
         network.register(self.primary)
         network.register(self.backup)
-        self._shipped_lsn = 0
         self._active = True
         self.failovers: list[FailoverReport] = []
         self._g_lag = (
@@ -155,23 +154,12 @@ class AsyncPrimaryBackup(PrimaryCopySurface):
     def _ship_round(self) -> None:
         if not self._active:
             return
-        backlog = self.primary.store.events_since(self._shipped_lsn)
-        if backlog and not self.primary.crashed:
-            if self.primary.ship_events(self.backup.node_id, backlog):
-                # Optimistically advance; a lost batch is repaired by the
-                # next round because apply is idempotent — we re-ship the
-                # suffix whenever the backup's vector lags.
-                self._shipped_lsn = backlog[-1].lsn
-        self._reship_if_lagging()
+        if not self.primary.crashed:
+            self.primary.ship_backlog(self.backup.node_id)
+            self.backup.probe(self.primary.node_id)  # the repair path
         if self._g_lag is not None:
             self._g_lag.set(self.replication_lag_events)
         self._schedule_shipping()
-
-    def _reship_if_lagging(self) -> None:
-        """Probe the backup so it can pull anything a dropped batch left
-        behind (anti-entropy over the same event feed)."""
-        if not self.primary.crashed:
-            self.backup.probe(self.primary.node_id)
 
     # ------------------------------------------------------------------ #
     # Failover

@@ -157,11 +157,6 @@ class FrameShipper:
             destination, EventSlice(self.node.store.log.arena, buffer)
         )
 
-    def flush_all(self) -> None:
-        """Ship every non-empty buffer (used at quiesce/shutdown)."""
-        for destination in list(self._buffers):
-            self.flush(destination)
-
     def pending(self, destination: Optional[str] = None) -> int:
         """Buffered-but-unshipped event count (one or all destinations)."""
         if destination is not None:

@@ -268,11 +268,6 @@ class GeoReplicaGroup(ReadSurface):
                 self.replicas[replica.node_id] = replica
                 members.append(replica)
             self.groups[shard] = members
-        # Per (source, destination) origin-sequence watermark: what the
-        # ship loop believes the destination already holds.  A False
-        # ship return leaves the watermark alone, so the whole run is
-        # re-shipped next round (idempotent apply makes that safe).
-        self._shipped: dict[tuple[str, str], int] = {}
         self.writes_accepted = 0
         self._h_staleness = (
             sim.metrics.histogram("read.staleness_events", scheme="geo")
@@ -411,35 +406,24 @@ class GeoReplicaGroup(ReadSurface):
     # Propagation: per-group shipping + anti-entropy via the gateways
     # ------------------------------------------------------------------ #
 
+    def _live_pairs(self):
+        """``(replica, peer)`` for every ordered pair of group members
+        whose first member's site is up."""
+        for members in self.groups.values():
+            for replica in members:
+                if not self.gateways[replica.site].crashed:
+                    for peer in members:
+                        if peer is not replica:
+                            yield replica, peer
+
     def _ship_round(self) -> None:
-        for shard in self.groups:
-            members = self.groups[shard]
-            for source in members:
-                if self.gateways[source.site].crashed:
-                    continue
-                for destination in members:
-                    if destination is source:
-                        continue
-                    key = (source.node_id, destination.node_id)
-                    sent = self._shipped.get(key, 0)
-                    backlog = source.store.events_from_origin(
-                        source.node_id, sent
-                    )
-                    if backlog and source.ship_events(
-                        destination.node_id, backlog
-                    ):
-                        self._shipped[key] = backlog[-1].origin_seq
+        for source, destination in self._live_pairs():
+            source.ship_backlog(destination.node_id)
         self.sim.schedule(self.ship_interval, self._ship_round, label="geo-ship")
 
     def _anti_entropy_round(self) -> None:
-        for shard in self.groups:
-            members = self.groups[shard]
-            for replica in members:
-                if self.gateways[replica.site].crashed:
-                    continue
-                for peer in members:
-                    if peer is not replica:
-                        replica.probe(peer.node_id)
+        for replica, peer in self._live_pairs():
+            replica.probe(peer.node_id)
         self.sim.schedule(
             self.anti_entropy_interval,
             self._anti_entropy_round,

@@ -80,7 +80,6 @@ class MasterSlaveGroup(PrimaryCopySurface):
             self.slaves[slave_id] = network.register(
                 ReplicaNode(slave_id, sim, batching=self.batching)
             )
-        self._shipped: dict[str, int] = {slave_id: 0 for slave_id in self.slaves}
         self.rejected_writes = 0
         self._h_staleness = (
             sim.metrics.histogram("read.staleness_events", scheme="master_slave")
@@ -173,13 +172,8 @@ class MasterSlaveGroup(PrimaryCopySurface):
         self.sim.schedule(self.ship_interval, self._ship_round, label="ms-ship")
 
     def _ship_round(self) -> None:
-        for slave_id in self.slaves:
-            backlog = self.master.store.events_since(self._shipped[slave_id])
-            if backlog and not self.master.crashed:
-                if self.master.ship_events(slave_id, backlog):
-                    self._shipped[slave_id] = backlog[-1].lsn
-            # Idempotent apply means re-probing is always safe; lets a
-            # slave that missed a batch (partition) catch up.
-            if not self.master.crashed:
-                self.slaves[slave_id].probe(self.master.node_id)
+        if not self.master.crashed:
+            for slave_id, slave in self.slaves.items():
+                self.master.ship_backlog(slave_id)
+                slave.probe(self.master.node_id)  # the repair path
         self._schedule_shipping()

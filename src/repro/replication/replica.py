@@ -10,9 +10,14 @@ identity.  The node speaks a two-message protocol:
   shipping are rejected by the store).  Every shipment has this shape,
   one-event frames and traced runs included; with tracing on an extra
   ``"ctx": {frame position: ship span id}`` rides along.
-* ``{"type": "vv", "vector": {...}, "reply_to": id}`` — anti-entropy
-  probe: compare the sender's version vector with ours and ship back
-  whatever the sender is missing.
+* ``{"type": "vv", "vector": {...}}`` — anti-entropy probe: ship back
+  what the sender is missing and not about to receive.
+
+Each node keeps one **send cursor** per destination and origin.  Every
+shipment advances it, and pushes (:meth:`ReplicaNode.ship_backlog`) and
+probe answers both start from it, so a fault-free run ships every event
+once; a probe showing the peer behind what had been sent by its
+*previous* probe rewinds it (the repair path, DESIGN.md section 11).
 
 Subjective consistency (paper section 1) falls out of the structure:
 every read and write a client performs against one node sees only that
@@ -22,14 +27,13 @@ node's log.
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Iterable, Mapping, Optional
 
 from repro.core.consistency import ConsistencyLevel
 from repro.core.readpath import ReadSurface, Served, replica_level
 from repro.lsdb.columnar import ColumnFrame, EventSlice
 from repro.lsdb.rollup import EntityState
 from repro.lsdb.store import LSDBStore
-from repro.merge.clock import VersionVector
 from repro.replication.batching import BatchPolicy, FrameShipper
 from repro.sim.network import Network, Node
 from repro.sim.scheduler import Simulator
@@ -66,7 +70,11 @@ class ReplicaNode(Node):
             metrics=sim.metrics,
         )
         self.events_received = 0
-        self.anti_entropy_rounds = 0
+        #: The send cursor: destination -> origin -> the sequence up to
+        #: which everything was handed to the wire for (or is known to be
+        #: held by) that peer; and a copy as of the peer's last probe.
+        self._sent: dict[str, dict[str, int]] = {}
+        self._sent_at_probe: dict[str, dict[str, int]] = {}
         self.batching = BatchPolicy()
         self.shipper: Optional[FrameShipper] = None
         self.configure_batching(batching)
@@ -128,21 +136,24 @@ class ReplicaNode(Node):
         """Hook for scheme-specific messages (overridden by subclasses)."""
 
     def _answer_probe(self, source: str, message: Mapping[str, Any]) -> None:
-        remote_vector = VersionVector(message.get("vector", {}))
-        # Per-origin repair feeds all come from our own arena, so the
-        # gaps concatenate into one slice (no materialization).  The
-        # combined slice chunks into exactly the frame boundaries the
-        # old concatenated event list produced.
-        rows: list[int] = []
-        for origin, have in remote_vector.missing_from(self.store.version_vector).items():
-            # ``have`` is (their_count, my_count): ship the gap.
-            their_count, _my_count = have
-            rows.extend(self.store.events_from_origin(origin, their_count).rows)
-        self.anti_entropy_rounds += 1
-        if rows:
-            # ship_events (not raw send) so anti-entropy repairs carry
-            # per-position ship spans like first-time shipping does.
-            self.ship_events(source, EventSlice(self.store.log.arena, rows))
+        """Ship the prober what it lacks and is not about to receive.
+
+        Its vector predates whatever is still on the wire, so lagging
+        the cursor is normal.  Lagging what had been sent by its
+        *previous* probe is not — that had a whole probe period to land
+        (a shorter period only costs duplicates), so a frame was lost:
+        rewind.  A count ahead of the cursor was learned elsewhere.
+        """
+        theirs = message.get("vector", {})
+        cursor = self._sent.setdefault(source, {})
+        probed = self._sent_at_probe.get(source, {})
+        origins = self.store.version_vector.to_dict()
+        for origin in origins:
+            have = theirs.get(origin, 0)
+            if have < probed.get(origin, 0) or have > cursor.get(origin, 0):
+                cursor[origin] = have
+        self._ship_past_cursor(source, origins)
+        self._sent_at_probe[source] = dict(cursor)
 
     # ------------------------------------------------------------------ #
     # Propagation helpers
@@ -158,8 +169,9 @@ class ReplicaNode(Node):
         :class:`ColumnFrame` message — one network frame (one latency
         draw, one loss coin) per chunk, with the unbatched default
         degenerating to one-row frames.  Returns ``True`` only when
-        every frame was accepted; callers treat a ``False`` as "re-ship
-        the whole run later", which idempotent apply makes safe.
+        every frame was accepted, and only then advances the send
+        cursor (where the run continues it); after a ``False`` the whole
+        run ships again, which idempotent apply makes safe.
 
         Tracing only *adds* to this: each position whose event carries
         an append span gets a ``replicate.ship`` span parented on it;
@@ -170,6 +182,7 @@ class ReplicaNode(Node):
         """
         tracer = self.store.tracer
         shipped_all = True
+        runs: list[tuple[str, int, int]] = []
         for chunk in self.batching.chunk_rows(events):
             frame = ColumnFrame.from_slice(chunk)
             message: dict[str, Any] = {"type": "events", "frame": frame}
@@ -183,9 +196,37 @@ class ReplicaNode(Node):
                     ).span_id
                     for position, append_span in frame.span_ids.items()
                 }
-            if not self.send_batch(destination, [message], size=len(chunk)):
+            if self.send_batch(destination, [message], size=len(chunk)):
+                runs.extend(frame.origin_runs())
+            else:
                 shipped_all = False
+        if shipped_all:
+            cursor = self._sent.setdefault(destination, {})
+            for origin, first, last in runs:
+                if first - 1 <= cursor.get(origin, 0) < last:
+                    cursor[origin] = last
         return shipped_all
+
+    def ship_backlog(self, destination: str) -> bool:
+        """Push this node's own writes not yet handed to the wire for
+        ``destination`` — the one call every ship round makes per peer.
+        A probe sent in the same round is answered past this push, so
+        it re-ships a run only if the peer still lacks it a round on."""
+        return self._ship_past_cursor(destination, (self.node_id,))
+
+    def _ship_past_cursor(self, destination: str, origins: Iterable[str]) -> bool:
+        cursor = self._sent.get(destination, {})
+        feeds = [
+            feed
+            for origin in origins
+            if (feed := self.store.events_from_origin(origin, cursor.get(origin, 0)))
+        ]
+        if len(feeds) > 1:
+            # Views of our own arena: they concatenate into one slice
+            # that chunks at the origin boundaries.
+            rows = [row for feed in feeds for row in feed.rows]
+            feeds = [EventSlice(self.store.log.arena, rows)]
+        return not feeds or self.ship_events(destination, feeds[0])
 
     def offer_events(self, destination: str, events: EventSlice) -> None:
         """Eager-shipping entry point for rows just appended to this

@@ -17,6 +17,7 @@ from repro.core.transaction import (
     UpdateMode,
 )
 from repro.errors import TransactionAborted
+from repro.lsdb.events import EventKind
 from repro.lsdb.store import LSDBStore
 from repro.merge.deltas import Delta
 from repro.queues.reliable import ReliableQueue
@@ -78,6 +79,44 @@ class TestSolipsisticCommit:
         tx.insert("order", "o1", {})
         receipt = tx.commit()
         assert receipt.events[0].tx_id == "custom-tx"
+
+    def test_receipt_events_read_like_the_list_of_appended_events(self, tx_manager):
+        """``CommitReceipt.events`` is a lazy view of the appended rows;
+        for every op kind it equals the ``LogEvent`` list a commit that
+        materialized each event on append would have returned."""
+        store = tx_manager.store
+        store.insert("order", "old", {"total": 1})
+        before = store.log.head_lsn
+        tx = tx_manager.begin(tx_id="five-kinds")
+        tx.insert("order", "o1", {"total": 9}, tags=["audit"])
+        delta = Delta(numeric={"total": 3}, set_adds={"labels": frozenset({"y", "x"})})
+        tx.apply_delta("order", "o1", delta)
+        tx.set_fields("order", "o1", {"status": "paid"})
+        tx.tombstone("order", "old")
+        tx.mark_obsolete("order", "o1")
+        receipt = tx.commit()
+
+        appended = list(store.log.since(before))  # materialized LogEvents
+        assert [event.kind for event in appended] == [
+            EventKind.INSERT,
+            EventKind.DELTA,
+            EventKind.SET_FIELDS,
+            EventKind.TOMBSTONE,
+            EventKind.OBSOLETE,
+        ]
+        assert receipt.events == appended
+        assert appended == receipt.events
+        assert len(receipt.events) == 5
+        assert list(receipt.events) == appended
+        assert [receipt.events[i] for i in range(5)] == appended
+        assert receipt.events[-1] == appended[-1]
+        assert receipt.events[1:3] == appended[1:3]
+        assert all(event.tx_id == "five-kinds" for event in receipt.events)
+        assert receipt.events[0].tags == frozenset({"audit"})
+        assert receipt.events[1].payload == delta.to_payload()
+        # An aborted transaction appended nothing.
+        aborted = tx_manager.begin().abort()
+        assert len(aborted.events) == 0 and list(aborted.events) == []
 
 
 class TestOptimisticMode:

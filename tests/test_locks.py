@@ -39,6 +39,33 @@ class TestLogicalLocks:
         locks.acquire("ref", "b", LockMode.SHARED)
         assert not locks.acquire("ref", "a", LockMode.EXCLUSIVE)
 
+    def test_release_all_touches_only_the_owners_locks(self, monkeypatch):
+        """A commit releases its own locks; with 10,000 foreign locks
+        held (deferred actions of other transactions still running) it
+        must not visit one of them — counted, not timed."""
+        locks = LogicalLockManager()
+        for index in range(10_000):
+            assert locks.acquire(f"order/o{index}", f"tx-{index}")
+        locks.acquire("order/mine-1", "me")
+        locks.acquire("shared/ref", "me", LockMode.SHARED)
+        locks.acquire("shared/ref", "tx-0", LockMode.SHARED)
+
+        released: list[tuple[str, str]] = []
+        release = locks.release
+
+        def counting(resource, owner):
+            released.append((resource, owner))
+            return release(resource, owner)
+
+        monkeypatch.setattr(locks, "release", counting)
+        assert locks.release_all("nobody") == 0  # took no lock: one lookup
+        assert released == []
+        assert locks.release_all("me") == 2
+        assert sorted(released) == [("order/mine-1", "me"), ("shared/ref", "me")]
+        assert locks.holder_of("shared/ref") == {"tx-0"}
+        assert locks.held_count == 10_001
+        assert locks.release_all("me") == 0
+
     def test_release_all_frees_everything(self):
         locks = LogicalLockManager()
         locks.acquire("x", "alice")
