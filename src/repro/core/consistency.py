@@ -46,6 +46,16 @@ class ConsistencyLevel(enum.Enum):
     TENTATIVE = "tentative"
     EXTRACT = "extract"
 
+    #: Rank in the order above, 0 = strongest.  A plain attribute of
+    #: each member, so the read path orders levels and indexes its
+    #: per-level tables without hashing an ``Enum`` (a Python-level
+    #: ``__hash__``) or reading ``.value`` (a Python-level descriptor).
+    strength: int
+
+
+for _rank, _level in enumerate(ConsistencyLevel):
+    _level.strength = _rank
+
 
 @dataclass(frozen=True)
 class ConsistencyPolicy:

@@ -60,30 +60,18 @@ class ConsistencyUnavailable(ConsistencyPolicyError):
     forbids degradation (``allow_degraded=False``)."""
 
 
-#: Strongest-to-weakest rank used for degradation decisions.  A read is
-#: *degraded* when its delivered level ranks strictly weaker than the
-#: requested one.
-LEVEL_STRENGTH: dict[ConsistencyLevel, int] = {
-    ConsistencyLevel.STRONG: 0,
-    ConsistencyLevel.BOUNDED_STALENESS: 1,
-    ConsistencyLevel.EVENTUAL: 2,
-    ConsistencyLevel.TENTATIVE: 3,
-    ConsistencyLevel.EXTRACT: 4,
-}
-
-
 def is_weaker(level: ConsistencyLevel, than: ConsistencyLevel) -> bool:
-    """Whether ``level`` gives strictly weaker guarantees than ``than``."""
-    return LEVEL_STRENGTH[level] > LEVEL_STRENGTH[than]
+    """Whether ``level`` gives strictly weaker guarantees than ``than``
+    (ranks by ``ConsistencyLevel.strength``).  A read is *degraded* when
+    its delivered level is weaker than the requested one."""
+    return level.strength > than.strength
 
 
 def replica_level(requested: ConsistencyLevel) -> ConsistencyLevel:
     """The level a lagging replica read actually delivers: the requested
     level, floored at ``BOUNDED_STALENESS`` when the caller asked for
     something stronger than a replica can promise."""
-    if LEVEL_STRENGTH[requested] < LEVEL_STRENGTH[
-        ConsistencyLevel.BOUNDED_STALENESS
-    ]:
+    if requested is ConsistencyLevel.STRONG:
         return ConsistencyLevel.BOUNDED_STALENESS
     return requested
 

@@ -17,6 +17,7 @@ rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -27,13 +28,13 @@ class TenantQuota:
 
     Args:
         rate: Tokens refilled per unit of virtual time
-            (``float("inf")`` = unmetered).
+            (``math.inf`` = unmetered).
         burst: Bucket capacity — the largest same-instant burst the
             tenant may spend.
     """
 
-    rate: float = float("inf")
-    burst: float = float("inf")
+    rate: float = math.inf
+    burst: float = math.inf
 
 
 class TokenBucket:
@@ -56,7 +57,7 @@ class TokenBucket:
     def _refill(self) -> None:
         now = self.clock()
         if now > self._last:
-            if self.rate == float("inf"):
+            if self.rate == math.inf:
                 self.tokens = self.burst
             else:
                 self.tokens = min(
@@ -66,6 +67,10 @@ class TokenBucket:
 
     def try_take(self, tokens: float = 1.0) -> bool:
         """Spend ``tokens`` if available; ``False`` means throttled."""
+        if self.tokens == math.inf:
+            # An infinite burst (the unmetered default) stays infinite
+            # whatever is spent: admit with no clock read and no refill.
+            return True
         self._refill()
         if self.tokens >= tokens:
             self.tokens -= tokens

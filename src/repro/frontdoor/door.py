@@ -116,23 +116,22 @@ class FrontDoor:
     def _serve(
         self, entity_type: str, entity_key: str, request: ReadRequest
     ) -> ReadResult:
-        now = self.sim.now
-        if request.deadline is not None and request.deadline.expired(now):
+        deadline = request.deadline
+        if deadline is not None and deadline.expired(self.sim.now):
             return self._reject(request, "deadline")
-
-        candidates = self.ladder.candidates(request)
-        if not candidates:
-            return self._reject(request, "no_rung")
 
         # Admission charges the *cheapest* eligible rung: a tenant out
         # of strong-read budget can still afford the degraded rungs, so
         # quota pressure pushes traffic down the ladder before it ever
         # rejects.
-        cost = min(rung.cost for rung in candidates)
+        candidates, cost = self.ladder.plan(request)
+        if not candidates:
+            return self._reject(request, "no_rung")
         if not self.admission.try_admit(request.tenant, cost):
             return self._reject(request, "quota")
 
         overloaded = self.backpressure.tripped()
+        metrics = self.metrics
         for rung in candidates:
             if (
                 overloaded
@@ -149,18 +148,23 @@ class FrontDoor:
             result = rung.serve(entity_type, entity_key, request)
             if result is None:
                 continue
-            self._count("frontdoor.served", level=rung.level.value)
-            if self.metrics is not None and result.staleness is not None:
-                self.metrics.histogram(
-                    "frontdoor.staleness", level=rung.level.value
-                ).record(result.staleness)
+            # Labels (``.value`` is a Python-level descriptor) are only
+            # built for a registry that will take them.
+            if metrics is not None:
+                served = rung.level.value
+                metrics.counter("frontdoor.served", level=served).inc()
+                if result.staleness is not None:
+                    metrics.histogram(
+                        "frontdoor.staleness", level=served
+                    ).record(result.staleness)
             if result.degraded:
                 self.degraded_serves += 1
-                self._count(
-                    "frontdoor.degraded",
-                    requested=request.level.value,
-                    delivered=rung.level.value,
-                )
+                if metrics is not None:
+                    metrics.counter(
+                        "frontdoor.degraded",
+                        requested=request.level.value,
+                        delivered=rung.level.value,
+                    ).inc()
                 result.apology = self._apologize(
                     entity_type, entity_key, request, result
                 )

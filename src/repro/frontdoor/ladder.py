@@ -28,13 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.core.consistency import ConsistencyLevel
-from repro.core.readpath import (
-    LEVEL_STRENGTH,
-    ReadRequest,
-    ReadResult,
-    Served,
-    is_weaker,
-)
+from repro.core.readpath import ReadRequest, ReadResult, Served
 from repro.frontdoor.admission import TokenBucket
 from repro.frontdoor.breaker import CircuitBreaker
 
@@ -104,7 +98,8 @@ class Rung:
         except Exception:
             return self._failed()
         state, held, staleness, served_by, site = served
-        if is_weaker(held, self.level):
+        level = self.level
+        if held.strength > level.strength:
             return self._failed()
         if (
             self.declared_bound is not None
@@ -120,9 +115,9 @@ class Rung:
         return ReadResult(
             state,
             requested_level=request.level,
-            delivered_level=self.level,
+            delivered_level=level,
             staleness=staleness,
-            degraded=is_weaker(self.level, request.level),
+            degraded=level.strength > request.level.strength,
             served_by=served_by,
             site=site,
         )
@@ -134,15 +129,35 @@ class Rung:
 
 
 class DegradeLadder:
-    """Ordered rungs, strongest first."""
+    """Ordered rungs, strongest first.  Fixed once built: which rungs a
+    request may use, and what admission charges for it, depend only on
+    ``(level, allow_degraded)``, so both are tabulated here instead of
+    re-derived per read (:meth:`plan`)."""
 
     def __init__(self, rungs: list[Rung]):
         if not rungs:
             raise ValueError("a ladder needs at least one rung")
-        order = [LEVEL_STRENGTH[rung.level] for rung in rungs]
+        order = [rung.level.strength for rung in rungs]
         if order != sorted(order):
             raise ValueError("rungs must be ordered strongest to weakest")
-        self.rungs = list(rungs)
+        self.rungs = tuple(rungs)
+        self._plans = tuple(
+            tuple(
+                self._plan(ReadRequest(level=level, allow_degraded=allow))
+                for allow in (False, True)
+            )
+            for level in ConsistencyLevel
+        )
+
+    def _plan(self, request: ReadRequest) -> tuple[tuple[Rung, ...], float]:
+        rungs = tuple(self.candidates(request))
+        return rungs, min((rung.cost for rung in rungs), default=0.0)
+
+    def plan(self, request: ReadRequest) -> tuple[tuple[Rung, ...], float]:
+        """``(candidate rungs, cheapest cost among them)`` for
+        ``request``: :meth:`candidates` and the admission charge, looked
+        up by ``level.strength`` and ``allow_degraded``."""
+        return self._plans[request.level.strength][request.allow_degraded]
 
     def candidates(self, request: ReadRequest) -> list[Rung]:
         """Rungs eligible for ``request``: the requested level's rung
@@ -150,14 +165,10 @@ class DegradeLadder:
         Rungs *stronger* than the request are never used: a caller who
         asked for an eventual read must not be billed a master read.
         """
-        wanted = LEVEL_STRENGTH[request.level]
-        eligible = [
-            rung for rung in self.rungs if LEVEL_STRENGTH[rung.level] >= wanted
-        ]
+        wanted = request.level.strength
+        eligible = [rung for rung in self.rungs if rung.level.strength >= wanted]
         if not request.allow_degraded:
-            return [
-                rung for rung in eligible if LEVEL_STRENGTH[rung.level] == wanted
-            ]
+            return [rung for rung in eligible if rung.level.strength == wanted]
         if not eligible:
             # A request weaker than the weakest rung (e.g. EXTRACT on a
             # ladder that bottoms out at EVENTUAL) gets the bottom rung:

@@ -81,7 +81,13 @@ class HotSetTracker:
         if len(counts) < self.capacity:
             counts[key] = 1
             return
-        victim, floor = min(counts.items(), key=lambda item: item[1])
+        # The victim is the first minimum in tracking order: one C-level
+        # ``min`` over the counts, then a scan that stops at it — no
+        # Python callback per tracked key.
+        floor = min(counts.values())
+        for victim, count in counts.items():
+            if count == floor:
+                break
         del counts[victim]
         counts[key] = floor + 1
 
@@ -100,10 +106,11 @@ class HotSetTracker:
 class ReadCache(ReadSurface):
     """A read-through, watermark-validated snapshot cache.
 
-    The cache never owns truth: ``head(ref)`` asks the backing surface
-    for the entity's current watermark (the newest LSN of its history),
-    ``age(ref, watermark)`` measures how old a stale entry is, and
-    ``fetch(ref)`` produces the authoritative current fold on a miss.
+    The cache never owns truth: ``head(entity_type, entity_key)`` asks
+    the backing surface for the entity's current watermark (the newest
+    LSN of its history), ``age(entity_type, entity_key, watermark)``
+    measures how old a stale entry is, and ``fetch(entity_type,
+    entity_key)`` produces the authoritative current fold on a miss.
     Entries are frozen copies — a hit hands the same object out
     repeatedly; callers must treat it as immutable (the same contract
     as reading the store's live state map).
@@ -113,11 +120,14 @@ class ReadCache(ReadSurface):
 
     Args:
         name: Diagnostic/metric label.
-        fetch: ``ref -> Optional[EntityState]`` — authoritative read.
-        head: ``ref -> int`` — the entity's current watermark.
-        age: ``(ref, watermark) -> Optional[float]`` — measured age of a
-            fold taken at ``watermark``; ``None`` means "cannot measure,
-            refresh instead".  ``None`` callable disables stale serving.
+        fetch: ``(entity_type, entity_key) -> Optional[EntityState]`` —
+            authoritative read.
+        head: ``(entity_type, entity_key) -> int`` — the entity's
+            current watermark.
+        age: ``(entity_type, entity_key, watermark) -> Optional[float]``
+            — measured age of a fold taken at ``watermark``; ``None``
+            means "cannot measure, refresh instead".  ``None`` callable
+            disables stale serving.
         capacity: Maximum cached entries (LRU beyond this).
         hot_capacity: Top-k size of the hot-set tracker; hot entries are
             pinned against LRU eviction.
@@ -132,9 +142,9 @@ class ReadCache(ReadSurface):
         self,
         *,
         name: str = "cache",
-        fetch: Callable[[EntityRef], Optional[EntityState]],
-        head: Callable[[EntityRef], int],
-        age: Optional[Callable[[EntityRef, int], Optional[float]]] = None,
+        fetch: Callable[[str, str], Optional[EntityState]],
+        head: Callable[[str, str], int],
+        age: Optional[Callable[[str, str, int], Optional[float]]] = None,
         capacity: int = 512,
         hot_capacity: int = 16,
         metrics: Any = None,
@@ -195,18 +205,20 @@ class ReadCache(ReadSurface):
         and routes the store's typed reads through the cache.
         """
 
-        def entity_age(ref: EntityRef, watermark: int) -> Optional[float]:
-            stamp = store.log.entity_first_timestamp_after(
-                ref[0], ref[1], watermark
-            )
+        log = store.log
+
+        def entity_age(*ref_and_watermark: Any) -> Optional[float]:
+            stamp = log.entity_first_timestamp_after(*ref_and_watermark)
             if stamp is None:
                 return 0.0
             return max(0.0, store.now() - stamp)
 
         cache = cls(
             name=name or f"{store.name}-cache",
-            fetch=lambda ref: store.get(*ref),
-            head=lambda ref: store.log.entity_head_lsn(*ref),
+            # ``store.get`` is looked up per call: an instance may
+            # shadow it after the cache is built (tracing harnesses do).
+            fetch=lambda *ref: store.get(*ref),
+            head=log.entity_head_lsn,
             age=entity_age,
             capacity=capacity,
             hot_capacity=hot_capacity,
@@ -236,8 +248,8 @@ class ReadCache(ReadSurface):
         """
         cache = cls(
             name=name,
-            fetch=lambda ref: warehouse.get(*ref),
-            head=lambda ref: warehouse.extracted_lsn,
+            fetch=lambda *ref: warehouse.get(*ref),
+            head=lambda *_ref: warehouse.extracted_lsn,
             age=None,
             capacity=capacity,
             hot_capacity=hot_capacity,
@@ -279,20 +291,20 @@ class ReadCache(ReadSurface):
         entry = self._entries.get(ref)
         if entry is not None:
             state, watermark = entry
-            if watermark == self._head(ref):
+            if watermark == self._head(entity_type, entity_key):
                 self._record_hit(ref)
                 return state, 0.0
             if not revalidate and self._age is not None:
-                age = self._age(ref, watermark)
+                age = self._age(entity_type, entity_key, watermark)
                 if age is not None and (budget is None or age <= budget):
                     self._record_hit(ref)
                     return state, age
         self.misses += 1
         if self._m_misses is not None:
             self._m_misses.inc()
-        state = self._fetch(ref)
+        state = self._fetch(entity_type, entity_key)
         frozen = state.copy() if state is not None else None
-        self._install(ref, frozen, self._head(ref))
+        self._install(ref, frozen, self._head(entity_type, entity_key))
         return frozen, 0.0
 
     def serve(

@@ -984,6 +984,17 @@ class LSDBStore(ReadSurface):
             return EventSlice(arena, range(first, last + 1))
         return EventSlice(arena, rows[start:])
 
+    def origin_timestamp_after(self, origin: str, after_seq: int) -> Optional[float]:
+        """Timestamp of the oldest event from ``origin`` with sequence >
+        ``after_seq`` (``None`` if there is none): the first row of
+        :meth:`events_from_origin`'s feed, read without building it —
+        the staleness stamp of every follower read."""
+        seqs = self._by_origin_seqs.get(origin)
+        if not seqs or after_seq >= seqs[-1]:
+            return None
+        row = self._by_origin[origin][bisect_right(seqs, after_seq)]
+        return self.log.arena.timestamps[row]
+
     def count_from_origin(self, origin: str, after_seq: int) -> int:
         """How many events from ``origin`` have sequence > ``after_seq``,
         without materialising them (replication-lag probes)."""

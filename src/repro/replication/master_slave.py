@@ -80,6 +80,9 @@ class MasterSlaveGroup(PrimaryCopySurface):
             self.slaves[slave_id] = network.register(
                 ReplicaNode(slave_id, sim, batching=self.batching)
             )
+        #: The slave typed reads land on (membership is fixed at
+        #: construction).
+        self._reader = next(iter(self.slaves.values()))
         self.rejected_writes = 0
         self._h_staleness = (
             sim.metrics.histogram("read.staleness_events", scheme="master_slave")
@@ -122,7 +125,7 @@ class MasterSlaveGroup(PrimaryCopySurface):
     # ------------------------------------------------------------------ #
 
     def _read_nodes(self) -> tuple[ReplicaNode, ReplicaNode]:
-        return self.master, next(iter(self.slaves.values()))
+        return self.master, self._reader
 
     def serve(
         self,
@@ -137,8 +140,8 @@ class MasterSlaveGroup(PrimaryCopySurface):
         (see :class:`PrimaryCopySurface`); slave reads record their lag
         in events into the ``read.staleness_events`` histogram when
         metrics are attached."""
-        if level is not ConsistencyLevel.STRONG:
-            self._record_slave_read(next(iter(self.slaves)))
+        if level is not ConsistencyLevel.STRONG and self._h_staleness is not None:
+            self._record_slave_read(self._reader.node_id)
         return super().serve(
             entity_type, entity_key, level, max_staleness=max_staleness
         )

@@ -30,7 +30,7 @@ from abc import abstractmethod
 from typing import Any, Iterable, Mapping, Optional
 
 from repro.core.consistency import ConsistencyLevel
-from repro.core.readpath import ReadSurface, Served, replica_level
+from repro.core.readpath import ReadSurface, Served
 from repro.lsdb.columnar import ColumnFrame, EventSlice
 from repro.lsdb.rollup import EntityState
 from repro.lsdb.store import LSDBStore
@@ -298,10 +298,10 @@ def staleness_behind(authority: ReplicaNode, follower: ReplicaNode) -> float:
     simulation literature: measure the distribution, don't assert it).
     """
     applied = follower.store.version_vector.get(authority.node_id)
-    backlog = authority.store.events_from_origin(authority.node_id, applied)
-    if not backlog:
+    oldest = authority.store.origin_timestamp_after(authority.node_id, applied)
+    if oldest is None:
         return 0.0
-    return max(0.0, authority.sim.now - backlog[0].timestamp)
+    return max(0.0, authority.sim.now - oldest)
 
 
 def lag_behind_peers(serving: ReplicaNode, peers: Iterable[ReplicaNode]) -> float:
@@ -365,7 +365,8 @@ class PrimaryCopySurface(ReadSurface):
         state, staleness = read_follower(
             follower, lag, entity_type, entity_key, max_staleness
         )
-        return state, replica_level(level), staleness, follower.node_id, ""
+        # Not STRONG, so already at or below the replica floor.
+        return state, level, staleness, follower.node_id, ""
 
 
 def converged(replicas: list[ReplicaNode]) -> bool:

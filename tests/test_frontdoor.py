@@ -51,6 +51,26 @@ class TestTokenBucket:
         )
         assert all(bucket.try_take(100.0) for _ in range(50))
 
+    def test_unmetered_take_reads_no_clock(self):
+        clock = FakeClock()
+        reads = []
+        bucket = TokenBucket(
+            rate=float("inf"),
+            burst=float("inf"),
+            clock=lambda: reads.append(1) or clock(),
+        )
+        reads.clear()  # the constructor stamps its creation time
+        assert all(bucket.try_take(4.0) for _ in range(10))
+        assert reads == [] and bucket.tokens == float("inf")
+
+    def test_infinite_rate_still_meters_a_finite_burst(self):
+        clock = FakeClock()
+        bucket = TokenBucket(rate=float("inf"), burst=2.0, clock=clock)
+        assert bucket.try_take() and bucket.try_take()
+        assert not bucket.try_take()  # same instant: the burst is spent
+        clock.now = 0.5
+        assert bucket.try_take()
+
 
 class TestAdmissionController:
     def test_default_is_unmetered(self):
@@ -180,6 +200,57 @@ class TestDegradeLadder:
         request = ReadRequest(level=ConsistencyLevel.EXTRACT)
         levels = [rung.level for rung in ladder.candidates(request)]
         assert levels == [ConsistencyLevel.EVENTUAL]
+
+    @pytest.mark.parametrize(
+        "levels_and_costs",
+        [
+            [(ConsistencyLevel.STRONG, 4.0)],
+            [(ConsistencyLevel.EVENTUAL, 1.0)],
+            [(ConsistencyLevel.STRONG, 4.0), (ConsistencyLevel.EVENTUAL, 1.0)],
+            [
+                (ConsistencyLevel.BOUNDED_STALENESS, 1.0),
+                (ConsistencyLevel.EXTRACT, 3.0),
+            ],
+            [
+                (ConsistencyLevel.STRONG, 4.0),
+                (ConsistencyLevel.BOUNDED_STALENESS, 2.0),
+                (ConsistencyLevel.EVENTUAL, 1.0),
+            ],
+        ],
+        ids=["strong", "eventual", "strong+eventual", "bounded+extract", "three"],
+    )
+    def test_plan_table_equals_per_read_derivation(self, levels_and_costs):
+        """The door reads ``plan(request)`` from a table built once; the
+        reference is what it used to derive on every read."""
+        rungs = [make_rung(level, cost=cost) for level, cost in levels_and_costs]
+        ladder = DegradeLadder(rungs)
+        assert ladder.rungs == tuple(rungs)
+
+        strength = {
+            ConsistencyLevel.STRONG: 0,
+            ConsistencyLevel.BOUNDED_STALENESS: 1,
+            ConsistencyLevel.EVENTUAL: 2,
+            ConsistencyLevel.TENTATIVE: 3,
+            ConsistencyLevel.EXTRACT: 4,
+        }
+
+        def reference(request):
+            wanted = strength[request.level]
+            eligible = [r for r in rungs if strength[r.level] >= wanted]
+            if not request.allow_degraded:
+                return [r for r in eligible if strength[r.level] == wanted]
+            return eligible or [rungs[-1]]
+
+        for level in ConsistencyLevel:
+            for allow_degraded in (True, False):
+                request = ReadRequest(level=level, allow_degraded=allow_degraded)
+                expected = reference(request)
+                candidates, cost = ladder.plan(request)
+                assert ladder.candidates(request) == expected
+                assert len(candidates) == len(expected)
+                assert all(a is b for a, b in zip(candidates, expected))
+                if expected:
+                    assert cost == min(rung.cost for rung in expected)
 
     def test_rung_refuses_beyond_declared_bound(self):
         rung = make_rung(

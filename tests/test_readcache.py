@@ -13,6 +13,8 @@ cluster builder).
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.consistency import ConsistencyLevel
 from repro.core.readpath import ConsistencyUnavailable, ReadRequest
@@ -87,6 +89,32 @@ class TestHotSetTracker:
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             HotSetTracker(capacity=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(min_value=1, max_value=6),
+        touches=st.lists(st.integers(min_value=0, max_value=11), max_size=120),
+    )
+    def test_victim_choice_equals_the_item_scan(self, capacity, touches):
+        """``touch`` finds its victim without a Python callback per
+        tracked key; the scan it replaced is the reference.  Few keys
+        and small capacities make count ties the common case, and the
+        comparison includes dict *order* (the tie-break) after every
+        touch."""
+        tracker = HotSetTracker(capacity=capacity)
+        model: dict[tuple[str, str], int] = {}
+        for number in touches:
+            key = ("t", f"k{number}")
+            tracker.touch(key)
+            if key in model:
+                model[key] += 1
+            elif len(model) < capacity:
+                model[key] = 1
+            else:
+                victim, floor = min(model.items(), key=lambda item: item[1])
+                del model[victim]
+                model[key] = floor + 1
+            assert list(tracker._counts.items()) == list(model.items())
 
 
 class TestReadCachePrimitive:

@@ -71,6 +71,26 @@ class TestLevelOrdering:
             is ConsistencyLevel.EVENTUAL
         )
 
+    def test_truth_tables_match_the_strength_table(self):
+        """``is_weaker`` / ``replica_level`` rank by ``level.strength``
+        instead of looking levels up in a ``LEVEL_STRENGTH`` dict
+        (hashing an ``Enum`` is a Python call); that table and the
+        definitions over it are the reference here, for all 25 pairs."""
+        strength = {
+            ConsistencyLevel.STRONG: 0,
+            ConsistencyLevel.BOUNDED_STALENESS: 1,
+            ConsistencyLevel.EVENTUAL: 2,
+            ConsistencyLevel.TENTATIVE: 3,
+            ConsistencyLevel.EXTRACT: 4,
+        }
+        assert {level: level.strength for level in ConsistencyLevel} == strength
+        bounded = ConsistencyLevel.BOUNDED_STALENESS
+        for level in ConsistencyLevel:
+            floored = bounded if strength[level] < strength[bounded] else level
+            assert replica_level(level) is floored
+            for than in ConsistencyLevel:
+                assert is_weaker(level, than) is (strength[level] > strength[than])
+
 
 class TestReadResultTransparency:
     def _state(self):

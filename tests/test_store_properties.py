@@ -10,6 +10,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.lsdb.checkpoint import Checkpoint
 from repro.lsdb.events import EventKind, LogEvent
 from repro.lsdb.store import LSDBStore
 from repro.merge.deltas import Delta
@@ -139,3 +140,81 @@ def test_compaction_commutes_with_suffix_application(amounts, split):
         plain.apply_delta("acct", "a", Delta.add("balance", amount))
         compacted.apply_delta("acct", "a", Delta.add("balance", amount))
     assert _observable(plain) == _observable(compacted)
+
+
+# ---------------------------------------------------------------------- #
+# The staleness stamp's index equals the feed walk it replaced
+# ---------------------------------------------------------------------- #
+
+
+def _event(origin: str, seq: int) -> LogEvent:
+    """A delta whose timestamp identifies it (distinct per origin+seq)."""
+    return LogEvent(
+        lsn=0, timestamp=seq * 1.5 + ord(origin[-1]) / 1000.0,
+        entity_type="acct", entity_key=f"a{seq % 3}", kind=EventKind.DELTA,
+        payload=Delta.add("balance", seq).to_payload(),
+        origin=origin, origin_seq=seq,
+    )
+
+
+def _assert_stamp_index_equals_feed_walk(store: LSDBStore, origins, max_seq: int):
+    """``origin_timestamp_after`` against the definition follower reads
+    used before it: build the origin's catch-up feed, materialise its
+    first event, read the timestamp."""
+    for origin in [*origins, "nobody"]:
+        for seq in range(-1, max_seq + 2):
+            feed = store.events_from_origin(origin, seq)
+            expected = feed[0].timestamp if feed else None
+            assert store.origin_timestamp_after(origin, seq) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lengths=st.dictionaries(
+        st.sampled_from(["r1", "r2", "r3"]), st.integers(1, 8), min_size=1
+    ),
+    shuffle_seed=st.integers(0, 10_000),
+    injected=st.lists(
+        st.tuples(st.sampled_from(["r1", "r2", "r4"]), st.integers(0, 14)),
+        max_size=5,
+    ),
+    keep_recent=st.one_of(st.none(), st.integers(0, 6)),
+)
+def test_origin_stamp_index_equals_feed_walk(
+    lengths, shuffle_seed, injected, keep_recent
+):
+    """Over interleaved multi-origin arrival (feeds that are not
+    arena-contiguous), sequences injected around the protocol (gaps,
+    repeats and regressions, so the feed is insert-sorted) and
+    compaction, for every sequence from below the feed to past it."""
+    import random
+
+    events = [_event(o, s) for o, n in lengths.items() for s in range(1, n + 1)]
+    random.Random(shuffle_seed).shuffle(events)
+    store = LSDBStore(origin="x")
+    for event in events:
+        store.apply_remote(event)
+    for origin, seq in injected:
+        store.log.append(_event(origin, seq))
+    if keep_recent is not None:
+        store.compact(keep_recent=keep_recent)
+    _assert_stamp_index_equals_feed_walk(store, [*lengths, "r4"], 15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(before=st.integers(1, 6), after=st.integers(0, 6))
+def test_origin_stamp_index_after_checkpoint_install(before, after):
+    """A bootstrapped replica's feeds start past the checkpoint's
+    watermarks: sequences at or below them have nothing to stamp."""
+    donor = LSDBStore(origin="donor")
+    for seq in range(1, before + 1):
+        donor.apply_remote(_event("r1", seq))
+        donor.apply_delta("acct", "mine", Delta.add("balance", seq))
+    joiner = LSDBStore(origin="joiner")
+    joiner.install_checkpoint(Checkpoint.capture(donor))
+    for seq in range(before + 1, before + after + 1):
+        joiner.apply_remote(_event("r1", seq))
+    _assert_stamp_index_equals_feed_walk(joiner, ["r1", "donor"], before + after)
+    if after:
+        first_new = _event("r1", before + 1)
+        assert joiner.origin_timestamp_after("r1", 0) == first_new.timestamp
