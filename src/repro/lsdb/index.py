@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable, Optional
 
+from repro.lsdb.columnar import EventSlice
 from repro.lsdb.log import AppendOnlyLog
 from repro.lsdb.rollup import EntityRef, Rollup, StateMap
 
@@ -35,8 +36,9 @@ class SecondaryIndex:
         metrics: Optional :class:`repro.obs.MetricsRegistry` for the
             refresh counter and lag gauge (labelled type.field).
         node: Node/replica name stamped on refresh spans.
-        span_of: Callable mapping an event to the span id it was stored
-            under (the owning store provides this).
+        span_of: Callable mapping an event's ``(origin, origin_seq)``
+            identity to the span id it was stored under (the owning
+            store provides this).
 
     Example:
         >>> # index lookups reflect only refreshed state:
@@ -90,26 +92,23 @@ class SecondaryIndex:
             return 0
         # Only this type's events need folding; the typed feed skips the
         # rest instead of filtering the whole suffix event by event.
+        # Rows fold straight from the arena, traced or not: tracing only
+        # opens and closes a span per row, read from the same columns.
         tracer = self.tracer
         feed = self.log.for_type_since(self.entity_type, self.applied_lsn, target)
-        if tracer is None:
-            # Columnar catch-up: fold straight from the feed's arena
-            # rows, never materializing the events.
-            arena = feed.arena
-            apply_row = self._apply_row
-            for row in feed.rows:
-                apply_row(arena, row)
-        else:
-            for event in feed:
-                self._apply(event)
-                parent = self._span_of(event) if self._span_of else None
+        arena = feed.arena
+        for row in feed.rows:
+            self._apply_row(arena, row)
+            if tracer is not None:
+                identity = (arena.origin_at(row), arena.origin_seqs[row])
+                parent = self._span_of(identity) if self._span_of else None
                 tracer.end_span(
                     tracer.start_span(
                         "index.refresh",
-                        parent=parent or event.span_id or None,
+                        parent=parent or arena.span_ids.get(row) or None,
                         node=self.node,
                         field=f"{self.entity_type}.{self.field_name}",
-                        lsn=event.lsn,
+                        lsn=arena.lsns[row],
                     )
                 )
         self.applied_lsn = self.log.last_lsn_at_or_below(target)
@@ -119,29 +118,17 @@ class SecondaryIndex:
             self._g_lag.set(self.lag)
         return applied
 
-    def _apply(self, event) -> None:
-        ref: EntityRef = event.entity_ref
-        old_state = self._states.get(ref)
-        old_value = old_state.get(self.field_name) if old_state else None
-        old_live = old_state.live if old_state else False
-        # The index exclusively owns its state map, so the in-place fold
-        # path is safe (old value/liveness are captured above).
-        new_state = self.rollup.folder_for(self.entity_type)(old_state, event)
-        self._move_buckets(ref, new_state, old_value, old_live)
-
     def _apply_row(self, arena, row: int) -> None:
-        """Columnar twin of :meth:`_apply`: folds one arena row."""
+        """Fold one arena row into the index's state map and move the
+        entity's key between buckets."""
         ref: EntityRef = arena.ref_tuples[arena.ref_ids[row]]
         old_state = self._states.get(ref)
         old_value = old_state.get(self.field_name) if old_state else None
         old_live = old_state.live if old_state else False
-        new_state = self.rollup.rows_folder_for(self.entity_type)(
-            old_state, arena, (row,), ref
-        )
-        self._move_buckets(ref, new_state, old_value, old_live)
-
-    def _move_buckets(self, ref, new_state, old_value, old_live) -> None:
-        self._states[ref] = new_state
+        # The index exclusively owns its state map, so the in-place fold
+        # is safe (old value/liveness are captured above).
+        self.rollup.fold_slice_into(self._states, EventSlice(arena, (row,)))
+        new_state = self._states[ref]
         new_value = new_state.get(self.field_name)
         new_live = new_state.live
         if old_live and (not new_live or new_value != old_value):

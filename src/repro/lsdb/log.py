@@ -242,8 +242,9 @@ class AppendOnlyLog:
         on_batch: Callable[[EventSlice], None],
     ) -> None:
         """Columnar append notifications: ``on_row(arena, row)`` per
-        single append, ``on_batch(view)`` per bulk frame apply (the two
-        are exclusive — a bulk apply fires one ``on_batch``, not n
+        single append, ``on_batch(view)`` per bulk frame apply, ``view``
+        being the non-empty, contiguous run of rows just appended (the
+        two are exclusive — a bulk apply fires one ``on_batch``, not n
         ``on_row`` calls)."""
         self._columnar.append((on_row, on_batch))
 

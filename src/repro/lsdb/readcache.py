@@ -21,11 +21,11 @@ the store:
   path.  The log append, per-origin feed and version-vector bookkeeping
   stay immediate (replication correctness is untouched); only the
   incremental-cache *fold* is deferred, and a burst against the same
-  hot entity fuses into one batch-apply run fold
-  (:meth:`~repro.lsdb.rollup.Rollup.fold_slice_into`, the PR 6 fused
-  pass) at flush.  The coalescing window runs on **virtual time** and
-  every state read flushes first, so read-your-writes holds and chaos
-  soaks stay byte-deterministic with coalescing on.
+  hot entity fuses into one call of the store's one columnar fold
+  (:meth:`~repro.lsdb.rollup.Rollup.fold_slice_into`, a single
+  row-order pass) at flush.  The coalescing window runs on **virtual
+  time** and every state read flushes first, so read-your-writes holds
+  and chaos soaks stay byte-deterministic with coalescing on.
 
 Invalidation is structural, not temporal: compaction
 (:meth:`~repro.lsdb.log.AppendOnlyLog.rewrite_prefix`) rewrites history
@@ -424,7 +424,7 @@ class ReadCache(ReadSurface):
 
 class WriteCoalescer:
     """Defer incremental-cache folds so hot-key bursts fuse into one
-    batch-apply run fold.
+    fold over the queued rows.
 
     Only the *fold* is deferred: the log append, LSN assignment,
     per-origin feed and version-vector bookkeeping all happen
@@ -438,12 +438,12 @@ class WriteCoalescer:
     * and before **any** state read (the store's read surfaces flush
       first), which is what makes deferral unobservable: read-your-
       writes holds and the final state map is byte-identical to folding
-      every row immediately (``fold_slice_into`` processes rows in the
-      exact append order).
+      every row immediately (``fold_slice_into`` folds rows in the
+      exact append order, one pass, whatever reducer each type uses).
 
     Args:
-        fold: ``rows -> None`` — the store's batch fold over pending
-            arena rows (:meth:`LSDBStore._fold_rows_now`).
+        fold: ``rows -> None`` — the store's fold over pending arena
+            rows (:meth:`LSDBStore._fold_rows_now`).
         clock: Virtual-time source.
         window: Coalescing window on virtual time.
         max_batch: Flush when this many rows are pending.

@@ -11,14 +11,21 @@ sequence into a state map.  The default :class:`GenericReducer` is
 ``(timestamp, origin)`` stamps resolved last-update-wins, so replicas
 that apply the same event *set* in different orders reach the same state
 (checked with hypothesis in ``tests/test_rollup_properties.py``).
+
+Those semantics are written twice: per event in
+:meth:`GenericReducer.fold`, and over arena columns in
+:meth:`Rollup.fold_slice_into` — the one columnar fold, through which
+the store maintains its incremental cache, rebuilds it, and refreshes
+its secondary indexes (``tests/test_fold_kernel.py`` holds the two
+equal).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Optional, Protocol, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Protocol
 
-from repro.lsdb.columnar import KIND_CODES, EventColumns, EventSlice
+from repro.lsdb.columnar import KIND_CODES, EventSlice
 from repro.lsdb.events import EventKind, LogEvent
 
 _INSERT = KIND_CODES[EventKind.INSERT]
@@ -194,85 +201,6 @@ class GenericReducer:
         state.last_timestamp = max(state.last_timestamp, event.timestamp)
         return state
 
-    def fold_rows(
-        self,
-        state: Optional[EntityState],
-        cols: EventColumns,
-        rows: Sequence[int],
-        ref: EntityRef,
-    ) -> EntityState:
-        """In-place fold of arena ``rows`` (all belonging to ``ref``)
-        straight from the columns — no :class:`LogEvent` objects.
-
-        This is the vectorized half of the columnar re-architecture:
-        the per-run loop reads C arrays, resolves the payload once per
-        event, and amortizes the state/bookkeeping lookups over the
-        whole run instead of paying them per event.  Semantically it is
-        ``for row: self.fold(state, event_at(row))``, field for field.
-        """
-        if state is None:
-            state = EntityState(ref[0], ref[1])
-        kinds = cols.kinds
-        payloads = cols.payloads
-        lsns = cols.lsns
-        timestamps = cols.timestamps
-        fields = state.fields
-        last_lsn = state.last_lsn
-        last_timestamp = state.last_timestamp
-        count = 0
-        for row in rows:
-            kind = kinds[row]
-            if kind == _DELTA:
-                payload = payloads[row]
-                numeric = payload.get("numeric")
-                if numeric:
-                    for name, amount in numeric.items():
-                        fields[name] = fields.get(name, 0) + amount
-                set_adds = payload.get("set_adds")
-                if set_adds:
-                    for name, additions in set_adds.items():
-                        current = fields.get(name, frozenset())
-                        fields[name] = frozenset(current) | frozenset(additions)
-                set_removes = payload.get("set_removes")
-                if set_removes:
-                    for name, removals in set_removes.items():
-                        current = fields.get(name, frozenset())
-                        fields[name] = frozenset(current) - frozenset(removals)
-            elif kind == _INSERT:
-                fields.update(payloads[row])
-                state.version_count += 1
-            elif kind == _SET_FIELDS:
-                stamp = (timestamps[row], cols.origin_at(row))
-                stamps = state.field_stamps
-                for name, value in payloads[row].items():
-                    if stamp >= stamps.get(name, _NO_STAMP):
-                        fields[name] = value
-                        stamps[name] = stamp
-            elif kind == _TOMBSTONE:
-                state.deleted = True
-            elif kind == _OBSOLETE:
-                state.obsolete = True
-            elif kind == _SUMMARY:
-                fields = state.fields = dict(payloads[row])
-                state.field_stamps = {}
-                tags = cols.tags_at(row)
-                if "deleted" in tags:
-                    state.deleted = True
-                if "obsolete" in tags:
-                    state.obsolete = True
-                state.version_count = max(state.version_count, 1)
-            count += 1
-            lsn = lsns[row]
-            if lsn > last_lsn:
-                last_lsn = lsn
-            timestamp = timestamps[row]
-            if timestamp > last_timestamp:
-                last_timestamp = timestamp
-        state.event_count += count
-        state.last_lsn = last_lsn
-        state.last_timestamp = last_timestamp
-        return state
-
 
 EntityRef = tuple[str, str]
 StateMap = dict[EntityRef, EntityState]
@@ -317,26 +245,23 @@ class Rollup:
         #: entity type -> fastest folding callable (the reducer's
         #: in-place ``fold`` when it has one, else its copying ``apply``)
         self._folders: dict[str, Callable[[Optional[EntityState], LogEvent], EntityState]] = {}
-        #: entity type -> columnar run-fold callable (see
-        #: :meth:`rows_folder_for`).
-        self._rows_folders: dict[str, Callable] = {}
-        self._refresh_all_generic()
-
-    def _refresh_all_generic(self) -> None:
-        """Whether every type folds with a *stock* :class:`GenericReducer`
-        — the precondition for the fused slice fold, which inlines that
-        reducer's semantics."""
-        self._all_generic = type(self._default) is GenericReducer and all(
-            type(reducer) is GenericReducer
-            for reducer in self._reducers.values()
-        )
+        #: Reducers whose semantics :meth:`fold_slice_into` does not
+        #: inline (anything but a stock :class:`GenericReducer`, default
+        #: included).  Empty — the common case — means every row folds
+        #: inline.  It may keep a replaced reducer, which only costs the
+        #: kernel its per-type check.
+        self._others: list[Reducer] = [
+            reducer
+            for reducer in (self._default, *self._reducers.values())
+            if type(reducer) is not GenericReducer
+        ]
 
     def register(self, entity_type: str, reducer: Reducer) -> None:
         """Attach a custom reducer for ``entity_type``."""
         self._reducers[entity_type] = reducer
         self._folders.clear()
-        self._rows_folders.clear()
-        self._refresh_all_generic()
+        if type(reducer) is not GenericReducer:
+            self._others.append(reducer)
 
     def reducer_for(self, entity_type: str) -> Reducer:
         """The reducer used for ``entity_type``."""
@@ -355,35 +280,6 @@ class Rollup:
             self._folders[entity_type] = folder
         return folder
 
-    def rows_folder_for(
-        self, entity_type: str
-    ) -> Callable[[Optional[EntityState], EventColumns, Sequence[int], EntityRef], EntityState]:
-        """The columnar run-fold callable for ``entity_type``:
-        ``(state, arena, rows, ref) -> state``.
-
-        The stock :class:`GenericReducer` folds straight from the
-        columns (:meth:`GenericReducer.fold_rows`); any custom or
-        subclassed reducer gets a wrapper that materializes each row and
-        goes through :meth:`folder_for`, preserving the reducer's own
-        semantics exactly.  Only safe on states the caller owns.
-        """
-        rows_folder = self._rows_folders.get(entity_type)
-        if rows_folder is None:
-            reducer = self._reducers.get(entity_type, self._default)
-            if type(reducer) is GenericReducer:
-                rows_folder = reducer.fold_rows
-            else:
-                folder = self.folder_for(entity_type)
-
-                def rows_folder(state, cols, rows, ref, _folder=folder):
-                    event_at = cols.event_at
-                    for row in rows:
-                        state = _folder(state, event_at(row))
-                    return state
-
-            self._rows_folders[entity_type] = rows_folder
-        return rows_folder
-
     def fold_slice_into(
         self,
         states: StateMap,
@@ -393,14 +289,18 @@ class Rollup:
         copy_shared: bool = False,
         shared: Optional[set] = None,
     ) -> None:
-        """Group ``view`` by entity and fold each entity's run in one
-        pass — the batch-apply reducer path.
+        """Fold ``view`` into ``states`` in one row-order pass — the one
+        columnar fold every state map in the store is maintained by.
 
-        Grouping amortizes the folder resolution, the states-map
-        get/set, and (for the generic reducer) all per-event attribute
-        dispatch over each entity's whole run instead of paying them per
-        event.  Per entity the events fold in view order, so the result
-        is identical to per-event :meth:`fold_into` calls.
+        Rows are walked in view order (sequential column access), and a
+        per-call rid table resolves each row's state, so the states-map
+        hashing and first-touch bookkeeping are paid once per entity,
+        not once per event.  The stock :class:`GenericReducer`'s
+        semantics are inlined branch for branch, straight from the
+        columns; a row whose type folds through any other reducer goes
+        through :meth:`folder_for` on the materialized event, in the
+        same pass.  Either way the result is identical to per-event
+        :meth:`fold_into` calls in view order.
 
         Args:
             states: Mutated in place.  Must be caller-owned unless
@@ -415,60 +315,6 @@ class Rollup:
             shared: The set of refs still shared (required when
                 ``copy_shared``).
         """
-        if self._all_generic:
-            # Every type folds with the stock reducer: take the fused
-            # single-pass loop.  It walks rows in view order (sequential
-            # column access — grouping first would scatter reads across
-            # the arena and thrash caches on large slices) and resolves
-            # each row's state through a per-call rid table, so the
-            # states-map hashing and first-touch bookkeeping are paid
-            # once per entity, not once per event.
-            self._fold_slice_generic(
-                states, view, type_refs, copy_shared=copy_shared, shared=shared
-            )
-            return
-        cols = view.arena
-        rows = view.rows
-        ref_ids = cols.ref_ids
-        # Group rows by interned ref id; dict insertion order is
-        # first-occurrence order, which keeps type_refs deterministic.
-        groups: dict[int, list[int]] = {}
-        for row in rows:
-            rid = ref_ids[row]
-            bucket = groups.get(rid)
-            if bucket is None:
-                groups[rid] = [row]
-            else:
-                bucket.append(row)
-        ref_tuples = cols.ref_tuples
-        rows_folder_for = self.rows_folder_for
-        for rid, run in groups.items():
-            ref = ref_tuples[rid]
-            state = states.get(ref)
-            if state is None:
-                if type_refs is not None:
-                    type_refs.setdefault(ref[0], []).append(ref)
-            elif copy_shared and ref in shared:
-                state = state.copy()
-                shared.discard(ref)
-            states[ref] = rows_folder_for(ref[0])(state, cols, run, ref)
-
-    def _fold_slice_generic(
-        self,
-        states: StateMap,
-        view: EventSlice,
-        type_refs: Optional[dict[str, list[EntityRef]]] = None,
-        *,
-        copy_shared: bool = False,
-        shared: Optional[set] = None,
-    ) -> None:
-        """Fused slice fold: :class:`GenericReducer` semantics inlined
-        into one row-order pass (see :meth:`fold_slice_into`).
-
-        Branch for branch this is ``GenericReducer.fold_rows`` applied
-        event-at-a-time in view order, so the result is identical to the
-        grouped path and to per-event :meth:`fold_into` calls.
-        """
         cols = view.arena
         ref_ids = cols.ref_ids
         ref_tuples = cols.ref_tuples
@@ -476,6 +322,10 @@ class Rollup:
         payloads = cols.payloads
         lsns = cols.lsns
         timestamps = cols.timestamps
+        others = self._others
+        # rid -> state of each entity this call folds inline.  An entity
+        # folded through another reducer never enters it, so each of its
+        # rows takes the first-touch branch (which is idempotent).
         by_rid: dict[int, EntityState] = {}
         by_rid_get = by_rid.get
         states_get = states.get
@@ -488,10 +338,14 @@ class Rollup:
                 if state is None:
                     if type_refs is not None:
                         type_refs.setdefault(ref[0], []).append(ref)
-                    state = EntityState(ref[0], ref[1])
                 elif copy_shared and ref in shared:
                     state = state.copy()
                     shared.discard(ref)
+                if others and type(self.reducer_for(ref[0])) is not GenericReducer:
+                    states[ref] = self.folder_for(ref[0])(state, cols.event_at(row))
+                    continue
+                if state is None:
+                    state = EntityState(ref[0], ref[1])
                 by_rid[rid] = state
                 states[ref] = state
             kind = kinds[row]
@@ -563,8 +417,8 @@ class Rollup:
         """
         folder_for = self.folder_for
         if isinstance(events, EventSlice):
-            # Columnar fast path: group-by-entity run folds, with the
-            # same copy-on-first-touch discipline per entity run.
+            # Columnar path: the one slice fold, with the same
+            # copy-on-first-touch discipline per entity.
             if initial:
                 states = dict(initial)
                 shared = set(states)
@@ -603,8 +457,9 @@ class Rollup:
         return states
 
     def fold_into(self, states: StateMap, event: LogEvent) -> None:
-        """Fold one event into ``states`` in place (incremental cache
-        maintenance on the append path).
+        """Fold one event into ``states`` in place — the per-event form
+        of :meth:`fold_slice_into`, for callers holding a
+        :class:`LogEvent` rather than arena rows.
 
         The caller must own ``states`` and every state in it — the
         in-place reducer path mutates them without copying.

@@ -193,7 +193,7 @@ class LSDBStore(ReadSurface):
         """Arm hot-key write coalescing (see
         :class:`~repro.lsdb.readcache.WriteCoalescer`): appended rows
         queue instead of folding one by one, and flush as a single
-        fused batch-apply fold on window expiry (virtual time), batch
+        ``fold_slice_into`` call on window expiry (virtual time), batch
         size, or — transparently — before any state read.
         """
         from repro.lsdb.readcache import WriteCoalescer
@@ -208,9 +208,10 @@ class LSDBStore(ReadSurface):
         )
         return self.coalescer
 
-    def _fold_rows_now(self, rows: list) -> None:
-        """Fold queued arena rows into the incremental cache, fused per
-        entity (the coalescer's flush target)."""
+    def _fold_rows_now(self, rows) -> None:
+        """Fold arena rows into the incremental cache — the coalescer's
+        flush target, a frame's fold, and an uncoalesced single append
+        (a run of one)."""
         view = EventSlice(self.log.arena, rows)
         self.rollup.fold_slice_into(self._states, view, self._type_refs)
         if self._m_folds is not None:
@@ -234,14 +235,9 @@ class LSDBStore(ReadSurface):
                 tracer=self.tracer,
                 metrics=self.metrics,
                 node=self.origin,
-                span_of=self._span_of_event,
+                span_of=self._span_by_identity.get,
             )
         return self._indexes[key]
-
-    def _span_of_event(self, event: LogEvent) -> Optional[str]:
-        """The span id under which ``event`` was stored locally (the
-        parent for its index-refresh span), if tracing recorded one."""
-        return self._span_by_identity.get(event.identity)
 
     # ------------------------------------------------------------------ #
     # Read-only views (checkpoint capture & diagnostics)
@@ -611,106 +607,74 @@ class LSDBStore(ReadSurface):
     # ------------------------------------------------------------------ #
 
     def _on_append_row(self, cols: EventColumns, row: int) -> None:
-        """Columnar per-append bookkeeping: fold into the incremental
-        cache and maintain the per-origin feed, reading columns directly
-        (no materialized event on this path).
-
-        With coalescing armed the fold half is deferred (the coalescer
-        queues the row and fuses bursts into one batch-apply run fold);
-        the feed/version-vector half below always runs immediately —
-        replication correctness never waits on a flush.
-        """
+        """Bookkeeping for one appended row: fold it into the
+        incremental cache — deferred when coalescing is armed (the
+        coalescer queues the row and fuses bursts into one fold) — and
+        record it in its origin's feed immediately either way:
+        replication correctness never waits on a flush."""
+        if self._m_appends is not None:
+            self._m_appends.inc()
         if self.coalescer is not None:
             self.coalescer.defer(row)
-            if self._m_appends is not None:
-                self._m_appends.inc()
         else:
-            states = self._states
-            ref = cols.ref_tuples[cols.ref_ids[row]]
-            state = states.get(ref)
-            if state is None:
-                self._type_refs.setdefault(ref[0], []).append(ref)
-            states[ref] = self.rollup.rows_folder_for(ref[0])(
-                state, cols, (row,), ref
-            )
-            if self._m_appends is not None:
-                self._m_appends.inc()
-                self._m_folds.inc()
-        seq = cols.origin_seqs[row]
-        origin = cols.origins.value(cols.origin_ids[row])
-        if seq:
-            self.version_vector.record(origin, seq)
+            self._fold_rows_now((row,))
+        self._record_origin_run(cols, row, row)
+
+    def _on_append_batch(self, view: EventSlice) -> None:
+        """Bookkeeping for a frame apply (the log hands over the
+        contiguous rows it just appended): one fold over the slice, then
+        one feed record per origin run."""
+        # Pending coalesced rows precede this batch in LSN order: fold
+        # them first so the state map always reflects append order.
+        self._flush_coalesced()
+        rows = view.rows
+        if self._m_appends is not None:
+            self._m_appends.inc(len(rows))
+        self._fold_rows_now(rows)
+        cols = view.arena
+        origin_ids = cols.origin_ids
+        first, end = rows[0], rows[-1]
+        while first <= end:
+            last = first
+            while last < end and origin_ids[last + 1] == origin_ids[first]:
+                last += 1
+            self._record_origin_run(cols, first, last)
+            first = last + 1
+
+    def _record_origin_run(self, cols: EventColumns, first: int, last: int) -> None:
+        """Record arena rows ``first..last`` (inclusive) — one origin's
+        run, in ascending sequence order — in the version vector and in
+        that origin's feed.  A single append is the run ``row..row``."""
+        origin = cols.origins.value(cols.origin_ids[first])
+        seqs_col = cols.origin_seqs
+        # Recording the run's last sequence is the same set of vector
+        # updates as recording each (record keeps the max).
+        last_seq = seqs_col[last]
+        if last_seq:
+            self.version_vector.record(origin, last_seq)
         rows = self._by_origin.get(origin)
         if rows is None:
-            self._by_origin[origin] = [row]
-            self._by_origin_seqs[origin] = [seq]
+            self._by_origin[origin] = list(range(first, last + 1))
+            self._by_origin_seqs[origin] = seqs_col[first:last + 1].tolist()
             return
         seqs = self._by_origin_seqs[origin]
-        if seq >= seqs[-1]:
-            rows.append(row)
-            seqs.append(seq)
+        if first == last and last_seq >= seqs[-1]:
+            # A single append: no range or column slice to allocate.
+            rows.append(first)
+            seqs.append(last_seq)
+        elif seqs_col[first] >= seqs[-1]:
+            rows.extend(range(first, last + 1))
+            seqs.extend(seqs_col[first:last + 1])
         else:
             # Out-of-sequence arrival (only possible for events injected
             # outside the replication protocol): keep the feed sorted so
             # bisect stays correct.
-            position = bisect_right(seqs, seq)
-            seqs.insert(position, seq)
-            rows.insert(position, row)
             self._feeds_in_row_order = False
-
-    def _on_append_batch(self, view: EventSlice) -> None:
-        """Bulk bookkeeping for a frame apply: one grouped fold over the
-        slice, one version-vector record per origin run, and array
-        extends on the per-origin feed — O(distinct entities + rows)
-        dictionary work instead of O(rows)."""
-        # Pending coalesced rows precede this batch in LSN order: fold
-        # them first so the state map always reflects append order.
-        self._flush_coalesced()
-        self.rollup.fold_slice_into(self._states, view, self._type_refs)
-        count = len(view)
-        if self._m_appends is not None:
-            self._m_appends.inc(count)
-            self._m_folds.inc(count)
-        cols = view.arena
-        rows = view.rows
-        seqs_col = cols.origin_seqs
-        origin_ids = cols.origin_ids
-        origin_value = cols.origins.value
-        position = 0
-        while position < count:
-            first_row = rows[position]
-            oid = origin_ids[first_row]
-            run_end = position + 1
-            while run_end < count and origin_ids[rows[run_end]] == oid:
-                run_end += 1
-            origin = origin_value(oid)
-            run_rows = rows[position:run_end]
-            # Frame runs carry ascending sequences, so recording the
-            # last one is the same set of vector updates as recording
-            # each (record keeps the max).
-            last_seq = seqs_col[rows[run_end - 1]]
-            if last_seq:
-                self.version_vector.record(origin, last_seq)
-            bucket = self._by_origin.get(origin)
-            if bucket is None:
-                self._by_origin[origin] = list(run_rows)
-                self._by_origin_seqs[origin] = [
-                    seqs_col[r] for r in run_rows
-                ]
-            else:
-                seqs = self._by_origin_seqs[origin]
-                if seqs_col[first_row] >= seqs[-1]:
-                    bucket.extend(run_rows)
-                    seqs.extend(seqs_col[r] for r in run_rows)
-                else:  # pragma: no cover - frames never regress, but
-                    # keep the sorted-feed invariant for direct callers
-                    self._feeds_in_row_order = False
-                    for r in run_rows:
-                        seq = seqs_col[r]
-                        insert_at = bisect_right(seqs, seq)
-                        seqs.insert(insert_at, seq)
-                        bucket.insert(insert_at, r)
-            position = run_end
+            for row in range(first, last + 1):
+                seq = seqs_col[row]
+                position = bisect_right(seqs, seq)
+                seqs.insert(position, seq)
+                rows.insert(position, row)
 
     # ------------------------------------------------------------------ #
     # Reads
@@ -800,36 +764,31 @@ class LSDBStore(ReadSurface):
         Returns:
             The number of events (re-)folded.
         """
-        if self.coalescer is not None:
-            # Pending rows are already in the log; the rebuild re-folds
-            # them, so folding the queue first would be redundant work.
-            self.coalescer.discard()
         checkpoint = None
         if not full and self.checkpoints is not None:
             checkpoint = self.checkpoints.latest()
-        if checkpoint is None:
-            events = self.log.events()
-            self._states = self.rollup.fold(events)
-            self._type_refs = {}
-            for ref in self._states:
-                self._type_refs.setdefault(ref[0], []).append(ref)
-            return len(events)
         return self._restore_states(checkpoint)
 
-    def _restore_states(self, checkpoint: Checkpoint) -> int:
-        """Install a checkpoint's state map and fold the log suffix over
-        it.  Returns the number of suffix events folded."""
+    def _restore_states(self, checkpoint: Optional[Checkpoint]) -> int:
+        """Install a checkpoint's state map (``None``: an empty one) and
+        fold the live log after it over it.  Returns the number of
+        events folded."""
         if self.coalescer is not None:
-            self.coalescer.discard()  # suffix replay re-folds the queue
-        self._states = {
-            ref: state.copy() for ref, state in checkpoint.states.items()
-        }
-        self._type_refs = {
-            entity_type: list(refs)
-            for entity_type, refs in checkpoint.type_refs.items()
-        }
-        suffix = self.log.since(checkpoint.lsn)
-        # Grouped columnar replay: one run fold per touched entity.
+            # Pending rows are already in the log and the replay re-folds
+            # them, so folding the queue first would be redundant work.
+            self.coalescer.discard()
+        if checkpoint is None:
+            self._states, self._type_refs, lsn = {}, {}, 0
+        else:
+            self._states = {
+                ref: state.copy() for ref, state in checkpoint.states.items()
+            }
+            self._type_refs = {
+                entity_type: list(refs)
+                for entity_type, refs in checkpoint.type_refs.items()
+            }
+            lsn = checkpoint.lsn
+        suffix = self.log.since(lsn)
         self.rollup.fold_slice_into(self._states, suffix, self._type_refs)
         return len(suffix)
 
@@ -854,21 +813,11 @@ class LSDBStore(ReadSurface):
         checkpoint = (
             self.checkpoints.latest() if self.checkpoints is not None else None
         )
-        indexes_restored = 0
-        if checkpoint is None:
-            replayed = self.rebuild_cache(full=True)
-            for index in self._indexes.values():
-                index.reset()
-                index.refresh()
-            return RecoveryReport(
-                used_checkpoint=False,
-                checkpoint_lsn=0,
-                events_replayed=replayed,
-                indexes_restored=0,
-            )
         replayed = self._restore_states(checkpoint)
+        snapshots = checkpoint.index_snapshots if checkpoint is not None else {}
+        indexes_restored = 0
         for key, index in self._indexes.items():
-            snapshot = checkpoint.index_snapshots.get(key)
+            snapshot = snapshots.get(key)
             if snapshot is not None:
                 index.restore(snapshot)
                 indexes_restored += 1
@@ -876,8 +825,8 @@ class LSDBStore(ReadSurface):
                 index.reset()
             index.refresh()
         return RecoveryReport(
-            used_checkpoint=True,
-            checkpoint_lsn=checkpoint.lsn,
+            used_checkpoint=checkpoint is not None,
+            checkpoint_lsn=checkpoint.lsn if checkpoint is not None else 0,
             events_replayed=replayed,
             indexes_restored=indexes_restored,
         )
