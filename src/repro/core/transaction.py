@@ -493,6 +493,7 @@ class TransactionManager:
         self.commits = 0
         self.aborts = 0
         self.abort_reasons: dict[str, int] = {}
+        self._outcome_metrics: dict[tuple[bool, bool, str], tuple[Any, Any]] = {}
         #: Commit history the isolation levels validate against: commit
         #: order, per-tx records, and the per-site commit sequence
         #: vector snapshots are cut from.
@@ -637,12 +638,24 @@ class TransactionManager:
         if self.metrics is None:
             return
         label = tx.isolation.value if tx.isolation is not None else tx.mode.value
-        name = "tx.commits" if committed else "tx.aborts"
-        self.metrics.counter(name, mode=label).inc()
-        if committed and tx.isolation is not None:
-            self.metrics.histogram("tx.snapshot_age", mode=label).record(
-                max(0.0, self.now() - tx.begun_at)
+        # "solipsistic" is both a level and a mode label, and only a
+        # level's commit records its snapshot age: that is part of the key.
+        timed = committed and tx.isolation is not None
+        key = (committed, timed, label)
+        handles = self._outcome_metrics.get(key)
+        if handles is None:  # resolved in the registry once per key
+            handles = self._outcome_metrics[key] = (
+                self.metrics.counter(
+                    "tx.commits" if committed else "tx.aborts", mode=label
+                ),
+                self.metrics.histogram("tx.snapshot_age", mode=label)
+                if timed
+                else None,
             )
+        counter, snapshot_age = handles
+        counter.inc()
+        if snapshot_age is not None:
+            snapshot_age.record(max(0.0, self.now() - tx.begun_at))
 
     # ------------------------------------------------------------------ #
     # Commit path

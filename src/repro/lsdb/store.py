@@ -277,7 +277,10 @@ class LSDBStore(ReadSurface):
         tx_id: str = "",
         tags: Iterable[str] = (),
     ) -> LogEvent:
-        """Record a new entity version (insert-only storage, 2.7)."""
+        """Record a new entity version (insert-only storage, 2.7).
+
+        API edge: returns the built :class:`LogEvent`; scheme writes and
+        commits call :meth:`append_local` and build none."""
         row = self.append_local(
             entity_type, entity_key, EventKind.INSERT, dict(fields), tx_id, tags
         )
@@ -291,7 +294,10 @@ class LSDBStore(ReadSurface):
         tx_id: str = "",
         tags: Iterable[str] = (),
     ) -> LogEvent:
-        """Record a commutative adjustment (operations, not consequences)."""
+        """Record a commutative adjustment (operations, not consequences).
+
+        API edge: returns the built :class:`LogEvent`; scheme writes and
+        commits call :meth:`append_local` and build none."""
         row = self.append_local(
             entity_type, entity_key, EventKind.DELTA, delta.to_payload(), tx_id, tags
         )
@@ -306,7 +312,10 @@ class LSDBStore(ReadSurface):
         tags: Iterable[str] = (),
     ) -> LogEvent:
         """Record a field overwrite (resolved last-update-wins across
-        replicas; prefer deltas where the domain allows)."""
+        replicas; prefer deltas where the domain allows).
+
+        API edge: returns the built :class:`LogEvent`; scheme writes and
+        commits call :meth:`append_local` and build none."""
         row = self.append_local(
             entity_type, entity_key, EventKind.SET_FIELDS, dict(fields), tx_id, tags
         )
@@ -319,7 +328,10 @@ class LSDBStore(ReadSurface):
         tx_id: str = "",
         tags: Iterable[str] = (),
     ) -> LogEvent:
-        """Mark an entity deleted (the data stays readable, 2.7)."""
+        """Mark an entity deleted (the data stays readable, 2.7).
+
+        API edge: returns the built :class:`LogEvent`; scheme writes and
+        commits call :meth:`append_local` and build none."""
         row = self.append_local(
             entity_type, entity_key, EventKind.TOMBSTONE, {}, tx_id, tags
         )
@@ -333,7 +345,10 @@ class LSDBStore(ReadSurface):
         tags: Iterable[str] = (),
     ) -> LogEvent:
         """Mark a tentative entity obsolete — visible and durable, but no
-        longer current (section 3.2)."""
+        longer current (section 3.2).
+
+        API edge: returns the built :class:`LogEvent`; scheme writes and
+        commits call :meth:`append_local` and build none."""
         row = self.append_local(
             entity_type, entity_key, EventKind.OBSOLETE, {}, tx_id, tags
         )

@@ -21,7 +21,8 @@ from typing import Any, Optional
 
 from repro.core.consistency import ConsistencyLevel
 from repro.core.readpath import ReadSurface, Served, is_weaker
-from repro.lsdb.events import LogEvent
+from repro.lsdb.columnar import EventSlice
+from repro.lsdb.events import EventKind
 from repro.lsdb.rollup import EntityState
 from repro.merge.deltas import Delta
 from repro.replication.anti_entropy import AntiEntropy
@@ -116,8 +117,10 @@ class ActiveActiveGroup(ReadSurface):
         lagging replica still accepts the write against its local view.
         """
         replica = self.replicas[replica_id]
-        event = replica.store.insert(entity_type, entity_key, fields, tx_id=tx_id)
-        self._propagate(replica, event)
+        row = replica.store.append_local(
+            entity_type, entity_key, EventKind.INSERT, dict(fields), tx_id
+        )
+        self._propagate(replica, row)
         self.writes_accepted += 1
         return self.sim.now
 
@@ -131,8 +134,10 @@ class ActiveActiveGroup(ReadSurface):
     ) -> float:
         """Apply a commutative delta at one replica (ack immediate)."""
         replica = self.replicas[replica_id]
-        event = replica.store.apply_delta(entity_type, entity_key, delta, tx_id=tx_id)
-        self._propagate(replica, event)
+        row = replica.store.append_local(
+            entity_type, entity_key, EventKind.DELTA, delta.to_payload(), tx_id
+        )
+        self._propagate(replica, row)
         self.writes_accepted += 1
         return self.sim.now
 
@@ -146,8 +151,10 @@ class ActiveActiveGroup(ReadSurface):
     ) -> float:
         """Overwrite fields at one replica (LWW across replicas)."""
         replica = self.replicas[replica_id]
-        event = replica.store.set_fields(entity_type, entity_key, fields, tx_id=tx_id)
-        self._propagate(replica, event)
+        row = replica.store.append_local(
+            entity_type, entity_key, EventKind.SET_FIELDS, dict(fields), tx_id
+        )
+        self._propagate(replica, row)
         self.writes_accepted += 1
         return self.sim.now
 
@@ -188,13 +195,13 @@ class ActiveActiveGroup(ReadSurface):
     # Propagation & convergence
     # ------------------------------------------------------------------ #
 
-    def _propagate(self, source: ReplicaNode, event: LogEvent) -> None:
+    def _propagate(self, source: ReplicaNode, row: int) -> None:
         if not self.eager:
             return
-        # The event was just appended, so it is the log's one-row tail.
+        # ``row`` was just appended, so it is the log's one-row tail.
         # offer_events routes through the source's FrameShipper when the
         # batching policy coalesces, shipping immediately otherwise.
-        tail = source.store.events_since(event.lsn - 1)
+        tail = EventSlice(source.store.log.arena, range(row, row + 1))
         for replica_id, replica in self.replicas.items():
             if replica is not source:
                 source.offer_events(replica_id, tail)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.lsdb.events import LogEvent
+from repro.lsdb.events import EventKind, LogEvent
 from repro.merge.deltas import Delta
 from repro.replication.batching import BatchPolicy
 from repro.replication.replica import PrimaryCopySurface, ReplicaNode
@@ -85,7 +85,7 @@ class AsyncPrimaryBackup(PrimaryCopySurface):
         >>> sim = Simulator(); net = Network(sim, latency=5.0)
         >>> pair = AsyncPrimaryBackup(
         ...     sim, net, ship_interval=10.0, batching=BatchPolicy(max_batch=64))
-        >>> _ = pair.primary.store.insert("order", "o1", {"total": 9})
+        >>> _ = pair.write_insert("order", "o1", {"total": 9})
         >>> _ = sim.run(until=20.0)
         >>> pair.backup.store.get("order", "o1").fields["total"]
         9
@@ -130,14 +130,18 @@ class AsyncPrimaryBackup(PrimaryCopySurface):
         self, entity_type: str, entity_key: str, fields: dict[str, Any], tx_id: str = ""
     ) -> float:
         """Insert at the primary; returns the (immediate) ack time."""
-        self.primary.store.insert(entity_type, entity_key, fields, tx_id=tx_id)
+        self.primary.store.append_local(
+            entity_type, entity_key, EventKind.INSERT, dict(fields), tx_id
+        )
         return self.sim.now
 
     def write_delta(
         self, entity_type: str, entity_key: str, delta: Delta, tx_id: str = ""
     ) -> float:
         """Apply a delta at the primary; returns the (immediate) ack time."""
-        self.primary.store.apply_delta(entity_type, entity_key, delta, tx_id=tx_id)
+        self.primary.store.append_local(
+            entity_type, entity_key, EventKind.DELTA, delta.to_payload(), tx_id
+        )
         return self.sim.now
 
     def _read_nodes(self) -> tuple[ReplicaNode, ReplicaNode]:

@@ -40,6 +40,7 @@ from repro.core.readpath import (
     replica_level,
 )
 from repro.errors import ReplicationError
+from repro.lsdb.events import EventKind
 from repro.merge.deltas import Delta
 from repro.partition.placement import PlacementPolicy
 from repro.replication.batching import BatchPolicy
@@ -292,9 +293,9 @@ class GeoReplicaGroup(ReadSurface):
             ReplicationError: When every hosting site is down.
         """
         shard = self.placement.shard_of(entity_type, entity_key)
-        for site in self.placement.sites_for_shard(shard):
-            if not self.gateways[site].crashed:
-                return self.replicas[f"{site}/s{shard}"]
+        for replica in self.groups[shard]:  # already in preference order
+            if not replica.gateway.crashed:
+                return replica
         raise ReplicationError(
             f"no live site hosts shard {shard} "
             f"(preference {self.placement.sites_for_shard(shard)})"
@@ -305,7 +306,9 @@ class GeoReplicaGroup(ReadSurface):
     ) -> float:
         """Insert at the shard's coordinator; ack immediate."""
         replica = self.coordinator(entity_type, entity_key)
-        replica.store.insert(entity_type, entity_key, fields, tx_id=tx_id)
+        replica.store.append_local(
+            entity_type, entity_key, EventKind.INSERT, dict(fields), tx_id
+        )
         self.writes_accepted += 1
         return self.sim.now
 
@@ -314,7 +317,9 @@ class GeoReplicaGroup(ReadSurface):
     ) -> float:
         """Apply a commutative delta at the coordinator; ack immediate."""
         replica = self.coordinator(entity_type, entity_key)
-        replica.store.apply_delta(entity_type, entity_key, delta, tx_id=tx_id)
+        replica.store.append_local(
+            entity_type, entity_key, EventKind.DELTA, delta.to_payload(), tx_id
+        )
         self.writes_accepted += 1
         return self.sim.now
 
@@ -323,7 +328,9 @@ class GeoReplicaGroup(ReadSurface):
     ) -> float:
         """Overwrite fields at the coordinator (LWW across the group)."""
         replica = self.coordinator(entity_type, entity_key)
-        replica.store.set_fields(entity_type, entity_key, fields, tx_id=tx_id)
+        replica.store.append_local(
+            entity_type, entity_key, EventKind.SET_FIELDS, dict(fields), tx_id
+        )
         self.writes_accepted += 1
         return self.sim.now
 

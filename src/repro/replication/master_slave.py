@@ -20,6 +20,7 @@ from typing import Any, Optional
 from repro.core.consistency import ConsistencyLevel
 from repro.core.readpath import Served
 from repro.errors import NotMaster
+from repro.lsdb.events import EventKind
 from repro.lsdb.rollup import EntityState
 from repro.merge.deltas import Delta
 from repro.replication.asynchronous import resolve_batching
@@ -99,14 +100,18 @@ class MasterSlaveGroup(PrimaryCopySurface):
         self, entity_type: str, entity_key: str, fields: dict[str, Any], tx_id: str = ""
     ) -> float:
         """Insert at the master; ack immediate (local commit)."""
-        self.master.store.insert(entity_type, entity_key, fields, tx_id=tx_id)
+        self.master.store.append_local(
+            entity_type, entity_key, EventKind.INSERT, dict(fields), tx_id
+        )
         return self.sim.now
 
     def write_delta(
         self, entity_type: str, entity_key: str, delta: Delta, tx_id: str = ""
     ) -> float:
         """Delta at the master; ack immediate."""
-        self.master.store.apply_delta(entity_type, entity_key, delta, tx_id=tx_id)
+        self.master.store.append_local(
+            entity_type, entity_key, EventKind.DELTA, delta.to_payload(), tx_id
+        )
         return self.sim.now
 
     def write_at(self, node_id: str, *_args, **_kwargs) -> None:
