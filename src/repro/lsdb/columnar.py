@@ -62,12 +62,11 @@ from repro.lsdb.events import EventKind, LogEvent
 
 _EMPTY_TAGS: frozenset[str] = frozenset()
 
-# EventKind codes in definition order: INSERT=0, DELTA=1, SET_FIELDS=2,
-# TOMBSTONE=3, OBSOLETE=4, SUMMARY=5.  Global constants shared by every
-# arena and every frame, so decode never translates kind codes.
-KIND_CODES: dict[EventKind, int] = {
-    kind: code for code, kind in enumerate(EventKind)
-}
+# EventKind codes in definition order (``EventKind.code``): INSERT=0,
+# DELTA=1, SET_FIELDS=2, TOMBSTONE=3, OBSOLETE=4, SUMMARY=5.  Global
+# constants shared by every arena and every frame, so decode never
+# translates kind codes.
+KIND_CODES: dict[EventKind, int] = {kind: kind.code for kind in EventKind}
 CODE_KINDS: tuple[EventKind, ...] = tuple(EventKind)
 
 
@@ -207,7 +206,7 @@ class EventColumns:
         row = len(lsns)
         lsns.append(lsn)
         self.timestamps.append(timestamp)
-        self.kinds.append(KIND_CODES[kind])
+        self.kinds.append(kind.code)
         by_key = self._ref_lookup.get(entity_type)
         if by_key is None:
             by_key = self._ref_lookup[entity_type] = {}

@@ -43,6 +43,16 @@ class EventKind(enum.Enum):
     OBSOLETE = "obsolete"
     SUMMARY = "summary"
 
+    #: Position in the order above, 0 = ``INSERT`` — the arena's and the
+    #: wire's kind code.  A plain attribute of each member, so an append
+    #: encodes its kind without hashing an ``Enum`` (a Python-level
+    #: ``__hash__``).
+    code: int
+
+
+for _code, _kind in enumerate(EventKind):
+    _kind.code = _code
+
 
 @dataclass(frozen=True, slots=True)
 class LogEvent:

@@ -107,6 +107,11 @@ class PlacementPolicy:
         self._preference: tuple[tuple[str, ...], ...] = tuple(
             self._walk(shard) for shard in range(shards)
         )
+        # The MD5 digest is the dearest step of routing a geo op, so each
+        # key is hashed once per (immutable) policy: type -> key -> shard,
+        # two levels like the arena's ref interning so a hit allocates no
+        # tuple.  O(keys routed).
+        self._shard_memo: dict[str, dict[str, int]] = {}
 
     def _walk(self, shard: int) -> tuple[str, ...]:
         """First ``min(replicas, M)`` distinct sites at or after the
@@ -134,8 +139,16 @@ class PlacementPolicy:
 
     def shard_of(self, entity_type: str, entity_key: str) -> int:
         """The shard an entity belongs to (MD5 over type/key, mod
-        ``shards`` — stable across runs and processes)."""
-        return _key_token(entity_type, entity_key) % self.shards
+        ``shards`` — stable across runs and processes), memoised per key."""
+        by_key = self._shard_memo.get(entity_type)
+        if by_key is None:
+            by_key = self._shard_memo[entity_type] = {}
+        shard = by_key.get(entity_key)
+        if shard is None:
+            shard = by_key[entity_key] = (
+                _key_token(entity_type, entity_key) % self.shards
+            )
+        return shard
 
     def sites_for_shard(self, shard: int) -> tuple[str, ...]:
         """The shard's preference list: position 0 is the home site,

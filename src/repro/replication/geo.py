@@ -269,6 +269,12 @@ class GeoReplicaGroup(ReadSurface):
                 self.replicas[replica.node_id] = replica
                 members.append(replica)
             self.groups[shard] = members
+        # (shard, reader site) -> the members in the order that reader
+        # tries them; filled lazily, dropped when a link changes.
+        self._read_orders: dict[
+            tuple[int, Optional[str]], tuple[GeoShardReplica, ...]
+        ] = {}
+        self._links_version = topology.links_version
         self.writes_accepted = 0
         self._h_staleness = (
             sim.metrics.histogram("read.staleness_events", scheme="geo")
@@ -360,22 +366,35 @@ class GeoReplicaGroup(ReadSurface):
         bounded rung gates on.  The replicas' read caches are not
         consulted (``max_staleness`` is unused).
 
+        Routing is constant work: the shard comes from the placement's
+        per-key memo, and the candidates from a per-``(shard, site)``
+        read order built once (rebuilt after a
+        :meth:`~repro.sim.topology.SiteTopology.set_link`); only gateway
+        liveness is read per request.
+
         Raises:
             ConsistencyUnavailable: No live site hosts the shard.
         """
         shard = self.placement.shard_of(entity_type, entity_key)
         members = self.groups[shard]
-        live = [m for m in members if not self.gateways[m.site].crashed]
-        if not live:
-            raise ConsistencyUnavailable(
-                f"no live site hosts shard {shard} for "
-                f"{entity_type}/{entity_key}"
-            )
         home = members[0]
-        if level is ConsistencyLevel.STRONG and home in live:
+        if level is ConsistencyLevel.STRONG and not home.gateway.crashed:
             serving = home
         else:
-            serving = self._nearest(live, site)
+            if self.topology.links_version != self._links_version:
+                self._read_orders.clear()
+                self._links_version = self.topology.links_version
+            order = self._read_orders.get((shard, site))
+            if order is None:
+                order = self._read_order(shard, site)
+            for serving in order:  # liveness is read per request
+                if not serving.gateway.crashed:
+                    break
+            else:
+                raise ConsistencyUnavailable(
+                    f"no live site hosts shard {shard} for "
+                    f"{entity_type}/{entity_key}"
+                )
         staleness = lag_behind_peers(serving, members)
         if not (serving is home and staleness == 0.0):
             level = replica_level(level)
@@ -393,21 +412,21 @@ class GeoReplicaGroup(ReadSurface):
         state = serving.store.get(entity_type, entity_key)
         return state, level, staleness, serving.node_id, serving.site
 
-    def _nearest(
-        self, live: list[GeoShardReplica], site: Optional[str]
-    ) -> GeoShardReplica:
-        """Site-local member if there is one, else the live member with
-        the lowest WAN latency from ``site`` (preference order breaks
-        ties); plain preference order when the reader is siteless."""
+    def _read_order(
+        self, shard: int, site: Optional[str]
+    ) -> tuple[GeoShardReplica, ...]:
+        """Build and cache the order a reader at ``site`` tries the
+        shard's members in: ascending WAN latency from ``site`` (its own
+        site costs 0), preference order breaking ties (the sort is
+        stable); plain preference order when the reader is siteless."""
+        members = self.groups[shard]
         if site is None:
-            return live[0]
-        best = live[0]
-        best_cost = self.topology.latency_between(site, best.site)
-        for member in live[1:]:
-            cost = self.topology.latency_between(site, member.site)
-            if cost < best_cost:
-                best, best_cost = member, cost
-        return best
+            order = tuple(members)
+        else:
+            latency = self.topology.latency_between
+            order = tuple(sorted(members, key=lambda m: latency(site, m.site)))
+        self._read_orders[(shard, site)] = order
+        return order
 
     # ------------------------------------------------------------------ #
     # Propagation: per-group shipping + anti-entropy via the gateways

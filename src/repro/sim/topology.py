@@ -91,6 +91,10 @@ class SiteTopology:
         self._site_set = set(self._sites)
         self.default_link = default_link if default_link is not None else WanLink()
         self._links: dict[tuple[str, str], WanLink] = {}
+        #: Bumped by every :meth:`set_link`, so a reader that caches
+        #: anything derived from link latencies (the geo read order)
+        #: knows when to rebuild it.
+        self.links_version = 0
         if links:
             for (src, dst), link in links.items():
                 self.set_link(src, dst, link, symmetric=False)
@@ -137,7 +141,8 @@ class SiteTopology:
         self, src: str, dst: str, link: WanLink, *, symmetric: bool = True
     ) -> None:
         """Install a link profile for ``src -> dst`` (and the reverse
-        direction too, unless ``symmetric=False``)."""
+        direction too, unless ``symmetric=False``); bumps
+        :attr:`links_version`."""
         for site in (src, dst):
             if site not in self._site_set:
                 raise ValueError(f"unknown site {site!r}; have {self._sites}")
@@ -146,6 +151,7 @@ class SiteTopology:
         self._links[(src, dst)] = link
         if symmetric:
             self._links[(dst, src)] = link
+        self.links_version += 1
 
     def link(self, src_site: str, dst_site: str) -> Optional[WanLink]:
         """The :class:`WanLink` for an ordered site pair; ``None`` for

@@ -289,6 +289,114 @@ class TestGeoReads:
             group.write_set_fields("order", "k1", {"n": 2})
 
 
+def reference_served(group, topology, entity_key, shard, level, site):
+    """What ``serve`` picked before routing was precomputed: rank the
+    live members on every read (the old ``_nearest``) —
+    ``(served_by, site)``, or the unavailability message."""
+    members = group.groups[shard]
+    live = [m for m in members if not group.gateways[m.site].crashed]
+    if not live:
+        return f"no live site hosts shard {shard} for order/{entity_key}"
+    home = members[0]
+    if level is ConsistencyLevel.STRONG and home in live:
+        best = home
+    elif site is None:
+        best = live[0]
+    else:
+        best = live[0]
+        best_cost = topology.latency_between(site, best.site)
+        for member in live[1:]:
+            cost = topology.latency_between(site, member.site)
+            if cost < best_cost:
+                best, best_cost = member, cost
+    return best.node_id, best.site
+
+
+def served(group, entity_key, level, site):
+    try:
+        _, _, _, served_by, at = group.serve("order", entity_key, level, site=site)
+    except ConsistencyUnavailable as refused:
+        return str(refused)
+    return served_by, at
+
+
+class TestReadOrder:
+    """``serve`` walks a precomputed per-(shard, site) order and reads
+    only liveness per request; it must pick exactly the replica the
+    per-read ranking picked."""
+
+    SITES = ("dc1", "dc2", "dc3", "dc4")
+    READERS = SITES + (None, "elsewhere")
+    LEVELS = (
+        ConsistencyLevel.STRONG,
+        ConsistencyLevel.BOUNDED_STALENESS,
+        ConsistencyLevel.EVENTUAL,
+    )
+    # Asymmetric, with a latency tie (dc1->dc2 == dc1->dc3) and a
+    # zero-latency link (dc3->dc2, level with dc3's own site).
+    LINKS = {
+        ("dc1", "dc2"): WanLink(latency=10.0),
+        ("dc2", "dc1"): WanLink(latency=40.0),
+        ("dc1", "dc3"): WanLink(latency=10.0),
+        ("dc3", "dc2"): WanLink(latency=0.0),
+        ("dc2", "dc3"): WanLink(latency=5.0),
+        ("dc4", "dc1"): WanLink(latency=25.0),
+        ("dc4", "dc3"): WanLink(latency=25.0),
+    }
+
+    def _group(self):
+        sim = Simulator(seed=1)
+        network = Network(sim, latency=2.0)
+        topology = make_topology(sim, network, self.SITES, links=self.LINKS)
+        placement = PlacementPolicy(self.SITES, replicas=3, shards=8)
+        group = GeoReplicaGroup(sim, network, topology, placement)
+        keys: dict[int, str] = {}  # one entity key per shard
+        index = 0
+        while len(keys) < placement.shards:
+            keys.setdefault(placement.shard_of("order", f"k{index}"), f"k{index}")
+            index += 1
+        return topology, group, keys
+
+    def test_serve_matches_the_per_read_ranking(self):
+        topology, group, keys = self._group()
+        gateways = [group.gateways[site] for site in self.SITES]
+        checked = 0
+        # Every crashed subset, all-down first: the orders are built
+        # while no site is live, so an order that kept liveness fails.
+        for mask in reversed(range(1 << len(gateways))):
+            for bit, gateway in enumerate(gateways):
+                gateway.crash() if mask >> bit & 1 else gateway.recover()
+            for shard, key in keys.items():
+                for site in self.READERS:
+                    for level in self.LEVELS:
+                        assert served(group, key, level, site) == reference_served(
+                            group, topology, key, shard, level, site
+                        ), (mask, shard, site, level)
+                        checked += 1
+        assert checked == 16 * 8 * 6 * 3
+
+    def test_a_link_change_reorders_the_next_read(self):
+        topology, group, keys = self._group()
+        shard, key = next(iter(keys.items()))
+        reader = next(
+            site for site in self.SITES
+            if site not in {m.site for m in group.groups[shard]}
+        )
+        level = ConsistencyLevel.EVENTUAL
+        _, picked = served(group, key, level, reader)
+        other = next(m for m in group.groups[shard] if m.site != picked)
+        version = topology.links_version
+        # After construction: the member the reader passed over becomes
+        # the nearest, the one it picked the farthest.
+        topology.set_link(reader, other.site, WanLink(latency=0.0))
+        topology.set_link(reader, picked, WanLink(latency=50.0))
+        assert topology.links_version == version + 2
+        assert served(group, key, level, reader) == (other.node_id, other.site)
+        assert served(group, key, level, reader) == reference_served(
+            group, topology, key, shard, level, reader
+        )
+
+
 class TestClusterGeoApi:
     def _geo_cluster(self, **door):
         from repro.cluster import Cluster

@@ -9,8 +9,9 @@ the replica-set level: adding a site may only pull shards **to** it
 **from** it, and two policies built from the same membership agree on
 everything.  All of that is asserted here over hypothesis-generated
 memberships, alongside coverage (every shard gets ``min(M, N)``
-distinct sites) and the :func:`diff_placements` planner-minimality
-property.
+distinct sites), the :func:`diff_placements` planner-minimality
+property, and the per-key shard memo answering exactly what the digest
+does.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.partition.placement import PlacementPolicy, diff_placements
+from repro.partition.ring import _key_token
 
 #: A fixed entity population for the routing assertions.
 KEYS = [("order", f"k{index}") for index in range(200)]
@@ -38,6 +40,16 @@ EXTRA_SITE = st.text(
 REPLICAS = st.integers(min_value=1, max_value=4)
 SHARDS = st.sampled_from([1, 8, 16])
 VNODES = st.sampled_from([1, 8, 64])
+#: (entity_type, entity_key) pairs over small alphabets, so one key
+#: often recurs under another type and whole pairs repeat.
+ENTITY_REFS = st.lists(
+    st.tuples(
+        st.sampled_from(["", "order", "stock"]),
+        st.text(alphabet="ab1", max_size=3),
+    ),
+    min_size=1,
+    max_size=30,
+)
 
 
 class TestCoverage:
@@ -137,6 +149,36 @@ class TestMonotonicity:
         grown = policy.with_site(extra)
         for key in KEYS[:50]:
             assert policy.shard_of(*key) == grown.shard_of(*key)
+
+
+class TestShardMemo:
+    """``shard_of`` hashes each key once per policy; the memo must be
+    invisible — every answer is the digest's, first call or repeat, on
+    the policy or on any policy derived from it."""
+
+    @given(
+        sites=SITE_NAMES,
+        extra=EXTRA_SITE,
+        shards=SHARDS,
+        keys=ENTITY_REFS,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_memoised_shard_is_the_digest_shard(self, sites, extra, shards, keys):
+        policy = PlacementPolicy(sites, replicas=2, shards=shards)
+        expected = [_key_token(t, k) % shards for t, k in keys]
+        assert [policy.shard_of(t, k) for t, k in keys] == expected
+        assert [policy.shard_of(t, k) for t, k in keys] == expected  # memo hits
+        derived = [policy.with_site(extra)]
+        if len(policy.sites) > 1:
+            derived.append(policy.without_site(policy.sites[0]))
+        for other in derived:
+            assert [other.shard_of(t, k) for t, k in reversed(keys)] == expected[::-1]
+            assert [other.sites_for(t, k) for t, k in keys] == [
+                other.sites_for_shard(shard) for shard in expected
+            ]
+        # Routing leaves the policy's value untouched.
+        assert policy == PlacementPolicy(sites, replicas=2, shards=shards)
+        assert hash(policy) == hash(PlacementPolicy(sites, replicas=2, shards=shards))
 
 
 class TestStability:

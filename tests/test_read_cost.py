@@ -10,7 +10,10 @@ the "cheaper" half by counting work, never by timing it:
 * one warm cache hit through the whole ladder stack (cluster → front
   door → ladder rung → master/slave → read cache) stays inside a budget
   of Python function calls, which is what keeps ``Enum.__hash__``,
-  ``.value`` descriptors and per-read list building off the path.
+  ``.value`` descriptors and per-read list building off the path;
+* one warm geo read (cluster → sited front door → geo group) stays
+  inside its own budget, with no key digest and no latency lookup —
+  routing is a memo hit and a precomputed read order.
 
 The clusters are built the way the end-to-end ladder builds them.
 """
@@ -37,6 +40,11 @@ READS = 1_000
 #: 28 measured when this budget was set (CPython 3.11).  Ratchet it down
 #: with the next saving; never up without saying what the calls buy.
 WARM_HIT_CALL_BUDGET = 32
+#: The same for one warm geo BOUNDED read served by the door's own site:
+#: 34 while every read re-hashed its key and re-ranked the shard's live
+#: members by latency, 27 measured once the shard was memoised and the
+#: per-(shard, site) read order precomputed (CPython 3.11).
+GEO_READ_CALL_BUDGET = 29
 
 
 def ladder_builder(seed: int = 11):
@@ -117,6 +125,25 @@ class CallCounter:
             self.armed = False
 
 
+def python_calls(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and every Python ``call`` event it made,
+    as ``"file.py:function"``."""
+    calls: list[str] = []
+
+    def profiler(frame, event, _arg):
+        if event == "call":
+            code = frame.f_code
+            calls.append(f"{code.co_filename.rsplit('/', 1)[-1]}:{code.co_name}")
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.setprofile(previous)
+    return result, calls
+
+
 @pytest.mark.parametrize(
     "build", [master_slave_cluster, geo_cluster, async_cluster],
     ids=["master_slave", "geo", "async"],
@@ -171,19 +198,7 @@ def test_warm_cache_hit_stays_inside_the_call_budget():
     cluster.sim.run(until=51.0)  # the slave now lags: a measured stamp
 
     hits = sum(cache.hits for cache in cluster.read_caches)
-    calls: list[str] = []
-
-    def profiler(frame, event, _arg):
-        if event == "call":
-            code = frame.f_code
-            calls.append(f"{code.co_filename.rsplit('/', 1)[-1]}:{code.co_name}")
-
-    previous = sys.getprofile()
-    sys.setprofile(profiler)
-    try:
-        result = cluster.read("entity", "k7", request=BOUNDED)
-    finally:
-        sys.setprofile(previous)
+    result, calls = python_calls(cluster.read, "entity", "k7", request=BOUNDED)
 
     assert sum(cache.hits for cache in cluster.read_caches) == hits + 1
     assert result.served_by == "slave-1" and not result.degraded
@@ -191,3 +206,32 @@ def test_warm_cache_hit_stays_inside_the_call_budget():
     assert len(calls) <= WARM_HIT_CALL_BUDGET, (len(calls), calls)
     # What the budget exists to keep out.
     assert not [c for c in calls if c.startswith(("enum.py:", "types.py:"))]
+
+
+def test_warm_geo_read_stays_inside_the_call_budget():
+    cluster = geo_cluster()
+    placement = cluster.placement
+    # A key the door's site hosts but does not coordinate: the local copy
+    # serves, and it lags the home site's fresh write.
+    key = next(
+        f"k{index}"
+        for index in range(KEYS)
+        if "us" in placement.sites_for("entity", f"k{index}")[1:]
+    )
+    for index in range(KEYS):
+        write(cluster, index)
+    cluster.sim.run(until=50.0)  # shipped: every group holds every key
+    for _ in range(3):  # warm: shard memoised, read order built
+        cluster.read("entity", key, request=BOUNDED)
+    cluster.replication.write_delta("entity", key, Delta.add("n", 1))
+    cluster.sim.run(until=51.0)  # the local copy now lags: a measured stamp
+
+    result, calls = python_calls(cluster.read, "entity", key, request=BOUNDED)
+
+    assert result.site == "us" and result.served_by.startswith("us/")
+    assert result.staleness == 1.0 and not result.degraded
+    assert len(calls) <= GEO_READ_CALL_BUDGET, (len(calls), calls)
+    # What the budget exists to keep out: the key's digest and the
+    # per-read latency comparisons.
+    assert not [c for c in calls if c.startswith(("ring.py:", "topology.py:"))]
+
