@@ -8,17 +8,22 @@ and read-your-writes overlays them onto store state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple
 
+from repro.lsdb.columnar import _EMPTY_TAGS
 from repro.lsdb.events import EventKind
 from repro.lsdb.rollup import EntityState
 from repro.merge.deltas import Delta, apply_delta
 
+#: The default payload of a mark: empty and read-only, so no two ops
+#: ever share a mutable dict.
+_NO_PAYLOAD: Mapping[str, Any] = MappingProxyType({})
 
-@dataclass(frozen=True)
-class PendingOp:
-    """One buffered write.
+
+class PendingOp(NamedTuple):
+    """One buffered write (immutable; a tuple, so building one is a
+    single allocation — every transactional write builds one).
 
     Attributes:
         kind: The event kind this op will become at commit.
@@ -32,8 +37,8 @@ class PendingOp:
     kind: EventKind
     entity_type: str
     entity_key: str
-    payload: Mapping[str, Any] = field(default_factory=dict)
-    tags: frozenset[str] = frozenset()
+    payload: Mapping[str, Any] = _NO_PAYLOAD
+    tags: frozenset[str] = _EMPTY_TAGS
 
     @property
     def entity_ref(self) -> tuple[str, str]:

@@ -49,7 +49,7 @@ from repro.core.ops import PendingOp, preview_state
 from repro.errors import LockUnavailable, TransactionAborted, ValidationFailed
 from repro.locks.logical import LockMode, LogicalLockManager
 from repro.locks.optimistic import OCCValidator
-from repro.lsdb.columnar import EventSlice
+from repro.lsdb.columnar import _EMPTY_TAGS, EventSlice
 from repro.lsdb.events import EventKind, LogEvent
 from repro.lsdb.rollup import EntityState
 from repro.lsdb.store import LSDBStore
@@ -245,6 +245,23 @@ class Transaction:
     directly.
     """
 
+    __slots__ = (
+        "manager",
+        "tx_id",
+        "mode",
+        "isolation",
+        "site",
+        "ops",
+        "actions",
+        "read_set",
+        "outbox",
+        "begun_at",
+        "finished",
+        "snapshot_lsn",
+        "snapshot_txids",
+        "snapshot_vector",
+    )
+
     def __init__(
         self,
         manager: "TransactionManager",
@@ -262,9 +279,12 @@ class Transaction:
         self.actions: list[DeferredAction] = []
         self.read_set: set[str] = set()
         self.outbox: Optional[TransactionalOutbox] = (
-            TransactionalOutbox(manager.queue, tx_id) if manager.queue else None
+            TransactionalOutbox(manager.queue, tx_id)
+            if manager.queue is not None
+            else None
         )
-        self.begun_at = manager.now()
+        sim = manager.sim
+        self.begun_at = sim.now if sim is not None else 0.0
         self.finished = False
         #: Snapshot metadata (populated for any isolation level, so
         #: receipts are uniform across the spectrum; only snapshot
@@ -357,11 +377,11 @@ class Transaction:
         self._check_open()
         self.ops.append(
             PendingOp(
-                kind=kind,
-                entity_type=entity_type,
-                entity_key=entity_key,
-                payload=payload,
-                tags=frozenset(tags),
+                kind,
+                entity_type,
+                entity_key,
+                payload,
+                frozenset(tags) if tags else _EMPTY_TAGS,
             )
         )
 
@@ -523,15 +543,13 @@ class TransactionManager:
                 ``isolation`` (``None`` means plain ``cc_mode``).
             site: Site the transaction runs at (NMSI visibility origin).
         """
-        resolved = isolation if mode is None else None
-        if resolved is None and mode is None:
-            resolved = self.isolation
+        if mode is not None:
+            level = None
+        else:
+            level = isolation if isolation is not None else self.isolation
+            mode = _CC_FOR_LEVEL[level] if level is not None else self.cc_mode
         return Transaction(
-            self,
-            tx_id or f"tx-{next(self._tx_ids)}",
-            _CC_FOR_LEVEL[resolved] if resolved is not None else (mode or self.cc_mode),
-            isolation=resolved,
-            site=site,
+            self, tx_id or f"tx-{next(self._tx_ids)}", mode, level, site
         )
 
     # ------------------------------------------------------------------ #
@@ -635,8 +653,8 @@ class TransactionManager:
         self._committed[tx.tx_id] = record
 
     def _count_outcome(self, tx: Transaction, committed: bool) -> None:
-        if self.metrics is None:
-            return
+        """Count the outcome into the metrics registry (callers check
+        that one is attached)."""
         label = tx.isolation.value if tx.isolation is not None else tx.mode.value
         # "solipsistic" is both a level and a mode label, and only a
         # level's commit records its snapshot age: that is part of the key.
@@ -662,16 +680,16 @@ class TransactionManager:
     # ------------------------------------------------------------------ #
 
     def _commit(self, tx: Transaction) -> CommitReceipt:
-        submitted_at = self.now()
+        sim = self.sim
+        submitted_at = sim.now if sim is not None else 0.0
         # 1. Concurrency control.  Solipsists skip straight through.
         if tx.isolation in SNAPSHOT_LEVELS:
             conflict = self._first_committer_conflict(tx)
             if conflict:
                 return self._abort(tx, conflict, occ_done=True)
         if tx.mode is CCMode.OPTIMISTIC:
-            write_keys = [f"{ref[0]}/{ref[1]}" for ref in tx.touched_entities()]
             try:
-                self.occ.commit(tx.tx_id, tx.read_set, write_keys)
+                self.occ.validate(tx.tx_id, tx.read_set)
             except ValidationFailed as error:
                 return self._abort(tx, str(error), occ_done=True)
         elif tx.mode is CCMode.TRY_LOCK:
@@ -693,23 +711,34 @@ class TransactionManager:
             if outcome.blocking:
                 if tx.mode is CCMode.TRY_LOCK:
                     self.locks.release_all(tx.tx_id)
-                return self._abort(tx, "blocking constraint violation", occ_done=True)
+                # An optimist got through validation but recorded no
+                # writes; ``_abort`` withdraws it from the validator, so
+                # no concurrent reader aborts against writes that never
+                # happened.
+                return self._abort(tx, "blocking constraint violation")
             violations = outcome.violations
-        # 3. Make the primary events durable.
-        rows = [
-            self.store.append_local(
-                op.entity_type, op.entity_key, op.kind, op.payload, tx.tx_id, op.tags
+        # Nothing can block the commit any more: record the optimist's
+        # writes for later validators.
+        if tx.mode is CCMode.OPTIMISTIC:
+            self.occ.record(
+                tx.tx_id, [f"{ref[0]}/{ref[1]}" for ref in tx.touched_entities()]
             )
-            for op in tx.ops
-        ]
+        # 3. Make the primary events durable.
+        store = self.store
+        tx_id = tx.tx_id
+        rows: list[int] = []
+        for kind, entity_type, entity_key, payload, tags in tx.ops:
+            rows.append(
+                store.append_local(entity_type, entity_key, kind, payload, tx_id, tags)
+            )
         if tx.isolation is not None:
             self._register_commit(tx)
         # 4. Commit the descriptor listing pending actions (the SAP
         #    model's durable to-do list).
         if tx.actions:
-            self.store.insert(
+            store.insert(
                 DESCRIPTOR_TYPE,
-                tx.tx_id,
+                tx_id,
                 {
                     "status": "pending",
                     "actions": [action.name for action in tx.actions],
@@ -719,26 +748,41 @@ class TransactionManager:
             #    deferred actions complete (they exclude *other*
             #    lock-respecting users, never the owner).
             for ref in sorted(tx.touched_entities()):
-                self.locks.acquire(f"{ref[0]}/{ref[1]}", tx.tx_id, LockMode.EXCLUSIVE)
+                self.locks.acquire(f"{ref[0]}/{ref[1]}", tx_id, LockMode.EXCLUSIVE)
         # 6. Publish the outbox (events exist only for committed work).
         if tx.outbox is not None:
             tx.outbox.publish_on_commit()
         # 7. Schedule the deferred actions and compute the timeline.
-        acked_at, actions_done_at = self._schedule_actions(tx, submitted_at)
-        if not tx.actions:
+        if tx.actions:
+            acked_at, actions_done_at = self._schedule_actions(tx, submitted_at)
+        else:
+            acked_at = actions_done_at = submitted_at + self.commit_cost
             # No deferred work: nothing justifies holding locks past
             # the commit itself.
-            self.locks.release_all(tx.tx_id)
+            self.locks.release_all(tx_id)
         tx.finished = True
         self.commits += 1
-        self._count_outcome(tx, committed=True)
+        if self.metrics is not None:
+            self._count_outcome(tx, committed=True)
+        events = EventSlice(store.log.arena, rows)
+        if tx.isolation is None:
+            return CommitReceipt(
+                tx_id=tx_id,
+                committed=True,
+                submitted_at=submitted_at,
+                acked_at=acked_at,
+                actions_done_at=actions_done_at,
+                events=events,
+                violations=violations,
+                began_at=tx.begun_at,
+            )
         return CommitReceipt(
-            tx_id=tx.tx_id,
+            tx_id=tx_id,
             committed=True,
             submitted_at=submitted_at,
             acked_at=acked_at,
             actions_done_at=actions_done_at,
-            events=EventSlice(self.store.log.arena, rows),
+            events=events,
             violations=violations,
             **self._receipt_tracking(tx),
         )
@@ -746,12 +790,11 @@ class TransactionManager:
     def _schedule_actions(
         self, tx: Transaction, submitted_at: float
     ) -> tuple[float, float]:
-        """Returns ``(acked_at, actions_done_at)`` and arranges for each
-        action to apply at its completion time."""
+        """Returns ``(acked_at, actions_done_at)`` for a transaction
+        with deferred actions and arranges for each action to apply at
+        its completion time."""
         commit_done = submitted_at + self.commit_cost
         total_action_cost = sum(action.cost for action in tx.actions)
-        if not tx.actions:
-            return commit_done, commit_done
         if self.update_mode is UpdateMode.SYNCHRONOUS:
             start = commit_done
             acked_at = commit_done + total_action_cost
@@ -797,7 +840,8 @@ class TransactionManager:
         tx.finished = True
         self.aborts += 1
         self.abort_reasons[reason] = self.abort_reasons.get(reason, 0) + 1
-        self._count_outcome(tx, committed=False)
+        if self.metrics is not None:
+            self._count_outcome(tx, committed=False)
         now = self.now()
         return CommitReceipt(
             tx_id=tx.tx_id,

@@ -70,7 +70,7 @@ class OCCValidator:
         read_set: Iterable[str],
         write_set: Iterable[str],
     ) -> int:
-        """Validate and commit.
+        """Validate and commit (:meth:`validate` then :meth:`record`).
 
         Args:
             tx_id: The committing transaction.
@@ -84,15 +84,34 @@ class OCCValidator:
             ValidationFailed: If a concurrent committer wrote something
                 in ``read_set``; the caller rolls back and retries.
         """
+        self.validate(tx_id, read_set)
+        return self.record(tx_id, write_set)
+
+    def validate(self, tx_id: str, read_set: Iterable[str]) -> None:
+        """Backward-validate ``read_set`` without committing.
+
+        A transaction that passes stays active: :meth:`record` commits
+        it, :meth:`abort` withdraws it (a commit can still fail after
+        validation, e.g. on a blocking constraint, and must then leave
+        no write behind for concurrent readers to trip over).
+
+        Raises:
+            ValidationFailed: If a concurrent committer wrote something
+                in ``read_set``; the transaction is aborted.
+        """
         active = self._require_active(tx_id)
-        reads = frozenset(read_set)
-        conflict = self._conflicting_writes(active.begin_serial, reads)
+        conflict = self._conflicting_writes(active.begin_serial, frozenset(read_set))
         if conflict:
             self.aborts += 1
             del self._active[tx_id]
             raise ValidationFailed(
                 f"{tx_id} read {set(conflict)!r} written by a concurrent committer"
             )
+
+    def record(self, tx_id: str, write_set: Iterable[str]) -> int:
+        """Commit a validated transaction's ``write_set``; returns its
+        commit serial number."""
+        self._require_active(tx_id)
         self._serial += 1
         self._committed.append(
             _CommittedRecord(self._serial, frozenset(write_set))

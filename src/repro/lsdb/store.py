@@ -28,14 +28,12 @@ from repro.lsdb.checkpoint import (
     CheckpointPolicy,
     RecoveryReport,
 )
-from repro.lsdb.columnar import ColumnFrame, EventColumns, EventSlice
+from repro.lsdb.columnar import _EMPTY_TAGS, ColumnFrame, EventColumns, EventSlice
 from repro.lsdb.compaction import Archive, CompactionReport, Compactor
 from repro.lsdb.events import EventKind, LogEvent
 from repro.lsdb.index import SecondaryIndex
 from repro.lsdb.log import AppendOnlyLog
 from repro.lsdb.rollup import EntityState, Reducer, Rollup, StateMap
-
-_EMPTY_TAGS: frozenset[str] = frozenset()
 from repro.lsdb.snapshot import SnapshotManager
 from repro.merge.clock import VersionVector
 from repro.merge.deltas import Delta

@@ -83,13 +83,25 @@ class Delta:
         return set(self.numeric) | set(self.set_adds) | set(self.set_removes)
 
     def to_payload(self) -> dict[str, Any]:
-        """A JSON-friendly representation for log events."""
+        """A JSON-friendly representation for log events.
+
+        Every call returns fresh dicts (the log stores payloads by
+        reference); empty set maps skip their comprehension, which is
+        the common numeric-only case on every delta write.
+        """
+        set_adds, set_removes = self.set_adds, self.set_removes
         return {
             "numeric": dict(self.numeric),
-            "set_adds": {name: sorted(vals) for name, vals in self.set_adds.items()},
-            "set_removes": {
-                name: sorted(vals) for name, vals in self.set_removes.items()
-            },
+            "set_adds": (
+                {name: sorted(vals) for name, vals in set_adds.items()}
+                if set_adds
+                else {}
+            ),
+            "set_removes": (
+                {name: sorted(vals) for name, vals in set_removes.items()}
+                if set_removes
+                else {}
+            ),
         }
 
     @staticmethod

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.constraints import (
     ConstraintManager,
     ConstraintMode,
     NonNegativeConstraint,
 )
+from repro.core.ops import PendingOp
 from repro.core.transaction import (
     DESCRIPTOR_TYPE,
     CCMode,
+    CommitReceipt,
     IsolationLevel,
     TransactionManager,
     UpdateMode,
@@ -19,7 +25,9 @@ from repro.core.transaction import (
 from repro.errors import TransactionAborted
 from repro.lsdb.events import EventKind
 from repro.lsdb.store import LSDBStore
+from repro.merge.clock import VectorClock
 from repro.merge.deltas import Delta
+from repro.obs.metrics import MetricsRegistry
 from repro.queues.reliable import ReliableQueue
 from repro.sim.scheduler import Simulator
 
@@ -457,3 +465,241 @@ class TestConstraintIntegration:
         receipt = tx.commit()
         assert not receipt.committed
         assert manager.store.get("stock", "s") is None
+
+
+class TestOptimisticConstraintAbort:
+    """A commit blocked by a PREVENT constraint after passing optimistic
+    validation leaves no write behind in the validator."""
+
+    @pytest.mark.parametrize(
+        "begin_kwargs",
+        [{"mode": CCMode.OPTIMISTIC}, {"isolation": IsolationLevel.SERIALIZABLE}],
+        ids=["optimistic", "serializable"],
+    )
+    def test_blocked_commit_leaves_no_phantom_write(
+        self, constrained_tx_manager, begin_kwargs
+    ):
+        manager = constrained_tx_manager
+        manager.constraints.add(
+            NonNegativeConstraint("floor", "stock", "qty"),
+            mode=ConstraintMode.PREVENT,
+        )
+        manager.store.insert("stock", "s", {"qty": 1})
+        reader = manager.begin(**begin_kwargs)
+        assert reader.read("stock", "s").fields["qty"] == 1
+        blocked = manager.begin(**begin_kwargs)
+        blocked.apply_delta("stock", "s", Delta.add("qty", -5))
+
+        receipt = blocked.commit()
+        assert not receipt.committed
+        assert receipt.reason == "blocking constraint violation"
+        assert manager.occ.commits == 0
+        assert manager.occ.aborts == 1
+        assert manager.occ.active_count == 1  # only the reader is left
+
+        # The blocked write never happened, so the reader of that key
+        # validates cleanly.
+        reader.set_fields("audit", "s", {"seen": 1})
+        assert reader.commit().committed
+        assert manager.occ.commits == 1
+        assert manager.store.get("stock", "s").fields["qty"] == 1
+
+    def test_validation_failure_records_no_managed_violation(
+        self, constrained_tx_manager
+    ):
+        manager = constrained_tx_manager
+        manager.constraints.add(NonNegativeConstraint("floor", "stock", "qty"))
+        manager.store.insert("stock", "s", {"qty": 1})
+        first = manager.begin(mode=CCMode.OPTIMISTIC)
+        second = manager.begin(mode=CCMode.OPTIMISTIC)
+        first.read("stock", "s")
+        second.read("stock", "s")
+        first.set_fields("stock", "s", {"qty": 0})
+        second.set_fields("stock", "s", {"qty": -1})
+        assert first.commit().committed
+        receipt = second.commit()
+        assert not receipt.committed and "concurrent" in receipt.reason
+        assert manager.constraints.ledger == []
+        assert (manager.occ.commits, manager.occ.aborts) == (1, 1)
+        # A managed violation is recorded once its transaction commits.
+        third = manager.begin(mode=CCMode.OPTIMISTIC)
+        third.set_fields("stock", "s", {"qty": -2})
+        committed = third.commit()
+        assert committed.committed and len(committed.violations) == 1
+        assert manager.constraints.ledger == committed.violations
+
+
+def _old_to_payload(delta: Delta) -> dict:
+    """The payload shape every ``DELTA`` event has always carried."""
+    return {
+        "numeric": dict(delta.numeric),
+        "set_adds": {name: sorted(vals) for name, vals in delta.set_adds.items()},
+        "set_removes": {
+            name: sorted(vals) for name, vals in delta.set_removes.items()
+        },
+    }
+
+
+_field_names = st.sampled_from(["a", "b", "c"])
+_set_maps = st.dictionaries(
+    _field_names, st.frozensets(st.integers(0, 5), min_size=1), max_size=2
+)
+_deltas = st.builds(
+    Delta,
+    numeric=st.dictionaries(_field_names, st.integers(-5, 5), max_size=3),
+    set_adds=_set_maps,
+    set_removes=_set_maps,
+)
+
+
+class TestPlainCommitEquivalence:
+    """The commit path's shortcuts for a plain commit change no
+    observable result: every receipt field follows the same rules across
+    modes, levels, deferred actions, metrics, outboxes and tags."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        mode=st.sampled_from([None, *CCMode]),
+        isolation=st.sampled_from([None, *IsolationLevel]),
+        update_mode=st.sampled_from(list(UpdateMode)),
+        action_costs=st.lists(st.sampled_from([1.0, 2.5]), max_size=2),
+        with_metrics=st.booleans(),
+        with_queue=st.booleans(),
+        tags=st.sampled_from([(), ("audit",), ("audit", "hot")]),
+        prior_tracked=st.booleans(),
+        begin_at=st.sampled_from([0.0, 4.0]),
+    )
+    def test_receipt_follows_the_commit_rules(
+        self,
+        mode,
+        isolation,
+        update_mode,
+        action_costs,
+        with_metrics,
+        with_queue,
+        tags,
+        prior_tracked,
+        begin_at,
+    ):
+        sim = Simulator(seed=1)
+        store = LSDBStore(clock=lambda: sim.now)
+        queue = ReliableQueue(sim) if with_queue else None
+        metrics = MetricsRegistry() if with_metrics else None
+        manager = TransactionManager(
+            store,
+            sim=sim,
+            queue=queue,
+            update_mode=update_mode,
+            commit_cost=1.5,
+            defer_lag=2.0,
+            metrics=metrics,
+        )
+        if prior_tracked:
+            earlier = manager.begin(isolation=IsolationLevel.SNAPSHOT)
+            earlier.insert("other", "o", {"n": 0})
+            assert earlier.commit().committed
+        tracked = tuple(sorted(manager._committed))
+        if begin_at:
+            sim.schedule_at(begin_at, lambda: None)
+            sim.run()
+        head_at_begin = store.log.head_lsn
+        before = store.log.head_lsn
+
+        tx = manager.begin(mode=mode, isolation=isolation)
+        level = isolation if mode is None else None
+        tx.insert("order", "o1", {"total": 5}, tags=tags)
+        tx.apply_delta("order", "o1", Delta.add("total", 2), tags=tags)
+        tx.set_fields("order", "o2", {"status": "new"})
+        for index, cost in enumerate(action_costs):
+            tx.defer(f"act{index}", lambda s: None, cost=cost)
+        if with_queue:
+            tx.enqueue("order.created", {"key": "o1"})
+        submitted_at = sim.now
+        receipt = tx.commit()
+
+        commit_done = submitted_at + 1.5
+        total = sum(action_costs)
+        if not action_costs:
+            acked_at = done_at = commit_done
+        elif update_mode is UpdateMode.SYNCHRONOUS:
+            acked_at = done_at = commit_done + total
+        else:
+            acked_at, done_at = commit_done, commit_done + 2.0 + total
+        appended = list(store.log.since(before))[:3]
+        if level is None:
+            tracking = {"began_at": begin_at}
+        else:
+            tracking = {
+                "isolation": level.value,
+                "site": manager.default_site,
+                "began_at": begin_at,
+                "snapshot_lsn": head_at_begin,
+                "snapshot_txids": tracked,
+                "snapshot_vector": VectorClock(
+                    {manager.default_site: len(tracked)} if tracked else {}
+                ),
+            }
+        expected = CommitReceipt(
+            tx_id=tx.tx_id,
+            committed=True,
+            submitted_at=submitted_at,
+            acked_at=acked_at,
+            actions_done_at=done_at,
+            events=appended,
+            violations=[],
+            **tracking,
+        )
+        for spec in dataclasses.fields(CommitReceipt):
+            assert getattr(receipt, spec.name) == getattr(expected, spec.name), spec.name
+        assert [event.tx_id for event in receipt.events] == [tx.tx_id] * 3
+        assert [event.tags for event in receipt.events] == [
+            frozenset(tags),
+            frozenset(tags),
+            frozenset(),
+        ]
+        assert manager.commits == 1 + prior_tracked
+        if not action_costs:
+            assert manager.locks.held_count == 0
+        sim.run()
+        assert manager.locks.held_count == 0
+        if with_queue:
+            assert queue.stats.enqueued == 1
+        if with_metrics:
+            label = level.value if level is not None else tx.mode.value
+            if prior_tracked and label == "snapshot":
+                assert metrics.value("tx.commits", mode=label) == 2
+            else:
+                assert metrics.value("tx.commits", mode=label) == 1
+            ages = metrics.histogram("tx.snapshot_age", mode=label)
+            assert ages.count == (level is not None) + (
+                prior_tracked and label == "snapshot"
+            )
+
+    def test_pending_op_is_immutable(self):
+        op = PendingOp(EventKind.TOMBSTONE, "t", "k")
+        with pytest.raises(AttributeError):
+            op.kind = EventKind.INSERT
+        with pytest.raises(AttributeError):
+            op.extra = 1
+        # The default payload is empty and read-only, never a shared dict.
+        assert op.payload == {} and not isinstance(op.payload, dict)
+        with pytest.raises(TypeError):
+            op.payload["x"] = 1
+        assert op.tags == frozenset()
+        assert op.entity_ref == ("t", "k")
+
+    def test_transaction_has_no_instance_dict(self, tx_manager):
+        tx = tx_manager.begin()
+        with pytest.raises(AttributeError):
+            tx.unexpected = True
+
+    @settings(max_examples=150)
+    @given(delta=_deltas)
+    def test_to_payload_keeps_its_shape_and_returns_fresh_dicts(self, delta):
+        first, second = delta.to_payload(), delta.to_payload()
+        assert first == second == _old_to_payload(delta)
+        assert first is not second
+        for part in ("numeric", "set_adds", "set_removes"):
+            assert type(first[part]) is dict
+            assert first[part] is not second[part]
+        assert Delta.from_payload(first) == delta
