@@ -60,7 +60,6 @@ from repro.core import (
     JoinContext,
     NonNegativeConstraint,
     PRINCIPLES,
-    PolicyRouter,
     PredicateConstraint,
     Principle,
     ProcessEngine,
@@ -70,7 +69,6 @@ from repro.core import (
     ReferentialConstraint,
     RetryBudget,
     RetryPolicy,
-    SchemeBinding,
     StepContext,
     Strategy,
     TentativeOperation,
@@ -126,7 +124,6 @@ __all__ = [
     "JoinContext",
     "NonNegativeConstraint",
     "PRINCIPLES",
-    "PolicyRouter",
     "PredicateConstraint",
     "Principle",
     "ProcessEngine",
@@ -134,7 +131,6 @@ __all__ = [
     "ReadRequest",
     "ReadResult",
     "ReferentialConstraint",
-    "SchemeBinding",
     "StepContext",
     "Strategy",
     "TentativeOperation",

@@ -1,7 +1,7 @@
 """Workload generation, metrics and reporting for the experiment suite
 (deliverable (d): one bench target per claim, DESIGN.md section 3)."""
 
-from repro.bench.metrics import AvailabilityProbe, LatencyRecorder, ThroughputWindow
+from repro.bench.metrics import AvailabilityProbe, LatencyRecorder
 from repro.bench.report import ExperimentReport, format_table
 from repro.bench.workloads import (
     Arrival,
@@ -16,7 +16,6 @@ from repro.bench.workloads import (
 __all__ = [
     "AvailabilityProbe",
     "LatencyRecorder",
-    "ThroughputWindow",
     "ExperimentReport",
     "format_table",
     "Arrival",

@@ -1,25 +1,25 @@
 """Measurement utilities for the experiment suite.
 
-Latency percentiles, throughput windows and staleness probes — the
-numbers the paper's prose claims are about (response time, availability,
-apology rates, convergence time).
+Latency percentiles and availability probes — the numbers the paper's
+prose claims are about (response time, availability, apology rates,
+convergence time).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
-from repro.obs.metrics import percentile_of
+from repro.obs.metrics import Histogram
 
 
-class LatencyRecorder:
+class LatencyRecorder(Histogram):
     """Collects latency samples and reports percentiles.
 
-    Percentile math is :func:`repro.obs.metrics.percentile_of` — the
-    one nearest-rank implementation shared with the observability
-    histograms, so a benchmark table and a metrics report computed over
-    the same samples can never disagree.
+    An unlabelled :class:`repro.obs.metrics.Histogram` — the same
+    samples, count, mean, maximum and nearest-rank percentiles, so a
+    benchmark table and a metrics report computed over the same samples
+    can never disagree — plus merging and the table-row shortcuts.
 
     Example:
         >>> recorder = LatencyRecorder()
@@ -31,15 +31,10 @@ class LatencyRecorder:
         2.5
     """
 
-    def __init__(self, name: str = "latency"):
-        self.name = name
-        self._samples: list[float] = []
-        self._sorted: Optional[list[float]] = None
+    __slots__ = ()
 
-    def record(self, value: float) -> None:
-        """Add one sample."""
-        self._samples.append(value)
-        self._sorted = None
+    def __init__(self, name: str = "latency"):
+        super().__init__(name, {})
 
     def merge(self, other: "LatencyRecorder") -> None:
         """Fold another recorder's samples into this one."""
@@ -56,31 +51,6 @@ class LatencyRecorder:
         for recorder in recorders:
             result.merge(recorder)
         return result
-
-    @property
-    def count(self) -> int:
-        """Number of samples."""
-        return len(self._samples)
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean (0 when empty)."""
-        if not self._samples:
-            return 0.0
-        return sum(self._samples) / len(self._samples)
-
-    @property
-    def maximum(self) -> float:
-        """Largest sample (0 when empty)."""
-        return max(self._samples) if self._samples else 0.0
-
-    def percentile(self, pct: float) -> float:
-        """The ``pct``-th percentile (nearest-rank, 0 when empty)."""
-        if not 0 <= pct <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {pct}")
-        if self._sorted is None:
-            self._sorted = sorted(self._samples)
-        return percentile_of(self._sorted, pct)
 
     @property
     def p50(self) -> float:
@@ -107,31 +77,6 @@ class LatencyRecorder:
             "p99": self.p99,
             "max": self.maximum,
         }
-
-
-@dataclass
-class ThroughputWindow:
-    """Committed operations over a virtual-time window."""
-
-    start: float
-    end: float
-    operations: int = 0
-
-    def record(self) -> None:
-        """Count one completed operation."""
-        self.operations += 1
-
-    @property
-    def duration(self) -> float:
-        """Window length."""
-        return self.end - self.start
-
-    @property
-    def per_time_unit(self) -> float:
-        """Operations per virtual time unit."""
-        if self.duration <= 0:
-            return 0.0
-        return self.operations / self.duration
 
 
 @dataclass

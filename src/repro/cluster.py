@@ -33,9 +33,11 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.core.compensation import CompensationManager
+from repro.core.consistency import ConsistencyLevel, ConsistencyPolicy
 from repro.core.constraints import ConstraintManager
 from repro.core.readpath import ReadRequest, ReadResult
 from repro.core.transaction import TransactionManager
+from repro.errors import ConsistencyPolicyError
 from repro.lsdb.store import LSDBStore
 from repro.obs.export import render_timeline, trace_payload
 from repro.obs.metrics import MetricsRegistry, MetricsReport
@@ -101,6 +103,10 @@ class Cluster:
             mapping shards to sites (``with_placement``); together with
             the topology this makes ``replication`` a
             :class:`~repro.replication.geo.GeoReplicaGroup`.
+        default_requests: The per-entity-type default
+            :class:`~repro.core.readpath.ReadRequest` built from the
+            ``with_consistency`` policies; :meth:`read` consults it only
+            when the caller passes no request.
     """
 
     def __init__(self, sim: Simulator):
@@ -130,6 +136,7 @@ class Cluster:
         self.placement: Any = None  # PlacementPolicy when with_placement()
         self.read_caches: list[Any] = []  # ReadCaches when with_read_cache()
         self.read_cache: Any = None  # the primary store's cache, if any
+        self.default_requests: dict[str, ReadRequest] = {}
 
     @staticmethod
     def build(seed: int = 0) -> "ClusterBuilder":
@@ -152,12 +159,16 @@ class Cluster:
 
         Always answers with a :class:`~repro.core.readpath.ReadResult`
         stamped with the delivered consistency, measured staleness, and
-        — on a geo-replicated cluster — the site that served it;
-        ``request=None`` means ``ReadRequest()``, i.e. STRONG.  The read
-        goes through the front door when one was built
+        — on a geo-replicated cluster — the site that served it.
+        ``request=None`` means the entity type's declared default
+        (:attr:`default_requests`, from ``with_consistency``), and
+        ``ReadRequest()``, i.e. STRONG, for a type without a policy.
+        The read goes through the front door when one was built
         (``with_front_door``) — admission, backpressure, breakers and
-        the degrade ladder all apply — and straight to the replication
-        scheme (or the standalone store) otherwise.
+        the degrade ladder all apply.  Otherwise an ``EXTRACT`` request
+        is served by the warehouse when one was built, and anything
+        else straight by the replication scheme (or the standalone
+        store).
 
         Args:
             site: On a geo cluster, the datacenter the caller is in;
@@ -165,10 +176,18 @@ class Cluster:
                 from its own site instead).  Rejected when the cluster
                 has no topology.
         """
+        if request is None:
+            request = self.default_requests.get(entity_type)
         if site is not None and self.placement is None:
             raise ValueError("site= requires a geo cluster (with_topology)")
         if self.front_door is not None:
             return self.front_door.read(entity_type, entity_key, request=request)
+        if (
+            request is not None
+            and request.level is ConsistencyLevel.EXTRACT
+            and self.warehouse is not None
+        ):
+            return self.warehouse.read(entity_type, entity_key, request=request)
         surface = self.replication if self.replication is not None else self.store
         if surface is None:
             raise RuntimeError("cluster has no readable surface")
@@ -305,6 +324,7 @@ class ClusterBuilder:
         self._topology_kwargs: Optional[dict[str, Any]] = None
         self._placement_kwargs: Optional[dict[str, Any]] = None
         self._read_cache_kwargs: Optional[dict[str, Any]] = None
+        self._policies: tuple[ConsistencyPolicy, ...] = ()
 
     # ------------------------------------------------------------------ #
     # Declarations
@@ -596,6 +616,28 @@ class ClusterBuilder:
         self._front_door_kwargs = dict(options)
         return self
 
+    def with_consistency(self, *policies: ConsistencyPolicy) -> "ClusterBuilder":
+        """Declare each data class's consistency (paper section 3.2).
+
+        Each :class:`~repro.core.consistency.ConsistencyPolicy` becomes
+        its entity type's default ``ReadRequest(level, max_staleness)``:
+        ``cluster.read(entity_type, key)`` without a ``request=`` reads
+        at the declared level, an explicit request overrides it, and a
+        type without a policy reads STRONG.
+
+        Raises:
+            ConsistencyPolicyError: Two policies name one entity type.
+        """
+        seen: set[str] = set()
+        for policy in policies:
+            if policy.entity_type in seen:
+                raise ConsistencyPolicyError(
+                    f"two consistency policies for {policy.entity_type!r}"
+                )
+            seen.add(policy.entity_type)
+        self._policies = policies
+        return self
+
     def with_topology(
         self,
         sites: tuple[str, ...] | list[str],
@@ -692,6 +734,12 @@ class ClusterBuilder:
         cluster.retry_policy = self._retry_policy
         cluster.timeout_policy = self._timeout_policy
         cluster.batching = self._batching
+        cluster.default_requests = {
+            policy.entity_type: ReadRequest(
+                level=policy.level, max_staleness=policy.max_staleness
+            )
+            for policy in self._policies
+        }
 
         needs_network = (
             self._network_kwargs is not None

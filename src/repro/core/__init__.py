@@ -30,12 +30,7 @@ from repro.core.compensation import (
     TentativeStatus,
 )
 from repro.core.conflict import CandidateWrite, ConflictResolver, Resolution, Strategy
-from repro.core.consistency import (
-    ConsistencyLevel,
-    ConsistencyPolicy,
-    PolicyRouter,
-    SchemeBinding,
-)
+from repro.core.consistency import ConsistencyLevel, ConsistencyPolicy
 from repro.core.constraints import (
     ConstraintManager,
     ConstraintMode,
@@ -91,8 +86,6 @@ __all__ = [
     "Strategy",
     "ConsistencyLevel",
     "ConsistencyPolicy",
-    "PolicyRouter",
-    "SchemeBinding",
     "ConstraintManager",
     "ConstraintMode",
     "NonNegativeConstraint",

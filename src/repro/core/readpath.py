@@ -249,9 +249,7 @@ def deliver(
     * *staleness bound* — measured staleness above
       ``request.max_staleness`` marks ``bound_violated`` and increments
       the ``read.staleness_violations`` counter (labelled by delivered
-      level) on ``metrics``.  This is the enforcement
-      :class:`~repro.core.consistency.ConsistencyPolicy.max_staleness`
-      always promised and never had.
+      level) on ``metrics``.
     """
     degraded = is_weaker(delivered_level, request.level)
     if degraded and not request.allow_degraded:

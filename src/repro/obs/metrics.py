@@ -32,9 +32,8 @@ def percentile_of(sorted_samples: Sequence[float], pct: float) -> float:
     """Nearest-rank percentile over pre-sorted samples (0 when empty).
 
     This is the single percentile implementation in the library —
-    :class:`Histogram` here and
-    :class:`repro.bench.metrics.LatencyRecorder` both delegate to it,
-    so the two can never drift apart.
+    :class:`Histogram` delegates to it, and
+    :class:`repro.bench.metrics.LatencyRecorder` is a histogram.
     """
     if not sorted_samples:
         return 0.0

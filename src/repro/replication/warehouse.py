@@ -5,8 +5,9 @@ extract from an OLTP system may suffice."  The
 :class:`WarehouseExtract` copies the rolled-up state of an OLTP store
 into a frozen read model on a period; queries run against the last
 extract and report how stale it is.  This is the weakest — and cheapest
-— consistency level in the metadata-driven policy router
-(:mod:`repro.core.consistency`).
+— consistency level (``EXTRACT``, :mod:`repro.core.consistency`);
+``Cluster.read`` serves an ``EXTRACT`` request from the cluster's
+warehouse when it has one and no front door.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.metrics import AvailabilityProbe, LatencyRecorder, ThroughputWindow
+from repro.bench.metrics import AvailabilityProbe, LatencyRecorder
 from repro.bench.report import ExperimentReport, format_cell, format_table
 from repro.bench.workloads import (
     KeyChooser,
@@ -45,15 +45,6 @@ class TestLatencyRecorder:
 
 
 class TestProbesAndWindows:
-    def test_throughput_window(self):
-        window = ThroughputWindow(start=0.0, end=10.0)
-        for _ in range(25):
-            window.record()
-        assert window.per_time_unit == 2.5
-
-    def test_zero_duration_window(self):
-        assert ThroughputWindow(start=1.0, end=1.0).per_time_unit == 0.0
-
     def test_availability_probe_windows(self):
         probe = AvailabilityProbe()
         probe.record(True)

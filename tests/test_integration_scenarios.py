@@ -8,24 +8,17 @@ and the mixed-consistency single infrastructure.
 
 from __future__ import annotations
 
+from repro import Cluster
 from repro.apps.bookstore import ENTERED, Bookstore, ReplicaSurface
 from repro.core.compensation import CompensationManager
 from repro.core.policy import RetryPolicy
-from repro.replication.batching import BatchPolicy
-from repro.core.consistency import (
-    ConsistencyLevel,
-    ConsistencyPolicy,
-    PolicyRouter,
-    SchemeBinding,
-)
+from repro.core.consistency import ConsistencyLevel, ConsistencyPolicy
 from repro.core.process import ProcessEngine
 from repro.core.transaction import TransactionManager, UpdateMode
 from repro.lsdb.store import LSDBStore
 from repro.merge.deltas import Delta
 from repro.queues.reliable import ReliableQueue
 from repro.replication.active_active import ActiveActiveGroup
-from repro.replication.master_slave import MasterSlaveGroup
-from repro.replication.warehouse import WarehouseExtract
 from repro.sim.failure import FailureInjector
 from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
@@ -137,54 +130,54 @@ class TestSoupsPipelineUnderLossyMessaging:
 
 
 class TestMixedConsistencySingleInfrastructure:
-    """Section 3.1/3.2 end to end: one metadata-driven router, three
-    consistency levels, one application."""
+    """Section 3.1/3.2 end to end: one policy table, three consistency
+    levels, one application."""
 
     def test_policy_routed_bookstore(self):
-        sim = Simulator(seed=9)
-        net = Network(sim, latency=2.0)
-        group = MasterSlaveGroup(
-            sim, net, "master", ["slave"], ship_interval=10.0,
-            batching=BatchPolicy(),
+        cluster = (
+            Cluster.build(seed=9)
+            .with_network(latency=2.0)
+            .with_replicas(2, mode="master_slave", ship_interval=10.0)
+            .with_warehouse(interval=25.0)
+            .with_consistency(
+                ConsistencyPolicy(
+                    "book_stock", ConsistencyLevel.STRONG,
+                    rationale="fulfilment must not oversell",
+                ),
+                ConsistencyPolicy(
+                    "book_order", ConsistencyLevel.BOUNDED_STALENESS,
+                    rationale="order entry reads may lag",
+                ),
+                ConsistencyPolicy(
+                    "sales_report", ConsistencyLevel.EXTRACT,
+                    rationale="analytics tolerate extract staleness",
+                ),
+            )
+            .create()
         )
-        warehouse = WarehouseExtract(sim, group.master.store, interval=25.0)
+        group = cluster.replication
 
-        router = PolicyRouter()
-        router.add_policy(ConsistencyPolicy(
-            "book_stock", ConsistencyLevel.STRONG,
-            rationale="fulfilment must not oversell",
-        ))
-        router.add_policy(ConsistencyPolicy(
-            "book_order", ConsistencyLevel.BOUNDED_STALENESS,
-            rationale="order entry reads may lag",
-        ))
-        router.add_policy(ConsistencyPolicy(
-            "sales_report", ConsistencyLevel.EXTRACT,
-            rationale="analytics tolerate extract staleness",
-        ))
-        router.bind(ConsistencyLevel.STRONG, SchemeBinding(
-            write=lambda etype, key, fields: group.write_insert(etype, key, fields),
-            read=lambda etype, key: group.read_at("master", etype, key),
-        ))
-        router.bind(ConsistencyLevel.BOUNDED_STALENESS, SchemeBinding(
-            write=lambda etype, key, fields: group.write_insert(etype, key, fields),
-            read=lambda etype, key: group.read_at("slave", etype, key),
-        ))
-        router.bind(ConsistencyLevel.EXTRACT, SchemeBinding(
-            write=lambda *args: (_ for _ in ()).throw(RuntimeError("read-only")),
-            read=lambda etype, key: warehouse.get(etype, key),
-        ))
-
-        router.write("book_stock", "moby", {"copies": 5})
-        # Strong read is immediately fresh:
-        assert router.read("book_stock", "moby").fields["copies"] == 5
+        group.write_insert("book_stock", "moby", {"copies": 5})
+        group.write_insert("sales_report", "today", {"revenue": 60})
+        # Strong read is immediately fresh, from the master:
+        stock = cluster.read("book_stock", "moby")
+        assert stock.fields["copies"] == 5
+        assert stock.delivered_level is ConsistencyLevel.STRONG
+        assert stock.served_by == "master"
         # Bounded-staleness read lags until shipping:
-        router.write("book_order", "o1", {"status": "entered"})
-        assert router.read("book_order", "o1") is None
-        sim.run(until=20.0)
-        assert router.read("book_order", "o1").fields["status"] == "entered"
+        group.write_insert("book_order", "o1", {"status": "entered"})
+        order = cluster.read("book_order", "o1")
+        assert not order
+        assert order.delivered_level is ConsistencyLevel.BOUNDED_STALENESS
+        cluster.sim.run(until=20.0)
+        assert cluster.read("book_order", "o1").fields["status"] == "entered"
         # Extract read lags until the next extract:
-        assert router.routed[ConsistencyLevel.STRONG] == 2
+        assert not cluster.read("sales_report", "today")
+        cluster.sim.run(until=30.0)
+        report = cluster.read("sales_report", "today")
+        assert report.fields["revenue"] == 60
+        assert report.delivered_level is ConsistencyLevel.EXTRACT
+        assert report.served_by == "warehouse"
 
 
 class TestInsertOnlyAuditAcrossCompaction:

@@ -10,7 +10,9 @@ the "cheaper" half by counting work, never by timing it:
 * one warm cache hit through the whole ladder stack (cluster → front
   door → ladder rung → master/slave → read cache) stays inside a budget
   of Python function calls, which is what keeps ``Enum.__hash__``,
-  ``.value`` descriptors and per-read list building off the path;
+  ``.value`` descriptors and per-read list building off the path —
+  whether the caller passes the request or the entity type's
+  consistency policy supplies it;
 * one warm geo read (cluster → sited front door → geo group) stays
   inside its own budget, with no key digest and no latency lookup —
   routing is a memo hit and a precomputed read order.
@@ -26,6 +28,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro import Cluster
+from repro.core.consistency import ConsistencyLevel, ConsistencyPolicy
 from repro.core.readpath import ReadRequest
 from repro.lsdb.columnar import EventColumns
 from repro.lsdb.store import LSDBStore
@@ -56,13 +59,14 @@ def ladder_builder(seed: int = 11):
     )
 
 
-def master_slave_cluster():
+def master_slave_cluster(*policies):
     return (
         ladder_builder()
         .with_replicas(3, mode="master_slave", ship_interval=10.0)
         .with_warehouse(interval=100.0)
         .with_transactions()
         .with_front_door()
+        .with_consistency(*policies)
         .create()
     )
 
@@ -187,25 +191,46 @@ def test_bounded_reads_materialise_nothing(build, monkeypatch):
     assert counter.calls == {"event_at": 1, "events_from_origin": 1}
 
 
-def test_warm_cache_hit_stays_inside_the_call_budget():
-    cluster = master_slave_cluster()
+def warm_hit(cluster, **request):
+    """One warm cache-hit read of ``k7`` on a lagging slave, and its
+    Python calls; ``request`` is the ``request=`` keyword, if any."""
     for index in range(KEYS):
         write(cluster, index)
     cluster.sim.run(until=50.0)  # shipped: the slave holds every key
     for _ in range(3):  # cached, tracked hot, breakers closed
-        cluster.read("entity", "k7", request=BOUNDED)
+        cluster.read("entity", "k7", **request)
     write(cluster, 8)
     cluster.sim.run(until=51.0)  # the slave now lags: a measured stamp
 
     hits = sum(cache.hits for cache in cluster.read_caches)
-    result, calls = python_calls(cluster.read, "entity", "k7", request=BOUNDED)
-
+    result, calls = python_calls(cluster.read, "entity", "k7", **request)
     assert sum(cache.hits for cache in cluster.read_caches) == hits + 1
+    return result, calls
+
+
+def test_warm_cache_hit_stays_inside_the_call_budget():
+    result, calls = warm_hit(master_slave_cluster(), request=BOUNDED)
+
     assert result.served_by == "slave-1" and not result.degraded
     assert result.staleness == 1.0
     assert len(calls) <= WARM_HIT_CALL_BUDGET, (len(calls), calls)
     # What the budget exists to keep out.
     assert not [c for c in calls if c.startswith(("enum.py:", "types.py:"))]
+
+
+def test_policy_default_warm_hit_stays_inside_the_call_budget():
+    """The same hit with no ``request=``: the entity type's policy
+    supplies it, and the table lookup costs no Python call."""
+    policy = ConsistencyPolicy(
+        "entity", ConsistencyLevel.BOUNDED_STALENESS,
+        rationale="reads tolerate shipping lag", max_staleness=BOUND,
+    )
+    result, calls = warm_hit(master_slave_cluster(policy))
+
+    assert result.requested_level is ConsistencyLevel.BOUNDED_STALENESS
+    assert result.served_by == "slave-1" and not result.degraded
+    assert result.staleness == 1.0
+    assert len(calls) <= WARM_HIT_CALL_BUDGET, (len(calls), calls)
 
 
 def test_warm_geo_read_stays_inside_the_call_budget():
