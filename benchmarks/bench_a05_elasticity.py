@@ -36,6 +36,7 @@ import sys
 
 from repro.bench.report import ExperimentReport
 from repro.partition.elasticity import (
+    MAX_CHURN_RATIO,
     ElasticityConfig,
     elasticity_report_json,
     run_elastic_scaleout,
@@ -123,7 +124,7 @@ def test_a05_elasticity(benchmark):
         run_elastic_scaleout, args=(QUICK,), iterations=1, rounds=1
     )
     assert result["ok"], result["invariants"]
-    assert result["elasticity"]["churn_ratio"] <= 0.6
+    assert result["elasticity"]["churn_ratio"] <= MAX_CHURN_RATIO
     assert result["elasticity"]["overrides_final"] == 0
 
 

@@ -21,7 +21,7 @@ headline claims and one context block:
 * **ingest context** — store-level write throughput and raw
   ``append_row`` throughput, for the trajectory record.
 
-``benchmarks/perf_gate.py`` validates the committed trajectory file
+``tests/test_claims.py`` validates the committed trajectory file
 ``BENCH_columnar.json`` (>=3x create, >=2x fold, codec round-trip
 equality).
 
@@ -184,7 +184,7 @@ def bench_frame_codec(
     cuts the source slice into contiguous runs, encodes each as a
     :class:`ColumnFrame` and bulk-decodes with ``extend_frame`` — the
     wire codec the replication layer now uses.  Round-trip equality is
-    checked event-by-event (and reported for the perf gate).
+    checked event-by-event (and recorded as a gated claim).
     """
     log = _mixed_log(deltas)
     view = log.events()
@@ -329,7 +329,7 @@ def test_slice_fold_matches_event_loop(benchmark):
 
 
 def trajectory(metrics: dict[str, Any]) -> dict[str, Any]:
-    """The before/after/speedup artefact ``perf_gate.py`` validates."""
+    """The before/after/speedup artefact ``tests/test_claims.py`` validates."""
     return {
         "benchmark": "bench_columnar",
         "description": (

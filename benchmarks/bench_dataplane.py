@@ -19,7 +19,7 @@ measures all three claims:
 * **event footprint** — bytes/event of the slotted :class:`LogEvent`
   vs an identical ``__dict__``-based record, plus append throughput.
 
-``benchmarks/perf_gate.py`` validates the committed trajectory file
+``tests/test_claims.py`` validates the committed trajectory file
 ``BENCH_dataplane.json`` (>=5x ship throughput at frame 64, >=10x fewer
 wire messages, recovery independent of log length).
 
@@ -432,7 +432,7 @@ def test_recovery_is_delta_bound(benchmark):
 
 
 def trajectory(metrics: dict[str, Any]) -> dict[str, Any]:
-    """The before/after/speedup artefact ``perf_gate.py`` validates.
+    """The before/after/speedup artefact ``tests/test_claims.py`` validates.
 
     *Before* is the unbatched / full-replay / ``__dict__`` data plane;
     *after* is frame-64 shipping, checkpointed recovery and the slotted

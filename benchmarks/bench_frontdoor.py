@@ -17,7 +17,7 @@ multiples of the strong rung's modelled capacity:
 * **determinism** — two same-seed runs of the 2x point must produce
   byte-identical frontiers (the door is pure virtual-time machinery).
 
-``benchmarks/perf_gate.py`` validates the committed artefact
+``tests/test_claims.py`` validates the committed artefact
 ``BENCH_frontdoor.json`` (ISSUE 7 acceptance: at 2x overload, goodput
 >= 90% of offered and hard rejects <= 5%).
 
@@ -193,7 +193,7 @@ def collect(quick: bool = False) -> dict[str, Any]:
 
 def trajectory(metrics: dict[str, Any]) -> dict[str, Any]:
     """The committed artefact (``BENCH_frontdoor.json``) with the
-    acceptance block ``perf_gate.py`` reads."""
+    acceptance block ``tests/test_claims.py`` reads."""
     rows = metrics["frontier"]
     at_2x = next(
         (r for r in rows if r["multiplier"] == ACCEPTANCE_MULTIPLIER),

@@ -19,8 +19,9 @@ measures the three claims that justify the machinery:
   with replicas=2 every shard keeps a live copy, so availability
   through the outage must stay at 1.0.
 
-``benchmarks/perf_gate.py --max-wan-ratio/--min-failover-availability``
-validates the committed artefact ``BENCH_geo.json``.
+``tests/test_claims.py`` validates the committed artefact
+``BENCH_geo.json`` against ``MAX_WAN_RATIO`` and
+``MIN_FAILOVER_AVAILABILITY``.
 
 Usage::
 
@@ -269,7 +270,7 @@ def collect(quick: bool = False) -> dict[str, Any]:
 
 def trajectory(metrics: dict[str, Any]) -> dict[str, Any]:
     """The committed artefact (``BENCH_geo.json``) with the acceptance
-    block ``perf_gate.py check_geo`` reads."""
+    block ``tests/test_claims.py`` reads."""
     failover = metrics["failover"]
     return {
         "benchmark": "bench_geo",

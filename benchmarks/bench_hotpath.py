@@ -19,7 +19,7 @@ The committed artefact ``BENCH_hotpath.json`` separates the
 violation counts, final-state digest — byte-identical across runs,
 what ``--check-determinism`` diffs) from **wall-clock timing** (read
 throughput and speedup — environment-dependent, recorded for the gate).
-``perf_gate.py check_hotpath`` requires, on the θ=0.99 scenario:
+``tests/test_claims.py`` requires, on the θ=0.99 scenario:
 read speedup ≥ 5x, hot-set hit ratio ≥ 0.8, zero stale-beyond-bound
 serves.
 
@@ -210,7 +210,7 @@ def collect(quick: bool = False) -> dict[str, Any]:
 
 def trajectory(metrics: dict[str, Any]) -> dict[str, Any]:
     """The committed artefact (``BENCH_hotpath.json``) with the
-    acceptance block ``perf_gate.py check_hotpath`` reads."""
+    acceptance block ``tests/test_claims.py`` reads."""
     gate = metrics["scenarios"][GATE_SCENARIO]
     signature = gate["signature"]
     total_violations = sum(

@@ -19,7 +19,7 @@ the spectrum:
   serializable, solipsistic must demonstrably lose updates (that is
   what "no aborts" costs), and no snapshot level may lose any.
 
-``benchmarks/perf_gate.py`` validates the committed artefact
+``tests/test_claims.py`` validates the committed artefact
 ``BENCH_isolation.json``; the artefact is byte-deterministic, so CI
 also double-runs the scorecard and diffs (``--check-determinism``).
 
@@ -79,7 +79,7 @@ def collect(quick: bool = False) -> dict[str, Any]:
 
 def trajectory(metrics: dict[str, Any]) -> dict[str, Any]:
     """The committed artefact (``BENCH_isolation.json``) with the
-    acceptance block ``perf_gate.py check_isolation`` reads."""
+    acceptance block ``tests/test_claims.py`` reads."""
     load = metrics["load"]
     ratios = metrics["si_vs_serializable"]
     lost = {mode: load[mode]["lost_updates"] for mode in load}

@@ -223,7 +223,8 @@ def zipf_mild() -> Scenario:
 @register
 def zipf_hot() -> Scenario:
     """θ=0.99: the classic YCSB-style hot-key skew — a handful of
-    entities absorb most traffic.  The perf gate's headline scenario."""
+    entities absorb most traffic.  The recorded hot-path claim's
+    headline scenario."""
     return Scenario(
         name="zipf_hot",
         description="Zipfian keys at theta=0.99 (hot-key skew)",

@@ -20,8 +20,8 @@ by *running histories*, which anomalies each point on it permits:
   abort-rate/latency/lost-update economics.
 
 ``benchmarks/bench_isolation.py`` drives this into
-``BENCH_isolation.json``; ``perf_gate.py`` fails the build when the
-matrix and the theory disagree.
+``BENCH_isolation.json``; ``tests/test_claims.py`` fails the build when
+the matrix and the theory disagree.
 """
 
 from repro.isolation.detector import AnomalyDetector, Verdict

@@ -7,7 +7,7 @@ Two halves:
   simulator/store/manager and has the
   :class:`~repro.isolation.detector.AnomalyDetector` judge each run.
   :data:`THEORY` is the published expected matrix;
-  :func:`matches_theory` diffs them.  ``perf_gate.py`` fails the build
+  :func:`matches_theory` diffs them.  ``tests/test_claims.py`` fails the build
   on any disagreement — the matrix is an executable contract, not a
   table in a doc.
 * :func:`run_open_loop` prices each level: a fixed open-loop arrival

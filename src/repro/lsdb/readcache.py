@@ -281,8 +281,8 @@ class ReadCache(ReadSurface):
           re-watermark, age ``0.0``.
 
         A read can therefore never observe a fold older than its budget
-        — the "zero stale-beyond-bound serves" guarantee the perf gate
-        checks.
+        — the "zero stale-beyond-bound serves" guarantee
+        ``tests/test_claims.py`` checks.
         """
         ref = (entity_type, entity_key)
         self.tracker.touch(ref)
