@@ -42,10 +42,10 @@ Three views complete the picture:
 
 * :class:`EventSlice` — a read-only ``Sequence`` of events backed by
   ``(arena, rows)``; feed methods return these instead of list copies.
-* :class:`ColumnFrame` — the zero-copy wire codec: a self-contained
-  frame holding column slices plus frame-local ref/origin tables, so a
-  receiver interns each distinct string once per frame rather than
-  hashing strings once per event.
+* :class:`ColumnFrame` — the zero-copy wire codec: a self-contained,
+  immutable frame holding column slices plus frame-local ref/origin
+  tables, which a receiver interns once per frame and appends in column
+  space.
 * ``KIND_CODES`` / ``CODE_KINDS`` — the fixed :class:`EventKind`
   encoding shared by arenas and frames (definition order, so the codes
   are a wire-stable contract).
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
+from operator import itemgetter
 from typing import Any, Iterator, Mapping, Optional
 
 from repro.errors import MalformedFrame
@@ -69,6 +70,18 @@ _EMPTY_TAGS: frozenset[str] = frozenset()
 KIND_CODES: dict[EventKind, int] = {kind: kind.code for kind in EventKind}
 CODE_KINDS: tuple[EventKind, ...] = tuple(EventKind)
 
+_TYPE_OF = itemgetter(0)
+_KEY_OF = itemgetter(1)
+
+
+def ascends_by_one(values: array) -> bool:
+    """Whether ``values`` (a non-empty integer array) is ``v, v+1, …``
+    — one C-level comparison, no per-element Python step."""
+    first = values[0]
+    return values[-1] - first == len(values) - 1 and values.tolist() == list(
+        range(first, first + len(values))
+    )
+
 
 class StringDictionary:
     """Bidirectional string interning: string ↔ dense integer id.
@@ -76,27 +89,44 @@ class StringDictionary:
     One dictionary lookup on the append path (``dict.setdefault``), one
     list index on the read path.  Ids are dense and allocation-ordered,
     so a column of ids round-trips through ``array('i')``.
+
+    ``ids`` and ``values`` are the two directions as plain containers,
+    for hot paths that intern or resolve inline; only :meth:`intern`
+    and :meth:`intern_all` add to them.
     """
 
-    __slots__ = ("_ids", "_values")
+    __slots__ = ("ids", "values")
 
     def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-        self._values: list[str] = []
+        self.ids: dict[str, int] = {}
+        self.values: list[str] = []
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self.values)
 
     def intern(self, value: str) -> int:
         """Id for ``value``, allocating one on first sight."""
-        ident = self._ids.setdefault(value, len(self._values))
-        if ident == len(self._values):
-            self._values.append(value)
+        ident = self.ids.setdefault(value, len(self.values))
+        if ident == len(self.values):
+            self.values.append(value)
         return ident
+
+    def intern_all(self, values: list[str]) -> list[int]:
+        """Ids for ``values`` in order (a frame's origin table), with
+        no Python call per entry."""
+        ids = self.ids
+        known = self.values
+        idents = []
+        for value in values:
+            ident = ids.setdefault(value, len(known))
+            if ident == len(known):
+                known.append(value)
+            idents.append(ident)
+        return idents
 
     def value(self, ident: int) -> str:
         """The string behind ``ident`` (O(1) list index)."""
-        return self._values[ident]
+        return self.values[ident]
 
     def lookup(self, value: str) -> Optional[int]:
         """Id for ``value`` if already interned, else ``None``."""
@@ -168,6 +198,10 @@ class EventColumns:
             self.ref_tuples.append((entity_type, entity_key))
         return rid
 
+    def entity_types(self):
+        """Every entity type interned so far (a live keys view)."""
+        return self._ref_lookup.keys()
+
     def lookup_ref(self, entity_type: str, entity_key: str) -> Optional[int]:
         """Ref id if the entity has ever been seen, else ``None``."""
         by_key = self._ref_lookup.get(entity_type)
@@ -198,9 +232,10 @@ class EventColumns:
         """Append one event from loose fields; returns its arena row.
 
         This is the hot ingestion path: eight C-array/list appends plus
-        two interning lookups, no ``LogEvent`` object.  The ref
-        interning is :meth:`ref_id` inlined — at millions of calls the
-        function-call overhead alone is measurable.
+        two interning lookups, no ``LogEvent`` object.  The ref and
+        origin interning are :meth:`ref_id` and
+        :meth:`StringDictionary.intern` inlined — at millions of calls
+        the function-call overhead alone is measurable.
         """
         lsns = self.lsns
         row = len(lsns)
@@ -215,7 +250,11 @@ class EventColumns:
             rid = by_key[entity_key] = len(self.ref_tuples)
             self.ref_tuples.append((entity_type, entity_key))
         self.ref_ids.append(rid)
-        self.origin_ids.append(self.origins.intern(origin))
+        origins = self.origins
+        oid = origins.ids.get(origin)
+        if oid is None:
+            oid = origins.intern(origin)
+        self.origin_ids.append(oid)
         self.origin_seqs.append(origin_seq)
         self.schema_versions.append(schema_version)
         self.payloads.append(payload)
@@ -228,6 +267,84 @@ class EventColumns:
         if span_id:
             self.span_ids[row] = span_id
         return row
+
+    def intern_refs(self, table: list[tuple[str, str]]) -> list[int]:
+        """Arena ref ids for a frame's ref table, in table order.
+
+        No Python call per entry: a table whose entries share one entity
+        type (the common case) resolves its keys with one C-level
+        ``map`` over that type's key map, and only entities new to this
+        arena take the loop that allocates ids, in table order.
+        """
+        lookup = self._ref_lookup
+        rids: list = [None] * len(table)
+        types = set(map(_TYPE_OF, table))
+        if len(types) == 1:
+            (entity_type,) = types
+            by_key = lookup.get(entity_type)
+            if by_key is not None:
+                rids = list(map(by_key.get, map(_KEY_OF, table)))
+                if None not in rids:
+                    return rids
+        ref_tuples = self.ref_tuples
+        for index, rid in enumerate(rids):
+            if rid is None:
+                ref = table[index]
+                by_key = lookup.get(ref[0])
+                if by_key is None:
+                    by_key = lookup[ref[0]] = {}
+                rid = by_key.get(ref[1])
+                if rid is None:
+                    rid = by_key[ref[1]] = len(ref_tuples)
+                    ref_tuples.append(ref)
+                rids[index] = rid
+        return rids
+
+    def append_frame(
+        self, frame: "ColumnFrame", start: int, stop: int, first_lsn: int
+    ) -> range:
+        """Append frame positions ``[start, stop)`` under LSNs from
+        ``first_lsn``; returns the new arena rows.
+
+        Work per frame, not per row: dense columns extend by array
+        slice (a ``memcpy`` each), the frame's ref and origin tables are
+        interned once, the per-row codes translate through C-level
+        ``map``s, and sparse columns copy their entries in ``[start,
+        stop)`` with one comprehension each.
+        """
+        row0 = len(self.lsns)
+        count = stop - start
+        self.lsns.extend(range(first_lsn, first_lsn + count))
+        self.timestamps.extend(frame.timestamps[start:stop])
+        self.kinds.extend(frame.kinds[start:stop])
+        self.origin_seqs.extend(frame.origin_seqs[start:stop])
+        self.schema_versions.extend(frame.schema_versions[start:stop])
+        self.payloads.extend(frame.payloads[start:stop])
+        ref_ids = self.intern_refs(frame.ref_table)
+        self.ref_ids.extend(map(ref_ids.__getitem__, frame.ref_codes[start:stop]))
+        origin_ids = self.origins.intern_all(frame.origin_table)
+        if len(origin_ids) == 1:
+            self.origin_ids.extend(array("i", origin_ids) * count)
+        else:
+            self.origin_ids.extend(
+                map(origin_ids.__getitem__, frame.origin_codes[start:stop])
+            )
+        offset = row0 - start
+        for source, sink in (
+            (frame.tx_ids, self.tx_ids),
+            (frame.tags, self.tags),
+            (frame.trace_ids, self.trace_ids),
+            (frame.span_ids, self.span_ids),
+        ):
+            if source:
+                sink.update(
+                    {
+                        index + offset: value
+                        for index, value in source.items()
+                        if start <= index < stop
+                    }
+                )
+        return range(row0, row0 + count)
 
     def append_event(self, event: LogEvent, lsn: int) -> int:
         """Append a materialized event under ``lsn``; returns its row."""
@@ -356,13 +473,17 @@ class ColumnFrame:
     Python-object hops) and builds *frame-local* dictionaries: each
     distinct entity ref and origin string appears once in the frame's
     ``ref_table`` / ``origin_table``, and the per-event columns carry
-    small frame-local codes.  Decoding therefore interns each distinct
-    string once per frame — one dictionary lookup per *batch value*, not
-    one per event — and bulk-extends the receiver's arena columns.
+    small frame-local codes.  Decoding
+    (:meth:`EventColumns.append_frame`) interns each table entry once —
+    with no Python call per entry, since on skewed keys a ref table can
+    hold about one entry per event — and bulk-extends the receiver's
+    arena columns.
 
-    Kind codes are the global ``KIND_CODES`` contract, so they cross the
-    wire untranslated.  Payload mappings are shared by reference, as the
-    in-memory simulated network shares all message objects.
+    A frame is immutable once encoded: a shipper sends one frame object
+    to every peer of a ship round, and the receiving stores only read
+    it.  Kind codes are the global ``KIND_CODES`` contract, so they cross
+    the wire untranslated.  Payload mappings are shared by reference, as
+    the in-memory simulated network shares all message objects.
     """
 
     __slots__ = (
@@ -387,7 +508,8 @@ class ColumnFrame:
 
     @classmethod
     def from_slice(cls, view: EventSlice) -> "ColumnFrame":
-        """Encode an :class:`EventSlice` into a frame."""
+        """Encode an :class:`EventSlice` into a frame (C-level passes
+        only, apart from the sparse columns)."""
         arena = view.arena
         rows = view.rows
         frame = object.__new__(cls)
@@ -402,38 +524,27 @@ class ColumnFrame:
             ref_codes = arena.ref_ids[lo:hi]
             origin_codes = arena.origin_ids[lo:hi]
         else:
-            frame.lsns = array("q", (arena.lsns[r] for r in rows))
-            frame.timestamps = array("d", (arena.timestamps[r] for r in rows))
-            frame.kinds = array("b", (arena.kinds[r] for r in rows))
-            frame.origin_seqs = array(
-                "q", (arena.origin_seqs[r] for r in rows)
-            )
+            frame.lsns = array("q", map(arena.lsns.__getitem__, rows))
+            frame.timestamps = array("d", map(arena.timestamps.__getitem__, rows))
+            frame.kinds = array("b", map(arena.kinds.__getitem__, rows))
+            frame.origin_seqs = array("q", map(arena.origin_seqs.__getitem__, rows))
             frame.schema_versions = array(
-                "i", (arena.schema_versions[r] for r in rows)
+                "i", map(arena.schema_versions.__getitem__, rows)
             )
-            frame.payloads = [arena.payloads[r] for r in rows]
-            ref_codes = array("i", (arena.ref_ids[r] for r in rows))
-            origin_codes = array("i", (arena.origin_ids[r] for r in rows))
-        # Re-code arena ids to frame-local tables (one table entry per
-        # distinct value; the remap is an int-keyed dict hit per row).
-        ref_map: dict[int, int] = {}
-        ref_table: list[tuple[str, str]] = []
-        ref_tuples = arena.ref_tuples
-        for index, rid in enumerate(ref_codes):
-            code = ref_map.get(rid)
-            if code is None:
-                code = ref_map[rid] = len(ref_table)
-                ref_table.append(ref_tuples[rid])
-            ref_codes[index] = code
-        origin_map: dict[int, int] = {}
-        origin_table: list[str] = []
-        origin_value = arena.origins.value
-        for index, oid in enumerate(origin_codes):
-            code = origin_map.get(oid)
-            if code is None:
-                code = origin_map[oid] = len(origin_table)
-                origin_table.append(origin_value(oid))
-            origin_codes[index] = code
+            frame.payloads = list(map(arena.payloads.__getitem__, rows))
+            ref_codes = array("i", map(arena.ref_ids.__getitem__, rows))
+            origin_codes = array("i", map(arena.origin_ids.__getitem__, rows))
+        # Re-code arena ids to frame-local tables: one table entry per
+        # distinct value, in first-appearance order, found and applied
+        # with C-level passes (``dict.fromkeys`` keeps first appearance).
+        ref_table_ids = list(dict.fromkeys(ref_codes))
+        ref_table = list(map(arena.ref_tuples.__getitem__, ref_table_ids))
+        ref_map = dict(zip(ref_table_ids, range(len(ref_table_ids))))
+        ref_codes = array("i", map(ref_map.__getitem__, ref_codes))
+        origin_table_ids = list(dict.fromkeys(origin_codes))
+        origin_table = list(map(arena.origins.values.__getitem__, origin_table_ids))
+        origin_map = dict(zip(origin_table_ids, range(len(origin_table_ids))))
+        origin_codes = array("i", map(origin_map.__getitem__, origin_codes))
         frame.ref_codes = ref_codes
         frame.origin_codes = origin_codes
         frame.ref_table = ref_table
@@ -491,10 +602,26 @@ class ColumnFrame:
                     f"min {min(codes)}, max {max(codes)}"
                 )
 
-    def origin_strings(self) -> list[str]:
-        """Per-event origin strings, via one list-index per event."""
-        table = self.origin_table
-        return [table[code] for code in self.origin_codes]
+    def runs(self) -> list[tuple[int, int]]:
+        """``(start, stop)`` position spans of the frame's maximal
+        *runs* — same origin, each sequence one past the previous — in
+        frame order.  An in-order single-origin frame is recognised as
+        one run by C-level passes over its code and sequence columns, at
+        a cost per frame, not per position; only other frames walk their
+        positions."""
+        codes, seqs = self.origin_codes, self.origin_seqs
+        count = len(seqs)
+        if not count:
+            return []
+        if codes.count(codes[0]) == count and ascends_by_one(seqs):
+            return [(0, count)]
+        cuts = [
+            position
+            for position in range(1, count)
+            if codes[position] != codes[position - 1]
+            or seqs[position] != seqs[position - 1] + 1
+        ]
+        return list(zip([0, *cuts], [*cuts, count]))
 
     def origin_runs(self) -> list[tuple[str, int, int]]:
         """``(origin, first_seq, last_seq)`` of each maximal same-origin

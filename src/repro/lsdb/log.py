@@ -25,7 +25,10 @@ compaction (per-origin anti-entropy feeds, archives) stay valid.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
+from collections import defaultdict, deque
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from repro.errors import ReproError
@@ -36,6 +39,8 @@ from repro.lsdb.columnar import (
     EventSlice,
 )
 from repro.lsdb.events import EventKind, LogEvent
+
+_TYPE_OF = itemgetter(0)
 
 
 class AppendOnlyLog:
@@ -85,10 +90,13 @@ class AppendOnlyLog:
         #: True while live LSNs form one gap-free run (enables the
         #: arithmetic position fast path in the explicit-row regime).
         self._contiguous = True
-        #: ref id -> live arena rows for that entity, in LSN order.
-        self._by_ref: dict[int, list[int]] = {}
-        #: entity type -> (rows, parallel lsns) in LSN order.
-        self._by_type: dict[str, tuple[list[int], list[int]]] = {}
+        #: ref id -> live arena rows for that entity, in LSN order (a
+        #: ``defaultdict`` so the batch indexer appends with C-level
+        #: ``map``s; readers only ``.get``).
+        self._by_ref: defaultdict[int, list[int]] = defaultdict(list)
+        #: entity type -> (rows, parallel lsns) in LSN order, as
+        #: ``array('q')`` (8 bytes an entry, not a list's boxed int).
+        self._by_type: dict[str, tuple[array, array]] = {}
         self._next_lsn = 1
         self._columnar: list[tuple[Callable, Callable]] = []
         self._counts: list[Callable[[int], None]] = []
@@ -112,7 +120,7 @@ class AppendOnlyLog:
         lsn = self._next_lsn
         self._next_lsn = lsn + 1
         row = self._cols.append_event(event, lsn)
-        self._index_row(row, lsn)
+        self._index_rows((row,), (lsn,))
         stored = event.with_lsn(lsn)
         for on_row, _on_batch in self._columnar:
             on_row(self._cols, row)
@@ -136,7 +144,8 @@ class AppendOnlyLog:
         span_id: str = "",
     ) -> int:
         """Append one event from loose fields, without constructing a
-        :class:`LogEvent`.  The hot ingestion path.
+        :class:`LogEvent`.  The hot ingestion path: the row is indexed
+        inline (:meth:`_index_rows` for a run of one, without the call).
 
         Returns:
             The arena row of the new event (its LSN is
@@ -150,7 +159,22 @@ class AppendOnlyLog:
             origin, origin_seq, tx_id, schema_version, tags,
             trace_id, span_id,
         )
-        self._index_row(row, lsn)
+        live = self._rows
+        if live is not None:
+            lsns = self._live_lsns
+            if lsns and lsn != lsns[-1] + 1:
+                self._contiguous = False
+            elif not lsns:
+                self._contiguous = True
+            live.append(row)
+            lsns.append(lsn)
+        self._by_ref[cols.ref_ids[row]].append(row)
+        entry = self._by_type.get(entity_type)
+        if entry is None:
+            self._by_type[entity_type] = (array("q", (row,)), array("q", (lsn,)))
+        else:
+            entry[0].append(row)
+            entry[1].append(lsn)
         for on_row, _on_batch in self._columnar:
             on_row(cols, row)
         for counter in self._counts:
@@ -161,74 +185,82 @@ class AppendOnlyLog:
         self, frame: ColumnFrame, start: int, stop: int
     ) -> EventSlice:
         """Bulk-append frame positions ``[start, stop)`` — the decode
-        half of the zero-copy codec.
+        half of the zero-copy codec, at a cost per frame, not per row.
 
-        Columns are extended with array slices (a ``memcpy`` each);
-        entity refs and origins are interned once per distinct *table
-        entry*, then the per-event codes translate through a plain list
-        index.  LSNs are re-stamped with this log's sequence.
+        The arena takes the columns (:meth:`EventColumns.append_frame`:
+        array-slice extends, the frame's ref and origin tables interned
+        once, codes translated by C-level ``map``s, the sparse columns'
+        entries in range copied), LSNs are re-stamped with this log's
+        sequence, and :meth:`_index_rows` indexes the run in one batch.
+        Subscribers get one ``on_batch`` for the whole run.
 
         Returns:
             An :class:`EventSlice` over the newly appended rows.
         """
-        cols = self._cols
-        row0 = len(cols.lsns)
         count = stop - start
         first_lsn = self._next_lsn
         self._next_lsn = first_lsn + count
-        cols.lsns.extend(range(first_lsn, first_lsn + count))
-        cols.timestamps.extend(frame.timestamps[start:stop])
-        cols.kinds.extend(frame.kinds[start:stop])
-        cols.origin_seqs.extend(frame.origin_seqs[start:stop])
-        cols.schema_versions.extend(frame.schema_versions[start:stop])
-        cols.payloads.extend(frame.payloads[start:stop])
-        ref_ids = [cols.ref_id(t, k) for t, k in frame.ref_table]
-        cols.ref_ids.extend(
-            ref_ids[code] for code in frame.ref_codes[start:stop]
-        )
-        origin_ids = [cols.origins.intern(o) for o in frame.origin_table]
-        cols.origin_ids.extend(
-            origin_ids[code] for code in frame.origin_codes[start:stop]
-        )
-        for source, sink in (
-            (frame.tx_ids, cols.tx_ids),
-            (frame.tags, cols.tags),
-            (frame.trace_ids, cols.trace_ids),
-            (frame.span_ids, cols.span_ids),
-        ):
-            if source:
-                for index, value in source.items():
-                    if start <= index < stop:
-                        sink[row0 + index - start] = value
-        for offset in range(count):
-            self._index_row(row0 + offset, first_lsn + offset)
-        view = EventSlice(cols, range(row0, row0 + count))
+        cols = self._cols
+        rows = cols.append_frame(frame, start, stop, first_lsn)
+        self._index_rows(rows, cols.lsns[rows.start:rows.stop])
+        view = EventSlice(cols, rows)
         for _on_row, on_batch in self._columnar:
             on_batch(view)
         for counter in self._counts:
             counter(count)
         return view
 
-    def _index_row(self, row: int, lsn: int) -> None:
+    def _index_rows(self, rows, lsns) -> None:
+        """Index live ``rows`` (parallel ascending ``lsns``, appended
+        after every row already indexed) — the one indexer every append
+        path and :meth:`rewrite_prefix` share (:meth:`append_row` inlines
+        its run of one).
+
+        Per-entity buckets append through C-level ``map``s; a run of a
+        single entity type (always, in an arena that has seen one)
+        extends that type's row and LSN arrays whole, and only a
+        mixed-type run walks its rows.
+        """
+        if not rows:
+            return
         cols = self._cols
-        if self._rows is not None:
-            lsns = self._live_lsns
-            if not lsns:
-                self._contiguous = True
-            elif self._contiguous and lsn != lsns[-1] + 1:
-                self._contiguous = False
-            self._rows.append(row)
-            lsns.append(lsn)
-        rid = cols.ref_ids[row]
-        bucket = self._by_ref.get(rid)
-        if bucket is None:
-            self._by_ref[rid] = [row]
+        if isinstance(rows, range):
+            rids = cols.ref_ids[rows.start:rows.stop]
         else:
-            bucket.append(row)
-        entry = self._by_type.get(cols.ref_tuples[rid][0])
-        if entry is None:
-            self._by_type[cols.ref_tuples[rid][0]] = ([row], [lsn])
+            rids = list(map(cols.ref_ids.__getitem__, rows))
+        live = self._rows
+        if live is not None:
+            live_lsns = self._live_lsns
+            if not live_lsns:
+                self._contiguous = lsns[-1] - lsns[0] + 1 == len(lsns)
+            elif self._contiguous:
+                self._contiguous = (
+                    lsns[0] == live_lsns[-1] + 1
+                    and lsns[-1] - lsns[0] + 1 == len(lsns)
+                )
+            live.extend(rows)
+            live_lsns.extend(lsns)
+        # ``bucket.append(row)`` per row, driven by a zero-length deque so
+        # the loop runs in C (a missing bucket is the defaultdict's list).
+        deque(map(list.append, map(self._by_ref.__getitem__, rids), rows), 0)
+        by_type = self._by_type
+        known = cols.entity_types()
+        if len(known) == 1:
+            (single,) = known
         else:
+            types = list(map(_TYPE_OF, map(cols.ref_tuples.__getitem__, rids)))
+            single = types[0] if types.count(types[0]) == len(types) else None
+        if single is not None:
+            entry = by_type.get(single)
+            if entry is None:
+                entry = by_type[single] = (array("q"), array("q"))
+            entry[0].extend(rows)
+            entry[1].extend(lsns)
+            return
+        for entity_type, row, lsn in zip(types, rows, lsns):
+            entry = by_type.get(entity_type)
+            if entry is None:
+                entry = by_type[entity_type] = (array("q"), array("q"))
             entry[0].append(row)
             entry[1].append(lsn)
 
@@ -498,35 +530,16 @@ class AppendOnlyLog:
         live = self._live_rows()
         cut = self._bisect_gt(up_to_lsn)
         removed = EventSlice(cols, live[:cut])
-        suffix_rows = list(live[cut:])
-        new_rows = [
+        rows = [
             cols.append_event(event, event.lsn) for event in replacement_list
         ]
-        self._rows = new_rows + suffix_rows
-        lsns = self._cols.lsns
-        self._live_lsns = [lsns[row] for row in self._rows]
-        live_lsns = self._live_lsns
-        self._contiguous = (
-            not live_lsns
-            or live_lsns[-1] - live_lsns[0] + 1 == len(live_lsns)
-        )
-        self._by_ref = {}
+        rows.extend(live[cut:])
+        self._rows = []
+        self._live_lsns = []
+        self._contiguous = True
+        self._by_ref = defaultdict(list)
         self._by_type = {}
-        ref_ids = cols.ref_ids
-        ref_tuples = cols.ref_tuples
-        for row, lsn in zip(self._rows, live_lsns):
-            rid = ref_ids[row]
-            bucket = self._by_ref.get(rid)
-            if bucket is None:
-                self._by_ref[rid] = [row]
-            else:
-                bucket.append(row)
-            entry = self._by_type.get(ref_tuples[rid][0])
-            if entry is None:
-                self._by_type[ref_tuples[rid][0]] = ([row], [lsn])
-            else:
-                entry[0].append(row)
-                entry[1].append(lsn)
+        self._index_rows(rows, list(map(cols.lsns.__getitem__, rows)))
         for callback in self._structure:
             callback()
         return removed

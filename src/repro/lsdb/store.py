@@ -16,6 +16,7 @@ ties together the pieces of paper section 3.1:
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from typing import Any, Callable, Iterable, Mapping, Optional
 
@@ -88,12 +89,15 @@ class LSDBStore(ReadSurface):
         self.version_vector = VersionVector()
         self._origin_seq = 0
         #: origin -> arena rows in origin-sequence order, with a
-        #: parallel seq array so catch-up feeds bisect instead of
+        #: parallel seq list so catch-up feeds bisect instead of
         #: scanning.  Rows, not events: the arena is immortal, so this
         #: feed keeps serving raw originals after compaction rewrites
         #: the live log (anti-entropy repairs ship pre-compaction
-        #: events verbatim).
-        self._by_origin: dict[str, list[int]] = {}
+        #: events verbatim).  Rows are an ``array('q')`` (8 bytes an
+        #: entry); the seqs stay a list because every follower read's
+        #: staleness stamp bisects them, and ``bisect`` is faster on a
+        #: list.
+        self._by_origin: dict[str, array] = {}
         self._by_origin_seqs: dict[str, list[int]] = {}
         #: Whether every feed's rows ascend (false only once an event
         #: injected outside the replication protocol was insert-sorted).
@@ -467,18 +471,26 @@ class LSDBStore(ReadSurface):
         ingest every shipped event enters a store through.
 
         Semantically ``sum(apply_remote(e) for e in frame.events())``,
-        but each position is classified in column space against the
-        version vector, run by run:
+        but worked in column space, run by run (:meth:`ColumnFrame.runs`:
+        same origin, consecutive sequences).  A run's positions are
+        classified against the version vector by arithmetic on its
+        first sequence:
 
-        * a **duplicate** run (sequences already applied — at-least-once
+        * a **duplicate** span (sequences already applied — at-least-once
           shipping re-sends whole suffixes) is counted and skipped
           without materializing anything;
-        * an **in-order** run bulk-extends the arena via
+        * an **in-order** span bulk-extends the arena via
           :meth:`~repro.lsdb.log.AppendOnlyLog.extend_frame`, cut short
-          where the reorder buffer holds the next sequence so the
-          buffered copy drains first, exactly as per-event apply would;
-        * a **gap** is the one place a :class:`LogEvent` is built, into
-          the reorder buffer.
+          where the reorder buffer holds a sequence so the buffered copy
+          drains first, exactly as per-event apply would;
+        * the positions past a **gap** are the one place a
+          :class:`LogEvent` is built, one per position, into the reorder
+          buffer.
+
+        An in-order single-origin frame is therefore one run, one span
+        and one ``extend_frame``: its cost is per frame, not per row.
+        The frame is only read, so one frame object may be applied at
+        any number of stores.
 
         Args:
             frame: The received frame; validated whole before any row
@@ -501,55 +513,49 @@ class LSDBStore(ReadSurface):
         frame.validate()
         traced = self.tracer is not None
         applied = 0
-        vector = self.version_vector
-        origins = frame.origin_strings()
-        seqs = frame.origin_seqs
-        position = 0
-        count = len(seqs)
-        while position < count:
-            start = position
-            origin = origins[start]
-            seq = seqs[start]
-            have = vector.get(origin)
-            position += 1
-            if seq <= have:
-                status = "duplicate"
-                while (
-                    position < count
-                    and origins[position] == origin
-                    and seqs[position] <= have
-                ):
-                    position += 1
-                self.duplicates_rejected += position - start
-                if self._m_duplicates is not None:
-                    self._m_duplicates.inc(position - start)
-            elif seq == have + 1:
-                status = "applied"
-                buffered = self._reorder_buffer.get(origin, ())
-                expected = seq + 1
-                while (
-                    position < count
-                    and origins[position] == origin
-                    and seqs[position] == expected
-                    and expected not in buffered
-                ):
-                    position += 1
-                    expected += 1
-            else:
-                status = "buffered"
-                self._reorder_buffer.setdefault(origin, {})[seq] = (
-                    frame.event_at(start)
-                )
-                self._update_reorder_gauge()
-            if traced:
-                self._trace_frame_applies(
-                    frame, start, position, origin, parent_spans, status
-                )
-            if status == "applied":
-                self.log.extend_frame(frame, start, position)
-                applied += position - start
-                if buffered:
-                    self._drain_buffer(origin)
+        counts = self.version_vector.counts
+        table, codes, seqs = frame.origin_table, frame.origin_codes, frame.origin_seqs
+        for lo, hi in frame.runs():
+            origin = table[codes[lo]]
+            # The run's sequences are seqs[lo] + (position - lo).
+            base = seqs[lo] - lo
+            position = lo
+            while position < hi:
+                start = position
+                have = counts.get(origin, 0)
+                seq = base + start
+                if seq <= have:
+                    status = "duplicate"
+                    position = min(hi, start + have - seq + 1)
+                    self.duplicates_rejected += position - start
+                    if self._m_duplicates is not None:
+                        self._m_duplicates.inc(position - start)
+                elif seq == have + 1:
+                    status = "applied"
+                    position = hi
+                    buffered = self._reorder_buffer.get(origin)
+                    if buffered:
+                        last = base + hi - 1
+                        held = [s for s in buffered if seq < s <= last]
+                        if held:
+                            position = min(held) - base
+                else:
+                    # Past a gap, and nothing in this run fills it.
+                    status = "buffered"
+                    position = hi
+                    pending = self._reorder_buffer.setdefault(origin, {})
+                    for gap in range(start, hi):
+                        pending[base + gap] = frame.event_at(gap)
+                    self._update_reorder_gauge()
+                if traced:
+                    self._trace_frame_applies(
+                        frame, start, position, origin, parent_spans, status
+                    )
+                if status == "applied":
+                    self.log.extend_frame(frame, start, position)
+                    applied += position - start
+                    if buffered:
+                        self._drain_buffer(origin)
         return applied
 
     def _trace_frame_applies(
@@ -624,19 +630,37 @@ class LSDBStore(ReadSurface):
         incremental cache — deferred when coalescing is armed (the
         coalescer queues the row and fuses bursts into one fold) — and
         record it in its origin's feed immediately either way:
-        replication correctness never waits on a flush."""
+        replication correctness never waits on a flush.  The feed record
+        is :meth:`_record_origin_run` for a run of one, inlined."""
         if self._m_appends is not None:
             self._m_appends.inc()
         if self.coalescer is not None:
             self.coalescer.defer(row)
         else:
             self._fold_rows_now((row,))
-        self._record_origin_run(cols, row, row)
+        origin = cols.origins.values[cols.origin_ids[row]]
+        seq = cols.origin_seqs[row]
+        if seq:
+            counts = self.version_vector.counts
+            if seq > counts.get(origin, 0):
+                counts[origin] = seq
+        rows = self._by_origin.get(origin)
+        if rows is None:
+            self._by_origin[origin] = array("q", (row,))
+            self._by_origin_seqs[origin] = [seq]
+            return
+        seqs = self._by_origin_seqs[origin]
+        if seq >= seqs[-1]:
+            rows.append(row)
+            seqs.append(seq)
+        else:
+            self._insert_into_feed(cols, origin, row, row)
 
     def _on_append_batch(self, view: EventSlice) -> None:
         """Bookkeeping for a frame apply (the log hands over the
         contiguous rows it just appended): one fold over the slice, then
-        one feed record per origin run."""
+        one feed record per origin run — one in all for the single-origin
+        runs the frame ingest appends."""
         # Pending coalesced rows precede this batch in LSN order: fold
         # them first so the state map always reflects append order.
         self._flush_coalesced()
@@ -647,6 +671,9 @@ class LSDBStore(ReadSurface):
         cols = view.arena
         origin_ids = cols.origin_ids
         first, end = rows[0], rows[-1]
+        if origin_ids[first:end + 1].count(origin_ids[first]) > end - first:
+            self._record_origin_run(cols, first, end)
+            return
         while first <= end:
             last = first
             while last < end and origin_ids[last + 1] == origin_ids[first]:
@@ -657,8 +684,8 @@ class LSDBStore(ReadSurface):
     def _record_origin_run(self, cols: EventColumns, first: int, last: int) -> None:
         """Record arena rows ``first..last`` (inclusive) — one origin's
         run, in ascending sequence order — in the version vector and in
-        that origin's feed.  A single append is the run ``row..row``."""
-        origin = cols.origins.value(cols.origin_ids[first])
+        that origin's feed."""
+        origin = cols.origins.values[cols.origin_ids[first]]
         seqs_col = cols.origin_seqs
         # Recording the run's last sequence is the same set of vector
         # updates as recording each (record keeps the max).
@@ -667,27 +694,30 @@ class LSDBStore(ReadSurface):
             self.version_vector.record(origin, last_seq)
         rows = self._by_origin.get(origin)
         if rows is None:
-            self._by_origin[origin] = list(range(first, last + 1))
+            self._by_origin[origin] = array("q", range(first, last + 1))
             self._by_origin_seqs[origin] = seqs_col[first:last + 1].tolist()
             return
         seqs = self._by_origin_seqs[origin]
-        if first == last and last_seq >= seqs[-1]:
-            # A single append: no range or column slice to allocate.
-            rows.append(first)
-            seqs.append(last_seq)
-        elif seqs_col[first] >= seqs[-1]:
+        if seqs_col[first] >= seqs[-1]:
             rows.extend(range(first, last + 1))
             seqs.extend(seqs_col[first:last + 1])
         else:
-            # Out-of-sequence arrival (only possible for events injected
-            # outside the replication protocol): keep the feed sorted so
-            # bisect stays correct.
-            self._feeds_in_row_order = False
-            for row in range(first, last + 1):
-                seq = seqs_col[row]
-                position = bisect_right(seqs, seq)
-                seqs.insert(position, seq)
-                rows.insert(position, row)
+            self._insert_into_feed(cols, origin, first, last)
+
+    def _insert_into_feed(
+        self, cols: EventColumns, origin: str, first: int, last: int
+    ) -> None:
+        """Insert-sort rows ``first..last`` into ``origin``'s feed — an
+        out-of-sequence arrival, only possible for events injected
+        outside the replication protocol — so bisect stays correct."""
+        self._feeds_in_row_order = False
+        rows = self._by_origin[origin]
+        seqs = self._by_origin_seqs[origin]
+        for row in range(first, last + 1):
+            seq = cols.origin_seqs[row]
+            position = bisect_right(seqs, seq)
+            seqs.insert(position, seq)
+            rows.insert(position, row)
 
     # ------------------------------------------------------------------ #
     # Reads

@@ -145,26 +145,29 @@ class VersionVector:
     """
 
     def __init__(self, counts: Mapping[str, int] | None = None):
-        self._counts: dict[str, int] = dict(counts or {})
+        #: origin -> highest applied sequence.  Public so a store's
+        #: single-row append can :meth:`record` inline; anything else
+        #: goes through the methods.
+        self.counts: dict[str, int] = dict(counts or {})
 
     def record(self, replica_id: str, sequence: int) -> None:
         """Note that events from ``replica_id`` up to ``sequence`` have
         been applied (monotone: lower values are ignored)."""
-        if sequence > self._counts.get(replica_id, 0):
-            self._counts[replica_id] = sequence
+        if sequence > self.counts.get(replica_id, 0):
+            self.counts[replica_id] = sequence
 
     def advance(self, replica_id: str) -> int:
         """Advance ``replica_id``'s component by one and return it."""
-        self._counts[replica_id] = self._counts.get(replica_id, 0) + 1
-        return self._counts[replica_id]
+        self.counts[replica_id] = self.counts.get(replica_id, 0) + 1
+        return self.counts[replica_id]
 
     def get(self, replica_id: str) -> int:
         """Highest applied sequence from ``replica_id`` (0 if none)."""
-        return self._counts.get(replica_id, 0)
+        return self.counts.get(replica_id, 0)
 
     def merge(self, other: "VersionVector") -> None:
         """Absorb ``other`` (component-wise maximum), in place."""
-        for replica_id, count in other._counts.items():
+        for replica_id, count in other.counts.items():
             self.record(replica_id, count)
 
     def missing_from(self, other: "VersionVector") -> dict[str, tuple[int, int]]:
@@ -176,7 +179,7 @@ class VersionVector:
             ``have+1 .. want`` from that origin.
         """
         gaps: dict[str, tuple[int, int]] = {}
-        for replica_id, count in other._counts.items():
+        for replica_id, count in other.counts.items():
             have = self.get(replica_id)
             if count > have:
                 gaps[replica_id] = (have, count)
@@ -184,18 +187,18 @@ class VersionVector:
 
     def snapshot(self) -> VectorClock:
         """An immutable :class:`VectorClock` view of the current state."""
-        return VectorClock(dict(self._counts))
+        return VectorClock(dict(self.counts))
 
     def to_dict(self) -> dict[str, int]:
         """A plain-dict copy."""
-        return dict(self._counts)
+        return dict(self.counts)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VersionVector):
             return NotImplemented
-        keys = set(self._counts) | set(other._counts)
+        keys = set(self.counts) | set(other.counts)
         return all(self.get(key) == other.get(key) for key in keys)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        inner = ", ".join(f"{k}:{v}" for k, v in sorted(self._counts.items()))
+        inner = ", ".join(f"{k}:{v}" for k, v in sorted(self.counts.items()))
         return f"VersionVector({{{inner}}})"

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.lsdb.columnar import EventSlice
+from repro.lsdb.columnar import EventSlice, ascends_by_one
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.replication.replica import ReplicaNode
@@ -75,6 +75,10 @@ class BatchPolicy:
         or same origin with origin_seq + 1 — decided straight from the
         arena's LSN / origin-id / origin-seq columns.  The chaos
         determinism signature pins these frame boundaries.
+
+        A run of consecutive arena rows that is one LSN run or one
+        origin's sequence run as a whole (a node's own backlog always
+        is) is cut by arithmetic alone.
         """
         arena = view.arena
         rows = view.rows
@@ -82,6 +86,16 @@ class BatchPolicy:
         if not count:
             return
         limit = 1 if self.max_batch is None else self.max_batch
+        if isinstance(rows, range) and rows.step == 1:
+            lo, hi = rows.start, rows.stop
+            origin_ids = arena.origin_ids[lo:hi]
+            if (arena.lsns[lo] > 0 and ascends_by_one(arena.lsns[lo:hi])) or (
+                origin_ids.count(origin_ids[0]) == count
+                and ascends_by_one(arena.origin_seqs[lo:hi])
+            ):
+                for start in range(lo, hi, limit):
+                    yield EventSlice(arena, range(start, min(start + limit, hi)))
+                return
         lsns = arena.lsns
         origin_ids = arena.origin_ids
         origin_seqs = arena.origin_seqs

@@ -75,6 +75,11 @@ class ReplicaNode(Node):
         #: held by) that peer; and a copy as of the peer's last probe.
         self._sent: dict[str, dict[str, int]] = {}
         self._sent_at_probe: dict[str, dict[str, int]] = {}
+        #: This ship round's encoded chunks, keyed by their exact arena
+        #: rows, and the (virtual) time of that round: every peer shipped
+        #: the same chunk in one round shares one immutable frame.
+        self._frames: dict[Any, ColumnFrame] = {}
+        self._frames_at: Optional[float] = None
         self.batching = BatchPolicy()
         self.shipper: Optional[FrameShipper] = None
         self.configure_batching(batching)
@@ -165,10 +170,13 @@ class ReplicaNode(Node):
 
         The run is cut into LSN-contiguous chunks by this node's
         :class:`~repro.replication.batching.BatchPolicy` and each chunk
-        is encoded straight from the arena columns as one
-        :class:`ColumnFrame` message — one network frame (one latency
-        draw, one loss coin) per chunk, with the unbatched default
-        degenerating to one-row frames.  Returns ``True`` only when
+        ships as one :class:`ColumnFrame` message — one network frame
+        (one latency draw, one loss coin) per chunk, with the unbatched
+        default degenerating to one-row frames.  A chunk is encoded
+        straight from the arena columns once per ship round
+        (:meth:`_frame_for`), however many peers receive it: frames are
+        immutable, so every peer's message carries the same one.
+        Returns ``True`` only when
         every frame was accepted, and only then advances the send
         cursor (where the run continues it); after a ``False`` the whole
         run ships again, which idempotent apply makes safe.
@@ -184,7 +192,7 @@ class ReplicaNode(Node):
         shipped_all = True
         runs: list[tuple[str, int, int]] = []
         for chunk in self.batching.chunk_rows(events):
-            frame = ColumnFrame.from_slice(chunk)
+            frame = self._frame_for(chunk)
             message: dict[str, Any] = {"type": "events", "frame": frame}
             if tracer is not None and frame.span_ids:
                 message["ctx"] = {
@@ -206,6 +214,21 @@ class ReplicaNode(Node):
                 if first - 1 <= cursor.get(origin, 0) < last:
                     cursor[origin] = last
         return shipped_all
+
+    def _frame_for(self, chunk: EventSlice) -> ColumnFrame:
+        """The frame for ``chunk``, encoded on its first shipment this
+        round.  The arena is immortal, so the same rows always encode to
+        the same frame; only the current round's frames are kept."""
+        now = self.sim.now
+        if now != self._frames_at:
+            self._frames = {}
+            self._frames_at = now
+        rows = chunk.rows
+        key = rows if isinstance(rows, range) else tuple(rows)
+        frame = self._frames.get(key)
+        if frame is None:
+            frame = self._frames[key] = ColumnFrame.from_slice(chunk)
+        return frame
 
     def ship_backlog(self, destination: str) -> bool:
         """Push this node's own writes not yet handed to the wire for

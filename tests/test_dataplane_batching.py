@@ -94,6 +94,16 @@ class TestBatchPolicy:
         ]
         chunks = list(BatchPolicy(max_batch=100).chunk_rows(as_slice(events)))
         assert [len(chunk) for chunk in chunks] == [3, 2]
+        # A sequence that continues under another origin is not a
+        # successor: the origin switch cuts the frame.
+        switched = [
+            LogEvent(lsn=0, timestamp=0.0, entity_type="t", entity_key="k",
+                     kind=EventKind.INSERT, payload={}, origin=origin,
+                     origin_seq=seq)
+            for origin, seq in (("o", 1), ("o", 2), ("p", 3), ("p", 4))
+        ]
+        chunks = list(BatchPolicy(max_batch=100).chunk_rows(as_slice(switched)))
+        assert [len(chunk) for chunk in chunks] == [2, 2]
 
     def test_validation(self):
         with pytest.raises(ValueError):

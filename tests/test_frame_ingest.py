@@ -4,9 +4,11 @@ Two contracts:
 
 * **frame ingest ≡ per-event ingest.**  ``apply_remote`` is the
   reference semantics (dedup, reorder buffer, drain); the frame ingest
-  classifies positions in column space and must land on exactly the
-  same store — for frames carrying replays, stale prefixes, gaps,
-  interleaved origins and a repeated sequence inside a run.
+  classifies whole runs in column space and must land on exactly the
+  same store — state, feeds, indexes and sparse columns — for frames
+  carrying replays, stale prefixes, gaps, interleaved origins, repeated
+  and descending sequences, after a compaction, and when one frame
+  object is applied at several stores.
 * **malformed frames are rejected whole.**  A ragged or mis-coded frame
   raises :class:`~repro.errors.MalformedFrame` before a single row
   reaches the arena.
@@ -29,12 +31,14 @@ from repro.merge.deltas import Delta
 
 ORIGINS = ["r1", "r2", "r3"]
 PER_ORIGIN = 8
+TYPES = ("acct", "item")
 
 
 def donor_log() -> tuple[AppendOnlyLog, dict[tuple[str, int], int]]:
     """A log holding ``PER_ORIGIN`` events from each origin, interleaved
-    round-robin, plus the ``(origin, seq) -> arena row`` map frames are
-    cut from."""
+    round-robin, over two entity types, some with a transaction id or
+    tags, plus the ``(origin, seq) -> arena row`` map frames are cut
+    from."""
     log = AppendOnlyLog("donor")
     row_of: dict[tuple[str, int], int] = {}
     for seq in range(1, PER_ORIGIN + 1):
@@ -48,9 +52,12 @@ def donor_log() -> tuple[AppendOnlyLog, dict[tuple[str, int], int]]:
             row_of[(origin, seq)] = len(log.arena)
             log.append(
                 LogEvent(
-                    lsn=0, timestamp=float(seq), entity_type="acct",
+                    lsn=0, timestamp=float(seq),
+                    entity_type=TYPES[(seq + index) % 5 == 0],
                     entity_key=key, kind=kind, payload=payload,
                     origin=origin, origin_seq=seq,
+                    tx_id=f"t{origin}{seq}" if seq % 2 else "",
+                    tags=frozenset({"audit"}) if seq % 3 == 0 else frozenset(),
                 )
             )
     return log, row_of
@@ -62,9 +69,22 @@ def frame_plans(draw):
     runs.  Run starts are unconstrained, so across frames they replay
     applied sequences, reach back into stale prefixes, jump ahead over
     gaps and interleave origins; ``repeat`` doubles one sequence inside
-    a run."""
+    a run.  A frame may instead be one of the hostile single-origin
+    shapes: a descending pair, a gap inside a run, or a sequence
+    repeated after others."""
     plans = []
     for _ in range(draw(st.integers(1, 5))):
+        origin = draw(st.sampled_from(ORIGINS))
+        low = draw(st.integers(1, PER_ORIGIN - 3))
+        hostile = {
+            "descending pair": [low + 1, low],
+            "gap inside a run": [low, low + 2, low + 3],
+            "non-adjacent repeat": [low, low + 1, low + 2, low],
+        }
+        shape = draw(st.sampled_from([None, *hostile]))
+        if shape is not None:
+            plans.append([(origin, seq) for seq in hostile[shape]])
+            continue
         runs = []
         for _ in range(draw(st.integers(1, 4))):
             origin = draw(st.sampled_from(ORIGINS))
@@ -80,13 +100,36 @@ def frame_plans(draw):
 
 
 def fingerprint(store: LSDBStore):
+    """Everything the ingest writes: state, vector, dedup and reorder
+    bookkeeping, the live log, the per-entity, per-type and per-origin
+    feeds, and each arena row's sparse columns."""
+    log = store.log
+    cols = log.arena
+    refs = sorted(ref for refs in store.type_refs_view().values() for ref in refs)
     return (
         store.current_state(),
         store.version_vector.to_dict(),
         store.duplicates_rejected,
         store._reorder_buffer,
-        store.log.events().identities(),
+        log.events().identities(),
+        [list(log.for_entity(*ref)) for ref in refs],
+        [log.entity_head_lsn(*ref) for ref in refs],
+        [list(log.for_type_since(entity_type, 0)) for entity_type in TYPES],
+        [store.events_from_origin(origin, 0).identities() for origin in ORIGINS],
+        [(cols.tx_ids.get(row, ""), cols.tags_at(row)) for row in range(len(cols))],
     )
+
+
+def frame_of(log: AppendOnlyLog, row_of, plan) -> ColumnFrame:
+    rows = [row_of[identity] for identity in plan]
+    return ColumnFrame.from_slice(EventSlice(log.arena, rows))
+
+
+def apply_both(by_frame: LSDBStore, by_event: LSDBStore, frame: ColumnFrame) -> None:
+    frame_count = by_frame.apply_remote_frame(frame)
+    event_count = sum(by_event.apply_remote(e) for e in frame.events())
+    assert frame_count == event_count
+    assert fingerprint(by_frame) == fingerprint(by_event)
 
 
 @settings(max_examples=200, deadline=None)
@@ -96,12 +139,43 @@ def test_frame_ingest_equals_per_event_ingest(plans):
     by_frame = LSDBStore(origin="x")
     by_event = LSDBStore(origin="x")
     for plan in plans:
-        rows = [row_of[identity] for identity in plan]
-        frame = ColumnFrame.from_slice(EventSlice(log.arena, rows))
-        frame_count = by_frame.apply_remote_frame(frame)
-        event_count = sum(by_event.apply_remote(e) for e in frame.events())
-        assert frame_count == event_count
-        assert fingerprint(by_frame) == fingerprint(by_event)
+        apply_both(by_frame, by_event, frame_of(log, row_of, plan))
+
+
+@settings(max_examples=50, deadline=None)
+@given(before=frame_plans(), after=frame_plans())
+def test_frame_ingest_equals_per_event_ingest_after_compaction(before, after):
+    """``compact()`` moves the log to an explicit list of live rows; the
+    batch indexer must extend that list, its LSNs and its contiguity
+    exactly as per-event appends do."""
+    log, row_of = donor_log()
+    by_frame = LSDBStore(origin="x")
+    by_event = LSDBStore(origin="x")
+    for plan in before:
+        apply_both(by_frame, by_event, frame_of(log, row_of, plan))
+    live = len(by_frame.log)
+    by_frame.compact(keep_recent=1)
+    by_event.compact(keep_recent=1)
+    assert (by_frame.log._rows is not None) == (live > 1)
+    assert fingerprint(by_frame) == fingerprint(by_event)
+    for plan in after:
+        apply_both(by_frame, by_event, frame_of(log, row_of, plan))
+
+
+@settings(max_examples=50, deadline=None)
+@given(plans=frame_plans())
+def test_one_frame_object_applied_at_two_stores(plans):
+    """A shipper encodes a chunk once per round and every peer receives
+    that one object: applying it must leave it intact for the next."""
+    log, row_of = donor_log()
+    first, second = LSDBStore(origin="x"), LSDBStore(origin="y")
+    reference = LSDBStore(origin="x")
+    for plan in plans:
+        frame = frame_of(log, row_of, plan)
+        counts = (first.apply_remote_frame(frame), second.apply_remote_frame(frame))
+        expected = sum(reference.apply_remote(e) for e in frame.events())
+        assert counts == (expected, expected)
+        assert fingerprint(first) == fingerprint(second) == fingerprint(reference)
 
 
 def test_buffered_copy_drains_before_the_frame_reaches_it():

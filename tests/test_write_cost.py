@@ -14,7 +14,10 @@ tests pin that by counting work, never by timing it:
 * one warm plain (solipsistic) ``begin -> apply_delta -> commit``
   through the ladder's master/slave cluster stays inside its own budget:
   a commit with no isolation level, no deferred actions, no constraints
-  and no metrics is one ``append_local`` plus its receipt.
+  and no metrics is one ``append_local`` plus its receipt;
+* that one ``append_local`` on the ladder's coalescing store stays
+  inside a budget of its own: the arena row, its log index and its
+  origin-feed record are one pass.
 
 The clusters are built the way the end-to-end ladder builds them.
 """
@@ -27,6 +30,7 @@ import pytest
 
 from repro import Cluster
 from repro.lsdb.columnar import EventColumns
+from repro.lsdb.events import EventKind
 from repro.lsdb.store import LSDBStore
 from repro.merge.deltas import Delta
 from repro.replication.active_active import ActiveActiveGroup
@@ -38,19 +42,28 @@ WRITES = 600
 #: and the coordinator walked the placement's site tuple, 20 once they
 #: were one ``append_local``, 18 with the shard memoised per key and the
 #: arena encoding ``EventKind.code`` without ``Enum.__hash__``, 16
-#: measured when this budget was set — ``Delta.to_payload`` skipping its
-#: two set-map comprehensions for a numeric-only delta (CPython 3.11).
-#: Ratchet it down with the next saving; never up without saying what
-#: the calls buy.
-WRITE_CALL_BUDGET = 18
+#: two set-map comprehensions for a numeric-only delta (CPython 3.11),
+#: 11 once the store append indexed the row and recorded its feed
+#: inline (``STORE_APPEND_CALL_BUDGET``).  Ratchet it down with the next
+#: saving; never up without saying what the calls buy.
+WRITE_CALL_BUDGET = 13
 #: Python ``call`` events for one warm plain ``begin -> apply_delta ->
 #: commit`` (delta built beforehand): 35 while ``PendingOp`` was a frozen
 #: dataclass, ``begin`` hopped through ``manager.now()``, and every
 #: commit went through ``_schedule_actions``, ``_count_outcome`` and
-#: ``_receipt_tracking`` for results it then discarded; 26 measured when
-#: this budget was set (CPython 3.11).  Of those, 12 are the one
-#: ``append_local`` and what it runs below.  Same ratchet rule.
-TX_WRITE_CALL_BUDGET = 28
+#: ``_receipt_tracking`` for results it then discarded; 26 once they
+#: were skipped, 21 with the one-pass store append below it (CPython
+#: 3.11).  Same ratchet rule.
+TX_WRITE_CALL_BUDGET = 22
+#: Python ``call`` events for one warm ``LSDBStore.append_local`` on the
+#: ladder's coalescing master store: 12 while the arena interned the
+#: origin, the log indexed the row and the store recorded its origin
+#: feed through calls of their own (``intern``, ``_index_row``,
+#: ``_record_origin_run`` -> ``value`` -> ``record``); 7 with all three
+#: inline — ``append_local``, the clock, ``log.append_row``,
+#: ``cols.append_row``, ``_on_append_row``, the coalescer's ``defer``
+#: and its clock (CPython 3.11).  Same ratchet rule.
+STORE_APPEND_CALL_BUDGET = 8
 
 
 def ladder_builder(seed: int = 11):
@@ -277,3 +290,36 @@ def test_warm_plain_commit_stays_inside_the_call_budget():
         if c.endswith((":_schedule_actions", ":_receipt_tracking", ":_count_outcome"))
     ]
     assert "deltas.py:<dictcomp>" not in calls
+
+
+def test_warm_store_append_stays_inside_the_call_budget():
+    cluster = master_slave_cluster()
+    store = cluster.replication.master.store
+    assert store.coalescer is not None and store.tracer is None
+    for index in range(KEYS):
+        store.append_local("entity", f"k{index}", EventKind.DELTA, {"numeric": {"n": 1}})
+    for _ in range(3):  # warm: the store knows the key and its origin
+        store.append_local("entity", "k7", EventKind.DELTA, {"numeric": {"n": 1}})
+    payload = {"numeric": {"n": 1}}
+    rows = []
+    calls = python_calls(
+        lambda: rows.append(
+            store.append_local("entity", "k7", EventKind.DELTA, payload, "t1")
+        )
+    )
+
+    (row,) = rows
+    log = store.log
+    assert log.arena.payloads[row] is payload and log.arena.tx_ids[row] == "t1"
+    assert log.entity_head_lsn("entity", "k7") == log.arena.lsns[row]
+    assert store.version_vector.get(store.origin) == store.origin_seq
+    assert store.events_from_origin(store.origin, store.origin_seq - 1).rows[0] == row
+    assert store.get("entity", "k7").fields["n"] == 5
+    assert len(calls) <= STORE_APPEND_CALL_BUDGET, (len(calls), calls)
+    # What the budget exists to keep out: a call per index, intern and
+    # feed record.
+    assert not [
+        c
+        for c in calls
+        if c.endswith((":intern", ":_index_row", ":_record_origin_run", ":record"))
+    ]
