@@ -35,6 +35,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from bench_dataplane import best_of  # noqa: E402
 from repro.bench.report import ExperimentReport  # noqa: E402
+from repro.lsdb.checkpoint import CheckpointPolicy  # noqa: E402
 from repro.lsdb.events import EventKind, LogEvent  # noqa: E402
 from repro.lsdb.rollup import Rollup  # noqa: E402
 from repro.lsdb.store import LSDBStore  # noqa: E402
@@ -73,8 +74,10 @@ def make_delta_events(count: int, seed: int = 0) -> list[LogEvent]:
     return events
 
 
-def build_store(count: int, snapshot_interval: int = 0, seed: int = 0) -> LSDBStore:
-    store = LSDBStore(snapshot_interval=snapshot_interval)
+def build_store(count: int, interval: int = 0, seed: int = 0) -> LSDBStore:
+    store = LSDBStore()
+    if interval:
+        store.enable_checkpoints(CheckpointPolicy(every_events=interval))
     rng = SeededRNG(seed)
     for index in range(ENTITIES):
         store.insert("acct", f"a{index}", {f"f{f}": 0 for f in range(FIELDS_PER_ENTITY)})
@@ -104,7 +107,7 @@ def bench_fold_throughput(count: int) -> float:
     """Pure rollup fold over a prebuilt event list, events/sec.
 
     This isolates the reducer cost the append path pays per event
-    (the copy-on-snapshot optimization target).
+    (the copy-on-first-touch optimization target).
     """
     events = make_delta_events(count)
     rollup = Rollup()
@@ -114,8 +117,8 @@ def bench_fold_throughput(count: int) -> float:
 
 
 def bench_incremental_read(count: int, interval: int = 1_000) -> float:
-    """Snapshot + suffix-replay read latency on a long log, ms/read."""
-    store = build_store(count, snapshot_interval=interval)
+    """Checkpoint + suffix-replay read latency on a long log, ms/read."""
+    store = build_store(count, interval=interval)
     head = store.log.head_lsn
     seconds = best_of(5, lambda: store.state_as_of(head))
     return seconds * 1000.0
@@ -225,7 +228,7 @@ def sweep(quick: bool = False) -> ExperimentReport:
         headers=["metric", "value"],
         notes=(
             "events/sec for throughputs, ops/sec for feed probes, "
-            "milliseconds for the snapshot read"
+            "milliseconds for the checkpoint read"
         ),
     )
     for key in (

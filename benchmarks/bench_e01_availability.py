@@ -19,10 +19,10 @@ Metric: fraction of writes *issued during the partition* that succeed.
 
 from __future__ import annotations
 
-from repro.bench.metrics import AvailabilityProbe
 from repro.bench.report import ExperimentReport
 from repro.core.policy import TimeoutPolicy
 from repro.merge.deltas import Delta
+from repro.obs.metrics import AvailabilityProbe
 from repro.replication import ActiveActiveGroup, QuorumGroup, SyncPrimaryBackup
 from repro.sim.network import Network
 from repro.sim.scheduler import Simulator

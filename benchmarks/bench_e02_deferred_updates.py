@@ -15,11 +15,11 @@ sees the aggregate.
 
 from __future__ import annotations
 
-from repro.bench.metrics import LatencyRecorder
 from repro.bench.report import ExperimentReport
 from repro.core.transaction import TransactionManager, UpdateMode
 from repro.lsdb.store import LSDBStore
 from repro.merge.deltas import Delta
+from repro.obs.metrics import Histogram
 from repro.sim.scheduler import Simulator
 
 TRANSACTIONS = 50
@@ -34,8 +34,8 @@ def run_mode(update_mode: UpdateMode, action_cost: float) -> dict[str, float]:
         store, sim=sim, update_mode=update_mode,
         commit_cost=COMMIT_COST, defer_lag=DEFER_LAG,
     )
-    response = LatencyRecorder("response")
-    staleness = LatencyRecorder("staleness")
+    response = Histogram("response", {})
+    staleness = Histogram("staleness", {})
     stale_probe_hits = 0
 
     for index in range(TRANSACTIONS):
@@ -60,7 +60,7 @@ def run_mode(update_mode: UpdateMode, action_cost: float) -> dict[str, float]:
 
     return {
         "mean_response": response.mean,
-        "p99_response": response.p99,
+        "p99_response": response.percentile(99),
         "mean_staleness_window": staleness.mean,
         "stale_read_fraction": stale_probe_hits / TRANSACTIONS,
     }

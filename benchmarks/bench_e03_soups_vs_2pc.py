@@ -17,9 +17,9 @@ injected.
 
 from __future__ import annotations
 
-from repro.bench.metrics import LatencyRecorder
 from repro.bench.report import ExperimentReport
 from repro.locks.two_pc import TwoPCCoordinator, TwoPCParticipant
+from repro.obs.metrics import Histogram
 from repro.partition.units import SerializationUnit
 from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
@@ -41,7 +41,7 @@ def run_mix(cross_fraction: float, seed: int = 0) -> dict[str, float]:
     for unit in units:
         net.register(TwoPCParticipant(f"{unit.name}-rm"))
     rng = sim.fork_rng()
-    latency = LatencyRecorder()
+    latency = Histogram("latency", {})
     completed = {"count": 0, "last_at": 0.0}
 
     def finish(started_at: float) -> None:
@@ -72,7 +72,7 @@ def run_mix(cross_fraction: float, seed: int = 0) -> dict[str, float]:
     duration = completed["last_at"] or 1.0
     return {
         "mean_latency": latency.mean,
-        "p99_latency": latency.p99,
+        "p99_latency": latency.percentile(99),
         "throughput": completed["count"] / duration,
     }
 

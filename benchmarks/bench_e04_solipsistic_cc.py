@@ -26,13 +26,13 @@ produced (waits+deadlocks, validation aborts, or none).
 
 from __future__ import annotations
 
-from repro.bench.metrics import LatencyRecorder
 from repro.bench.report import ExperimentReport
 from repro.errors import DeadlockDetected, ValidationFailed
 from repro.locks.optimistic import OCCValidator
 from repro.locks.two_phase import LockManager2PL
 from repro.lsdb.store import LSDBStore
 from repro.merge.deltas import Delta
+from repro.obs.metrics import Histogram
 from repro.sim.rng import ZipfGenerator
 from repro.sim.scheduler import Simulator
 
@@ -48,7 +48,7 @@ class _Stats:
     def __init__(self):
         self.committed = 0
         self.conflicts = 0
-        self.latency = LatencyRecorder()
+        self.latency = Histogram("latency", {})
 
 
 def _pick_two(zipf: ZipfGenerator) -> tuple[str, str]:

@@ -23,12 +23,12 @@ committed (commit overhead saved) and mean event-to-commit latency
 from __future__ import annotations
 
 from repro.apps.hr import HRApp
-from repro.bench.metrics import LatencyRecorder
 from repro.bench.report import ExperimentReport
 from repro.core.process import ProcessEngine, ProcessStep
 from repro.core.transaction import TransactionManager
 from repro.lsdb.store import LSDBStore
 from repro.merge.deltas import Delta
+from repro.obs.metrics import Histogram
 from repro.queues.reliable import ReliableQueue
 from repro.sim.scheduler import Simulator
 
@@ -45,7 +45,7 @@ def run_vertical(collapsed: bool, seed: int = 0) -> dict[str, float]:
     manager = TransactionManager(store, sim=sim, queue=queue, commit_cost=COMMIT_COST)
     engine = ProcessEngine(manager, queue)
     hr = HRApp(engine, collapsed=collapsed)
-    latency = LatencyRecorder()
+    latency = Histogram("latency", {})
     start_times: dict[str, float] = {}
 
     for index in range(TRANSFERS):
@@ -84,7 +84,7 @@ def run_horizontal(batch: int, seed: int = 0) -> dict[str, float]:
     store = LSDBStore(clock=lambda: sim.now)
     manager = TransactionManager(store, sim=sim, queue=queue, commit_cost=COMMIT_COST)
     engine = ProcessEngine(manager, queue)
-    latency = LatencyRecorder()
+    latency = Histogram("latency", {})
 
     def tally(ctx):
         ctx.apply_delta("stats", "totals", Delta.add("n", 1))

@@ -219,7 +219,7 @@ class Cluster:
             on_done: Called once with the finished run (e.g. to chain
                 staged scale-out steps).
             **unit_options: Forwarded to :class:`SerializationUnit`
-                (``local_commit_cost``, ``snapshot_interval``).
+                (``local_commit_cost``).
         """
         if self.ring is None or self.rebalancer is None:
             raise RuntimeError("cluster built without with_ring()")

@@ -187,9 +187,11 @@ class SchemaMigrationManager:
         Locally written events get stamped with the catalog's *current*
         schema version for their type, and every registered type folds
         through a :class:`MigratingReducer` (lazy upcasting at read
-        time).  Call once per store, before or after migrations; call
-        ``store.rebuild_cache()`` after each :meth:`apply` so
-        already-folded events re-fold under the new interpretation.
+        time).  Call once per store, before or after migrations.  Each
+        :meth:`apply` calls ``store.reinterpret``, which drops the
+        store's checkpoint, read cache and index folds; call
+        ``store.rebuild_cache()`` after it so the state map re-folds
+        under the new interpretation too.
         """
         store.schema_version_source = self._current_version
         for type_name in self.catalog.names():
@@ -247,13 +249,10 @@ class SchemaMigrationManager:
             lambda payload: payload
         )
         self.migrations_applied += 1
-        # The log's interpretation just changed: rollup checkpoints on
-        # attached stores froze states folded under the old upcast chain
-        # and must not shortcut the post-migration rebuild.
+        # The log's interpretation just changed: every fold an attached
+        # store froze under the old upcast chain must go.
         for store in self._attached_stores:
-            manager = getattr(store, "checkpoints", None)
-            if manager is not None:
-                manager.invalidate()
+            store.reinterpret()
         return plan
 
     def upcast_payload(

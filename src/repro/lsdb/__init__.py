@@ -11,22 +11,30 @@ Public surface:
 * :class:`LSDBStore` — the facade replicas run on.
 * :class:`LogEvent` / :class:`EventKind` — the storage records.
 * :class:`AppendOnlyLog`, :class:`Rollup`, :class:`EntityState`,
-  :class:`SnapshotManager`, :class:`SecondaryIndex`,
-  :class:`Compactor` / :class:`Archive` — the constituent mechanisms,
-  exposed for tests and experiments.
+  :class:`CheckpointManager` / :class:`Checkpoint` (the one frozen
+  fold: recovery, bootstrap and time travel start from it),
+  :class:`SecondaryIndex`, :class:`Compactor` / :class:`Archive` — the
+  constituent mechanisms, exposed for tests and experiments.
 """
 
+from repro.lsdb.checkpoint import (
+    Checkpoint,
+    CheckpointManager,
+    CheckpointPolicy,
+)
 from repro.lsdb.compaction import Archive, CompactionReport, Compactor
 from repro.lsdb.events import EventKind, LogEvent
 from repro.lsdb.index import SecondaryIndex
 from repro.lsdb.log import AppendOnlyLog
 from repro.lsdb.readcache import HotSetTracker, ReadCache, WriteCoalescer
 from repro.lsdb.rollup import EntityState, GenericReducer, Reducer, Rollup
-from repro.lsdb.snapshot import Snapshot, SnapshotManager
 from repro.lsdb.store import LSDBStore
 
 __all__ = [
     "Archive",
+    "Checkpoint",
+    "CheckpointManager",
+    "CheckpointPolicy",
     "CompactionReport",
     "Compactor",
     "EventKind",
@@ -40,7 +48,5 @@ __all__ = [
     "GenericReducer",
     "Reducer",
     "Rollup",
-    "Snapshot",
-    "SnapshotManager",
     "LSDBStore",
 ]

@@ -27,10 +27,17 @@ restored cache is byte-identical to the one that was never torn down
 (including audit counters like ``event_count``), an invariant the test
 suite pins.
 
+The checkpoint is also where time travel starts:
+:meth:`~repro.lsdb.store.LSDBStore.state_as_of` folds the log between
+the checkpoint and the target LSN over it (and folds from scratch below
+it).  It is the store's one frozen fold.
+
 Invalidation is the half that makes this safe.  A checkpoint caches an
 *interpretation* of the log, so anything that changes the interpretation
-must discard it: installing a new reducer, applying a schema migration,
-and compaction (which rewrites the prefix under the checkpoint) all call
+must discard it: installing a new reducer or applying a schema migration
+goes through :meth:`~repro.lsdb.store.LSDBStore.reinterpret`, and
+compaction (which rewrites the prefix under the checkpoint) calls
+:meth:`CheckpointManager.on_compaction`; both end in
 :meth:`CheckpointManager.invalidate`.  Compaction immediately re-takes a
 fresh checkpoint when the policy asks for it, preserving the invariant
 that a live checkpoint never predates the compaction boundary.

@@ -70,7 +70,7 @@ class AppendOnlyLog:
     * :meth:`subscribe_columnar` — ``(on_row, on_batch)`` pairs that
       read columns directly; the store's incremental cache lives here.
     * :meth:`subscribe_counts` — append-count callbacks for consumers
-      that only meter volume (checkpoint/snapshot cadence).
+      that only meter volume (checkpoint cadence).
 
     Args:
         name: Diagnostic name (usually the owning serialization unit).

@@ -43,7 +43,7 @@ class EntityState:
 
     Slotted like :class:`~repro.lsdb.events.LogEvent`: one instance
     lives in the incremental cache per entity, and copies of all of
-    them live in every snapshot and rollup checkpoint, so the instance
+    them live in every rollup checkpoint, so the instance
     dict was pure overhead.
 
     Attributes:
@@ -142,7 +142,7 @@ class GenericReducer:
 
     def apply(self, state: Optional[EntityState], event: LogEvent) -> EntityState:
         """Copying fold: the input state is left untouched (used where
-        states are shared — snapshots, time-travel reads)."""
+        states are shared — checkpoints, time-travel reads)."""
         return self.fold(state.copy() if state is not None else None, event)
 
     def fold(self, state: Optional[EntityState], event: LogEvent) -> EntityState:
@@ -409,7 +409,7 @@ class Rollup:
         """Fold ``events`` (in the given order) over ``initial``.
 
         The initial map is not mutated; entity states are copied on
-        first touch so snapshots can be shared safely.  Entities *not*
+        first touch so a frozen checkpoint can be shared safely.  Entities *not*
         touched by ``events`` remain shared with ``initial`` (exactly as
         before: ``dict(initial)`` shares values) unless
         ``copy_untouched=True``, which yields a fully isolated result

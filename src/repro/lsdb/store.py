@@ -6,7 +6,7 @@ ties together the pieces of paper section 3.1:
 * every write is an event appended to an :class:`AppendOnlyLog`;
 * the application-visible "current state" is a rollup aggregation of the
   log (kept incrementally on the append path, recomputable from scratch
-  or from snapshots for time-travel reads);
+  or from the rollup checkpoint for time-travel reads);
 * secondary indexes are maintained asynchronously;
 * compaction summarises old events into an archive;
 * remote events are applied idempotently (per-origin sequence numbers)
@@ -35,7 +35,6 @@ from repro.lsdb.events import EventKind, LogEvent
 from repro.lsdb.index import SecondaryIndex
 from repro.lsdb.log import AppendOnlyLog
 from repro.lsdb.rollup import EntityState, Reducer, Rollup, StateMap
-from repro.lsdb.snapshot import SnapshotManager
 from repro.merge.clock import VersionVector
 from repro.merge.deltas import Delta
 
@@ -48,8 +47,6 @@ class LSDBStore(ReadSurface):
         origin: Replica id stamped on locally originated events.
         clock: Zero-argument callable returning the current (virtual)
             time; defaults to a constant 0.0 for clock-free unit tests.
-        snapshot_interval: If non-zero, take a rollup snapshot every N
-            appends (accelerates :meth:`state_as_of`).
         tracer: Optional :class:`repro.obs.Tracer`.  When set, local
             appends open ``store.append`` spans (stamped onto the event,
             so the span travels with it through replication) and remote
@@ -72,7 +69,6 @@ class LSDBStore(ReadSurface):
         name: str = "store",
         origin: str = "local",
         clock: Optional[Callable[[], float]] = None,
-        snapshot_interval: int = 0,
         tracer=None,
         metrics=None,
     ):
@@ -83,7 +79,6 @@ class LSDBStore(ReadSurface):
         self.rollup = Rollup()
         self._states: StateMap = {}
         self.log.subscribe_columnar(self._on_append_row, self._on_append_batch)
-        self.snapshots = SnapshotManager(self.log, self.rollup, snapshot_interval)
         self.archive = Archive()
         self.compactor = Compactor(self.log, self.rollup, self.archive)
         self.version_vector = VersionVector()
@@ -149,26 +144,39 @@ class LSDBStore(ReadSurface):
         """Install a domain-specific reducer for ``entity_type``.
 
         Must be called before events of that type are appended; the
-        incremental cache folds each event exactly once.  Any existing
-        checkpoint is invalidated: it froze states folded under the old
-        reducer, and restoring it would keep the old interpretation.
+        incremental cache folds each event exactly once.  A new reducer
+        changes what the log means, so it goes through
+        :meth:`reinterpret`.
         """
         self.rollup.register(entity_type, reducer)
+        self.reinterpret()
+
+    def reinterpret(self) -> None:
+        """The log now means something else (a new reducer, a schema
+        migration): drop every fold frozen under the old meaning.
+
+        The checkpoint and the read cache are discarded — restoring or
+        serving either would keep the old reading of history — and every
+        secondary index is reset, so its next refresh re-folds from LSN 0
+        (its lag shows the work still owed).  The incremental state map
+        itself re-folds on the caller's :meth:`rebuild_cache`, which also
+        drops any cache entry filled in between.
+        """
         if self.checkpoints is not None:
             self.checkpoints.invalidate()
         if self.read_cache is not None:
-            # Same reasoning as the checkpoint: cached folds froze the
-            # old interpretation of the events below their watermarks.
-            self.read_cache.invalidate_all("reducer")
+            self.read_cache.invalidate_all("reinterpret")
+        for index in self._indexes.values():
+            index.reset()
 
     def enable_checkpoints(
         self, policy: Optional[CheckpointPolicy] = None
     ) -> CheckpointManager:
         """Arm rollup checkpointing (see :mod:`repro.lsdb.checkpoint`).
 
-        Once armed, :meth:`rebuild_cache` and :meth:`recover` restore
-        from the latest checkpoint plus ``events_since(checkpoint.lsn)``
-        — O(delta since the checkpoint) instead of O(log).
+        Once armed, :meth:`rebuild_cache`, :meth:`recover` and
+        :meth:`state_as_of` start from the latest checkpoint plus the
+        log after it — O(delta since the checkpoint) instead of O(log).
         """
         if self.checkpoints is None:
             self.checkpoints = CheckpointManager(self, policy)
@@ -185,8 +193,9 @@ class LSDBStore(ReadSurface):
         entry's watermark can match the post-compaction head while its
         frozen fold is the *pre*-compaction one — the log's
         structure-change subscription drops every entry whenever that
-        can happen.  :meth:`install_checkpoint`, :meth:`recover` and
-        :meth:`register_reducer` invalidate likewise.
+        can happen.  Replacing the state map (:meth:`rebuild_cache`,
+        :meth:`recover`, :meth:`install_checkpoint`) and
+        :meth:`reinterpret` invalidate likewise.
         """
         self.read_cache = cache
         self.log.subscribe_structure(cache.on_structure_change)
@@ -783,9 +792,24 @@ class LSDBStore(ReadSurface):
         ]
 
     def state_as_of(self, lsn: int) -> StateMap:
-        """Time-travel read: the rolled-up state at a historic LSN,
-        served from snapshots plus suffix replay."""
-        return self.snapshots.state_at(lsn)
+        """Time-travel read: the rolled-up state at a historic LSN.
+
+        Starts from the latest checkpoint at or below ``lsn`` and folds
+        the log between the two over it; with no usable checkpoint (none
+        armed or taken, or ``lsn`` below the one kept) it folds
+        ``log.up_to(lsn)`` from scratch.  The result shares nothing with
+        the checkpoint, so callers may mutate it.
+        """
+        checkpoint = (
+            self.checkpoints.latest() if self.checkpoints is not None else None
+        )
+        if checkpoint is None or checkpoint.lsn > lsn:
+            return self.rollup.fold(self.log.up_to(lsn))
+        return self.rollup.fold(
+            self.log.between(checkpoint.lsn, lsn),
+            initial=checkpoint.states,
+            copy_untouched=True,
+        )
 
     def rebuild_cache(self, *, full: bool = False) -> int:
         """Rebuild the incremental state cache.
@@ -799,10 +823,10 @@ class LSDBStore(ReadSurface):
         The full path is what a changed *interpretation* needs — e.g. a
         schema migration installed a new upcast chain
         (:class:`repro.core.migration.MigratingReducer`): events already
-        folded under the old schema re-fold under the new one.  Both
-        :meth:`register_reducer` and migrations invalidate checkpoints,
-        so a plain ``rebuild_cache()`` after either automatically falls
-        back to the full replay.
+        folded under the old schema re-fold under the new one.
+        :meth:`reinterpret` drops the checkpoint, so a plain
+        ``rebuild_cache()`` after a new reducer or a migration
+        automatically falls back to the full replay.
 
         Returns:
             The number of events (re-)folded.
@@ -815,11 +839,18 @@ class LSDBStore(ReadSurface):
     def _restore_states(self, checkpoint: Optional[Checkpoint]) -> int:
         """Install a checkpoint's state map (``None``: an empty one) and
         fold the live log after it over it.  Returns the number of
-        events folded."""
+        events folded.
+
+        The read cache is dropped: its entries froze folds of the map
+        being replaced, and a watermark still equal to the head would
+        keep serving them.
+        """
         if self.coalescer is not None:
             # Pending rows are already in the log and the replay re-folds
             # them, so folding the queue first would be redundant work.
             self.coalescer.discard()
+        if self.read_cache is not None:
+            self.read_cache.invalidate_all("restore")
         if checkpoint is None:
             self._states, self._type_refs, lsn = {}, {}, 0
         else:
@@ -849,10 +880,6 @@ class LSDBStore(ReadSurface):
         """
         self._reorder_buffer = {}
         self._update_reorder_gauge()
-        if self.read_cache is not None:
-            # A restart loses the cache along with every other derived
-            # structure; refills re-watermark against the rebuilt state.
-            self.read_cache.invalidate_all("recover")
         checkpoint = (
             self.checkpoints.latest() if self.checkpoints is not None else None
         )
@@ -891,18 +918,10 @@ class LSDBStore(ReadSurface):
                 f"store {self.name!r} is not empty; install_checkpoint "
                 "is a bootstrap-only operation"
             )
-        if self.read_cache is not None:
-            # An empty store can still have cached negative entries
-            # (absent entities at watermark 0) that the installed states
-            # contradict — a bootstrap resets the cache with the rest.
-            self.read_cache.invalidate_all("install_checkpoint")
-        self._states = {
-            ref: state.copy() for ref, state in checkpoint.states.items()
-        }
-        self._type_refs = {
-            entity_type: list(refs)
-            for entity_type, refs in checkpoint.type_refs.items()
-        }
+        # The log is empty, so the restore folds nothing after the
+        # installed map; it also drops cached negative entries (absent
+        # entities at watermark 0) that the installed states contradict.
+        self._restore_states(checkpoint)
         self.version_vector = VersionVector(dict(checkpoint.version_vector))
         # If this node's id appears in the donor's watermarks (a rejoin
         # under the same name), continue the sequence rather than reuse it.

@@ -21,6 +21,7 @@ Enable both through the cluster facade
 """
 
 from repro.obs.metrics import (
+    AvailabilityProbe,
     Counter,
     Gauge,
     Histogram,
@@ -37,6 +38,7 @@ from repro.obs.export import (
 )
 
 __all__ = [
+    "AvailabilityProbe",
     "Counter",
     "Gauge",
     "Histogram",

@@ -1,4 +1,5 @@
-"""Counters, gauges and histograms — the measurement substrate.
+"""Counters, gauges, histograms and availability probes — the
+measurement substrate.
 
 The paper's principles are claims about *observable* inconsistency:
 staleness windows (2.3), apology rates (2.9), replication lag and
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 #: A metric's identity: name plus sorted label pairs.
@@ -32,8 +34,8 @@ def percentile_of(sorted_samples: Sequence[float], pct: float) -> float:
     """Nearest-rank percentile over pre-sorted samples (0 when empty).
 
     This is the single percentile implementation in the library —
-    :class:`Histogram` delegates to it, and
-    :class:`repro.bench.metrics.LatencyRecorder` is a histogram.
+    :class:`Histogram` delegates to it, and the experiments record their
+    latencies into unlabelled histograms.
     """
     if not sorted_samples:
         return 0.0
@@ -149,6 +151,44 @@ class Histogram:
             "p95": self.percentile(95),
             "p99": self.percentile(99),
         }
+
+
+@dataclass
+class AvailabilityProbe:
+    """Success/failure accounting for an operation stream.
+
+    ``attempted``/``succeeded`` counters, with a separate window for
+    operations issued during a failure (partition/crash), so a report
+    can state availability *during* the failure — the CAP measurement
+    of experiment E1.
+    """
+
+    attempted: int = 0
+    succeeded: int = 0
+    attempted_during_failure: int = 0
+    succeeded_during_failure: int = 0
+
+    def record(self, ok: bool, during_failure: bool = False) -> None:
+        """Count one operation outcome."""
+        self.attempted += 1
+        if ok:
+            self.succeeded += 1
+        if during_failure:
+            self.attempted_during_failure += 1
+            if ok:
+                self.succeeded_during_failure += 1
+
+    @property
+    def availability(self) -> float:
+        """Overall success fraction."""
+        return self.succeeded / self.attempted if self.attempted else 1.0
+
+    @property
+    def availability_during_failure(self) -> float:
+        """Success fraction among operations issued during the failure."""
+        if not self.attempted_during_failure:
+            return 1.0
+        return self.succeeded_during_failure / self.attempted_during_failure
 
 
 class MetricsRegistry:

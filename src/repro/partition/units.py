@@ -33,7 +33,6 @@ class SerializationUnit:
         local_commit_cost: Virtual time one local commit occupies the
             unit's log (serialization: commits on one unit do not
             overlap).  Used by throughput experiments.
-        snapshot_interval: Forwarded to the store.
     """
 
     def __init__(
@@ -41,7 +40,6 @@ class SerializationUnit:
         name: str,
         sim: Optional[Simulator] = None,
         local_commit_cost: float = 1.0,
-        snapshot_interval: int = 0,
     ):
         self.name = name
         self.sim = sim
@@ -51,7 +49,6 @@ class SerializationUnit:
             name=name,
             origin=name,
             clock=clock,
-            snapshot_interval=snapshot_interval,
             tracer=sim.tracer if sim else None,
             metrics=sim.metrics if sim else None,
         )

@@ -45,7 +45,6 @@ class ReplicaNode(Node):
     Args:
         node_id: Network id, also the store's origin id.
         sim: Simulator providing the store's clock.
-        snapshot_interval: Forwarded to the store.
         batching: Frame policy for outgoing event shipments; defaults
             to the degenerate one-event-per-frame policy.
     """
@@ -54,7 +53,6 @@ class ReplicaNode(Node):
         self,
         node_id: str,
         sim: Simulator,
-        snapshot_interval: int = 0,
         batching: Optional[BatchPolicy] = None,
     ):
         super().__init__(node_id)
@@ -65,7 +63,6 @@ class ReplicaNode(Node):
             name=node_id,
             origin=node_id,
             clock=lambda: sim.now,
-            snapshot_interval=snapshot_interval,
             tracer=sim.tracer,
             metrics=sim.metrics,
         )

@@ -1,10 +1,9 @@
-"""Tests for benchmark workloads, metrics and reporting."""
+"""Tests for benchmark workloads, the availability probe and reporting."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.metrics import AvailabilityProbe, LatencyRecorder
 from repro.bench.report import ExperimentReport, format_cell, format_table
 from repro.bench.workloads import (
     KeyChooser,
@@ -12,36 +11,8 @@ from repro.bench.workloads import (
     open_loop_arrivals,
     shuffled_within_window,
 )
+from repro.obs.metrics import AvailabilityProbe
 from repro.sim.rng import SeededRNG
-
-
-class TestLatencyRecorder:
-    def test_percentiles(self):
-        recorder = LatencyRecorder()
-        for value in range(1, 101):
-            recorder.record(float(value))
-        assert recorder.p50 == 50.0
-        assert recorder.p99 == 99.0
-        assert recorder.percentile(100) == 100.0
-        assert recorder.maximum == 100.0
-
-    def test_empty_recorder_is_zeroes(self):
-        recorder = LatencyRecorder()
-        assert recorder.mean == 0.0
-        assert recorder.p99 == 0.0
-
-    def test_invalid_percentile(self):
-        recorder = LatencyRecorder()
-        recorder.record(1.0)
-        with pytest.raises(ValueError):
-            recorder.percentile(101)
-
-    def test_summary_keys(self):
-        recorder = LatencyRecorder()
-        recorder.record(2.0)
-        assert set(recorder.summary()) == {
-            "count", "mean", "p50", "p95", "p99", "max"
-        }
 
 
 class TestProbesAndWindows:

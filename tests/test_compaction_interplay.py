@@ -1,12 +1,13 @@
-"""Compaction interplay: indexes, snapshots, warehouse extracts.
+"""Compaction interplay: indexes, checkpoints, warehouse extracts.
 
 Summarization rewrites the log prefix; every consumer that reads the
-log by LSN (asynchronous indexes, snapshot replay, incremental
+log by LSN (asynchronous indexes, checkpoint replay, incremental
 extracts) must stay correct across a rewrite.  These tests pin that.
 """
 
 from __future__ import annotations
 
+from repro.lsdb.checkpoint import CheckpointPolicy
 from repro.lsdb.store import LSDBStore
 from repro.merge.deltas import Delta
 from repro.replication.warehouse import WarehouseExtract
@@ -50,7 +51,8 @@ class TestIndexAcrossCompaction:
 
 class TestSnapshotsAcrossCompaction:
     def test_head_read_correct_after_compaction(self):
-        store = LSDBStore(snapshot_interval=5)
+        store = LSDBStore()
+        store.enable_checkpoints(CheckpointPolicy(every_events=5))
         store.insert("acct", "a", {"bal": 0})
         for _ in range(20):
             store.apply_delta("acct", "a", Delta.add("bal", 1))

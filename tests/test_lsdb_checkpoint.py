@@ -32,6 +32,31 @@ def populated_store(events: int = 60, **store_kwargs) -> LSDBStore:
     return store
 
 
+def time_travel_store() -> LSDBStore:
+    """Eleven appends under a checkpoint every four: the one kept is at
+    LSN 8, and ``b`` is untouched after it."""
+    store = LSDBStore()
+    store.enable_checkpoints(CheckpointPolicy(every_events=4))
+    store.insert("acct", "a", {"bal": 0})
+    store.insert("acct", "b", {"bal": 100})
+    for _ in range(9):
+        store.apply_delta("acct", "a", Delta.add("bal", 1))
+    return store
+
+
+def folded_lengths(store: LSDBStore) -> list[int]:
+    """Record how many events each ``store.rollup.fold`` call is given."""
+    lengths: list[int] = []
+    fold = store.rollup.fold
+
+    def counting(events, *args, **kwargs):
+        lengths.append(len(events))
+        return fold(events, *args, **kwargs)
+
+    store.rollup.fold = counting
+    return lengths
+
+
 class TestPolicyTriggers:
     def test_every_events_takes_checkpoints(self):
         store = LSDBStore()
@@ -102,6 +127,43 @@ class TestRecovery:
         assert index.lookup("platinum") == {"a"}
         assert index.lookup("gold") == set()
 
+    def test_state_as_of_head_replays_only_after_the_checkpoint(self):
+        store = time_travel_store()
+        assert store.checkpoints.latest().lsn == 8
+        lengths = folded_lengths(store)
+        states = store.state_as_of(store.log.head_lsn)
+        assert lengths == [3]
+        assert states[("acct", "a")].fields["bal"] == 9
+        assert states == store.current_state()
+
+    def test_state_as_of_below_the_checkpoint_folds_from_scratch(self):
+        store = time_travel_store()
+        lengths = folded_lengths(store)
+        assert store.state_as_of(4)[("acct", "a")].fields["bal"] == 2
+        assert lengths == [4]
+
+    def test_state_as_of_historic_lsn_without_checkpoints(self):
+        store = populated_store(10)
+        assert store.state_as_of(4)[("acct", "b")].fields["bal"] == 1
+
+    def test_state_as_of_zero_is_empty(self):
+        assert time_travel_store().state_as_of(0) == {}
+
+    def test_state_as_of_shares_nothing_with_the_checkpoint(self):
+        store = time_travel_store()
+        checkpoint = store.checkpoints.latest()
+        frozen = {ref: state.copy() for ref, state in checkpoint.states.items()}
+        head = store.state_as_of(store.log.head_lsn)
+        at_checkpoint = store.state_as_of(checkpoint.lsn)
+        for states in (head, at_checkpoint):
+            for state in states.values():  # touched and untouched alike
+                state.fields["bal"] = -1
+        store.apply_delta("acct", "b", Delta.add("bal", 10))
+        assert store.state_as_of(store.log.head_lsn)[("acct", "b")].fields[
+            "bal"
+        ] == 110
+        assert checkpoint.states == frozen
+
 
 class TestInvalidation:
     def test_new_reducer_discards_the_checkpoint(self):
@@ -154,6 +216,47 @@ class TestInvalidation:
         manager.take()
         store.compact(keep_recent=5)
         assert manager.latest() is None
+
+    @pytest.mark.parametrize("retake", [True, False])
+    def test_state_as_of_head_after_compaction(self, retake):
+        store = LSDBStore()
+        store.enable_checkpoints(
+            CheckpointPolicy(every_events=5, on_compaction=retake)
+        )
+        store.insert("acct", "a", {"bal": 0})
+        for _ in range(20):
+            store.apply_delta("acct", "a", Delta.add("bal", 1))
+        store.compact(keep_recent=3)
+        states = store.state_as_of(store.log.head_lsn)
+        assert states[("acct", "a")].fields["bal"] == 20
+
+    def test_state_as_of_head_after_migration(self):
+        catalog = EntityCatalog()
+        catalog.register(
+            EntityType.define("order", [FieldSpec("total", "int", required=True)])
+        )
+        migrations = SchemaMigrationManager(catalog)
+        store = LSDBStore()
+        migrations.attach_store(store)
+        store.enable_checkpoints(CheckpointPolicy(every_events=1))
+        store.insert("order", "o1", {"total": 9})
+        assert store.checkpoints.latest().lsn == store.log.head_lsn
+        migrations.apply(
+            EntityType.define(
+                "order",
+                [FieldSpec("total", "int", required=True),
+                 FieldSpec("currency", "str")],
+                schema_version=2,
+            ),
+            upcast=lambda payload: {**payload, "currency": "EUR"},
+        )
+        expected = {"total": 9, "currency": "EUR"}
+        ref = ("order", "o1")
+        assert store.state_as_of(store.log.head_lsn)[ref].fields == expected
+        store.rebuild_cache()
+        store.insert("order", "o2", {"total": 1})  # re-checkpoints the head
+        assert store.checkpoints.latest().lsn == store.log.head_lsn
+        assert store.state_as_of(store.log.head_lsn)[ref].fields == expected
 
 
 class TestInstallCheckpoint:

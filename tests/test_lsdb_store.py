@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import EntityNotFound
+from repro.lsdb.checkpoint import CheckpointPolicy
 from repro.lsdb.events import EventKind, LogEvent
 from repro.lsdb.store import LSDBStore
 from repro.merge.deltas import Delta
@@ -131,7 +132,8 @@ class TestReads:
         assert fresh[("acct", "a")].fields == store.get("acct", "a").fields
 
     def test_state_as_of_time_travel(self):
-        store = LSDBStore(snapshot_interval=2)
+        store = LSDBStore()
+        store.enable_checkpoints(CheckpointPolicy(every_events=2))
         store.insert("acct", "a", {"bal": 0})
         store.apply_delta("acct", "a", Delta.add("bal", 10))
         store.apply_delta("acct", "a", Delta.add("bal", 10))

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro import Cluster
-from repro.bench.metrics import LatencyRecorder
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -57,6 +56,25 @@ class TestInstruments:
         assert snapshot["p50"] == 20.0
         assert snapshot["max"] == 40.0
 
+    def test_empty_histogram_is_zeroes(self):
+        histogram = Histogram("latency", {})
+        assert histogram.mean == 0.0
+        assert histogram.maximum == 0.0
+        assert histogram.percentile(99) == 0.0
+
+    def test_histogram_matches_shared_percentile_math(self):
+        for samples in ([5.0, 1.0, 4.0, 2.0, 3.0], range(100, 0, -1)):
+            histogram = Histogram("latency", {})
+            for value in samples:
+                histogram.record(float(value))
+            for pct in (0, 25, 50, 75, 95, 99, 100):
+                expected = percentile_of(sorted(map(float, samples)), pct)
+                assert histogram.percentile(pct) == expected
+        # Nearest rank over 1..100: the p-th percentile is p itself.
+        assert [histogram.percentile(p) for p in (50, 95, 99)] == [50, 95, 99]
+        with pytest.raises(ValueError):
+            histogram.percentile(101)
+
 
 class TestRegistry:
     def test_get_or_create_identity(self):
@@ -105,50 +123,3 @@ class TestDeterminism:
         payload = _seeded_run_report_json(42)
         assert '"net.sent"' in payload
         assert '"store.appends"' in payload
-
-
-class TestLatencyRecorder:
-    def test_p95_exposed(self):
-        recorder = LatencyRecorder()
-        for value in range(1, 101):
-            recorder.record(float(value))
-        assert recorder.p50 == 50.0
-        assert recorder.p95 == 95.0
-        assert recorder.p99 == 99.0
-        assert set(recorder.summary()) == {
-            "count", "mean", "p50", "p95", "p99", "max"
-        }
-
-    def test_matches_shared_percentile_math(self):
-        samples = [5.0, 1.0, 4.0, 2.0, 3.0]
-        recorder = LatencyRecorder()
-        for value in samples:
-            recorder.record(value)
-        for pct in (0, 25, 50, 75, 95, 99, 100):
-            assert recorder.percentile(pct) == percentile_of(sorted(samples), pct)
-
-    def test_merge_in_place(self):
-        left, right = LatencyRecorder(), LatencyRecorder()
-        left.record(1.0)
-        right.record(3.0)
-        left.merge(right)
-        assert left.count == 2
-        assert left.maximum == 3.0
-
-    def test_merged_classmethod(self):
-        recorders = []
-        for base in (0, 10, 20):
-            recorder = LatencyRecorder(name=f"node-{base}")
-            for offset in range(1, 4):
-                recorder.record(float(base + offset))
-            recorders.append(recorder)
-        combined = LatencyRecorder.merged(recorders)
-        assert combined.count == 9
-        assert combined.maximum == 23.0
-        assert combined.percentile(100) == 23.0
-        # Merging is sample-level, so percentiles equal those of the
-        # flat sample list (merging summaries could not promise that).
-        flat = sorted(
-            value for r in recorders for value in r._samples
-        )
-        assert combined.p50 == percentile_of(flat, 50)

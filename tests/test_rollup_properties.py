@@ -104,7 +104,7 @@ def test_mixed_event_rollup_is_order_independent(
 @given(events=delta_events())
 def test_rollup_applied_twice_from_initial_equals_direct(events):
     """Folding a prefix then the suffix equals folding everything —
-    the snapshot+replay identity the SnapshotManager relies on."""
+    the checkpoint+replay identity ``LSDBStore.state_as_of`` relies on."""
     rollup = Rollup()
     split = len(events) // 2
     prefix = rollup.fold(events[:split])

@@ -24,6 +24,7 @@ The clusters are built the way the end-to-end ladder builds them.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import pytest
@@ -160,12 +161,19 @@ def python_calls(operation) -> list[str]:
             code = frame.f_code
             calls.append(f"{code.co_filename.rsplit('/', 1)[-1]}:{code.co_name}")
 
+    # An automatic collection inside the measured region would run
+    # other code's ``gc.callbacks`` (hypothesis registers one) and count
+    # their calls against the operation.
+    collecting = gc.isenabled()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(profiler)
     try:
         operation()
     finally:
         sys.setprofile(previous)
+        if collecting:
+            gc.enable()
     return calls
 
 
