@@ -49,8 +49,8 @@ from repro.lsdb.events import EventKind, LogEvent  # noqa: E402
 from repro.lsdb.store import LSDBStore  # noqa: E402
 from repro.merge.deltas import Delta  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
-from repro.replication.asynchronous import AsyncPrimaryBackup  # noqa: E402
 from repro.replication.batching import BatchPolicy  # noqa: E402
+from repro.replication.master_slave import MasterSlaveGroup  # noqa: E402
 from repro.replication.replica import ReplicaNode  # noqa: E402
 from repro.sim.network import Network  # noqa: E402
 from repro.sim.rng import SeededRNG  # noqa: E402
@@ -148,9 +148,11 @@ def bench_lag(duration: float) -> dict[str, float]:
     for max_batch in (None, 64):
         sim = Simulator(seed=11)
         network = Network(sim, latency=2.0)
-        pair = AsyncPrimaryBackup(
+        pair = MasterSlaveGroup(
             sim,
             network,
+            "primary",
+            ["backup"],
             ship_interval=5.0,
             batching=BatchPolicy(max_batch=max_batch),
         )
@@ -293,9 +295,11 @@ def determinism_signature(seed: int = 23) -> dict[str, Any]:
     network = Network(
         sim, latency=2.0, loss_probability=0.05, duplication_probability=0.02
     )
-    pair = AsyncPrimaryBackup(
+    pair = MasterSlaveGroup(
         sim,
         network,
+        "primary",
+        ["backup"],
         ship_interval=5.0,
         batching=BatchPolicy(max_batch=64, flush_interval=2.0),
     )
@@ -317,8 +321,8 @@ def determinism_signature(seed: int = 23) -> dict[str, Any]:
         "delivered": stats.delivered,
         "dropped_loss": stats.dropped_loss,
         "duplicated": stats.duplicated,
-        "primary_head": pair.primary.store.log.head_lsn,
-        "backup_vv": pair.backup.store.version_vector.to_dict(),
+        "primary_head": pair.master.store.log.head_lsn,
+        "backup_vv": pair.slaves["backup"].store.version_vector.to_dict(),
         "lag": pair.replication_lag_events,
     }
 

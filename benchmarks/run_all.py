@@ -42,20 +42,21 @@ def traced_demo(trace_out: str = "") -> None:
     cluster = (
         Cluster.build(seed=7)
         .with_network(latency=5.0)
-        .with_replicas(2, mode="async", ship_interval=10.0)
+        .with_replicas(2, mode="master_slave", ship_interval=10.0)
         .with_batching(max_batch=64)
         .with_tracing()
         .create()
     )
-    # The backup maintains an asynchronously refreshed secondary index
+    # The slave maintains an asynchronously refreshed secondary index
     # (principle 2.3): its refresh spans chain onto the remote apply.
-    index = cluster.replication.backup.store.register_index("order", "status")
+    (slave,) = cluster.replication.slaves.values()
+    index = slave.store.register_index("order", "status")
     cluster.sim.schedule_at(30.0, index.refresh, label="index-refresh")
     cluster.replication.write_insert("order", "o-1", {"total": 9, "status": "new"})
     cluster.sim.run(until=40.0)
 
-    print("\n== Traced demo write (async primary/backup) ==")
-    print("one insert at the primary; every hop of its journey below is a")
+    print("\n== Traced demo write (master with one slave) ==")
+    print("one insert at the master; every hop of its journey below is a")
     print("span in one causal trace, timed in virtual time:\n")
     print(cluster.timeline())
     print("\nmetrics registry after the run:")

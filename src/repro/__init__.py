@@ -16,9 +16,10 @@ business systems.  This library builds the system their paper envisions:
 * **constraints as managed exceptions**, **tentative operations and
   apologies**, and a **single end-to-end conflict mechanism**
   (:mod:`repro.core`);
-* the full **replication spectrum** — async/sync backup, active/active
-  with anti-entropy, quorum, master/slave, warehouse extract
-  (:mod:`repro.replication`);
+* the full **replication spectrum** — master/slave (the paper's
+  "asynchronous commits to backups"; a primary/backup pair is a group
+  with one slave), sync backup, active/active with anti-entropy,
+  quorum, warehouse extract (:mod:`repro.replication`);
 * everything running on a deterministic **discrete-event simulator**
   (:mod:`repro.sim`).
 

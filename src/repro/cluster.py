@@ -12,7 +12,7 @@ benchmark and test.  The builder collapses that to declarations::
     cluster = (
         Cluster.build(seed=7)
         .with_network(latency=5.0)
-        .with_replicas(2, mode="async", ship_interval=10.0)
+        .with_replicas(2, ship_interval=10.0)
         .with_tracing()
         .create()
     )
@@ -49,7 +49,6 @@ from repro.partition.router import DynamicDirectory
 from repro.partition.units import SerializationUnit
 from repro.queues.reliable import ReliableQueue
 from repro.replication.active_active import ActiveActiveGroup
-from repro.replication.asynchronous import AsyncPrimaryBackup
 from repro.replication.batching import BatchPolicy
 from repro.replication.master_slave import MasterSlaveGroup
 from repro.replication.quorum import QuorumGroup
@@ -59,7 +58,7 @@ from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
 
 #: Replication modes ``with_replicas`` understands.
-REPLICATION_MODES = ("async", "sync", "active_active", "master_slave", "quorum")
+REPLICATION_MODES = ("master_slave", "sync", "active_active", "quorum")
 
 
 class Cluster:
@@ -75,8 +74,8 @@ class Cluster:
         tracer: The shared tracer (``None`` unless ``with_tracing``).
         metrics: The shared registry (``None`` unless ``with_tracing``).
         replication: The replication scheme object, as built by its own
-            constructor (:class:`AsyncPrimaryBackup`,
-            :class:`MasterSlaveGroup`, ...).
+            constructor (:class:`MasterSlaveGroup`,
+            :class:`SyncPrimaryBackup`, ...).
         store: The primary application store: the standalone store if
             one was requested, else the scheme's primary/master store.
         queue: The reliable queue, if requested.
@@ -355,17 +354,17 @@ class ClusterBuilder:
         return self
 
     def with_replicas(
-        self, count: int, mode: str = "async", **options: Any
+        self, count: int, mode: str = "master_slave", **options: Any
     ) -> "ClusterBuilder":
         """Add a replication scheme over ``count`` replicas.
 
         Args:
             count: Number of replicas (including the primary/master).
-            mode: One of :data:`REPLICATION_MODES`.  ``"async"`` builds
-                an :class:`AsyncPrimaryBackup` pair for ``count == 2``
-                and generalises to a :class:`MasterSlaveGroup` (same
-                asynchronous shipping, one master, many backups) for
-                larger counts.
+            mode: One of :data:`REPLICATION_MODES`.  The default
+                ``"master_slave"`` builds a :class:`MasterSlaveGroup`
+                (asynchronous log shipping from one master to
+                ``count - 1`` slaves); ``count == 2`` is the classic
+                primary/backup pair.
             **options: Forwarded to the scheme constructor
                 (``ship_interval``, ``anti_entropy_interval``,
                 ``write_quorum``, ...).
@@ -570,8 +569,8 @@ class ClusterBuilder:
         """Set the cluster-wide wire-batching policy for the data plane.
 
         Applies to every asynchronous event feed the builder creates —
-        async primary/backup, master/slave shipping, active/active
-        eager propagation — and bounds the warehouse feed's per-round
+        master/slave shipping, geo shard shipping, active/active eager
+        propagation — and bounds the warehouse feed's per-round
         fold to ``max_batch`` events.  Synchronous and quorum schemes
         are unaffected: their replication unit is the transaction, and
         each transaction already ships as one frame.
@@ -954,22 +953,13 @@ class ClusterBuilder:
                 options.setdefault("timeout", self._timeout_policy)
         else:
             # Wire batching covers the asynchronous feeds; sync/quorum
-            # ship per-transaction frames regardless.  The builder is a
-            # facade, so it supplies the modern default (an unbatched
-            # BatchPolicy) when neither with_batching nor an explicit
-            # option chose one — scheme constructors themselves now
-            # reject ship_interval without a frame policy.
-            options.setdefault(
-                "batching",
-                self._batching if self._batching is not None else BatchPolicy(),
-            )
-        if mode == "async" and count == 2:
-            return AsyncPrimaryBackup(sim, network, **options)
+            # ship per-transaction frames regardless.
+            options.setdefault("batching", self._batching)
         if mode == "sync":
             if count != 2:
                 raise ValueError("sync replication is a primary/backup pair")
             return SyncPrimaryBackup(sim, network, **options)
-        if mode in ("async", "master_slave"):
+        if mode == "master_slave":
             slave_ids = [f"slave-{i}" for i in range(1, count)]
             return MasterSlaveGroup(sim, network, "master", slave_ids, **options)
         if mode == "active_active":

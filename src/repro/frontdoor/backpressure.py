@@ -6,8 +6,9 @@ ROADMAP names, and this module merely reads them:
 * **event-loop queue depth** — ``sim.pending``, the O(1) live-event
   count of the scheduler's heap;
 * **replication lag** — per-scheme backlog gauges
-  (``AsyncPrimaryBackup.replication_lag_events``,
-  ``MasterSlaveGroup.slave_lag_events``, ``WarehouseExtract.lag_events``);
+  (``MasterSlaveGroup.replication_lag_events``, the worst slave's
+  backlog; ``GeoReplicaGroup.replication_lag_events``;
+  ``WarehouseExtract.lag_events``);
 * **rebalance in progress** — the cluster's
   :class:`~repro.partition.rebalance.Rebalancer` mid-run.
 

@@ -35,6 +35,7 @@ from repro.frontdoor.admission import AdmissionController, TenantQuota, TokenBuc
 from repro.frontdoor.backpressure import BackpressureMonitor
 from repro.frontdoor.breaker import BreakerBoard
 from repro.frontdoor.ladder import DegradeLadder, Rung
+from repro.replication.replica import PrimaryCopySurface
 
 
 class FrontDoor:
@@ -392,13 +393,12 @@ def _rungs(
         strong_health = bounded_health = lambda: any(
             not gateway.crashed for gateway in scheme.gateways.values()
         )
+    elif isinstance(scheme, PrimaryCopySurface):
+        authority, follower = scheme._read_nodes()
+        strong_health, bounded_health = up(authority), up(follower)
     else:
-        strong_health = up(
-            getattr(scheme, "primary", None)
-            or getattr(scheme, "master", None)
-            or getattr(scheme, "coordinator", None)
-        )
-        bounded_health = up(_replica_node_of(scheme))
+        strong_health = up(getattr(scheme, "coordinator", None))
+        bounded_health = None
 
     rungs = [
         Rung(
@@ -444,34 +444,15 @@ def _rungs(
 
 def _has_replica_copy(scheme) -> bool:
     """Whether the scheme has a weaker second copy worth a rung."""
-    if scheme is None:
-        return False
-    return any(
-        getattr(scheme, attr, None) is not None
-        for attr in ("backup", "slaves", "replicas")
+    return (
+        isinstance(scheme, PrimaryCopySurface)
+        or getattr(scheme, "replicas", None) is not None
     )
 
 
-def _replica_node_of(scheme):
-    backup = getattr(scheme, "backup", None)
-    if backup is not None:
-        return backup
-    slaves = getattr(scheme, "slaves", None)
-    if slaves:
-        return next(iter(slaves.values()))
-    return None
-
-
 def _lag_probe_for(scheme):
-    if scheme is None:
-        return None
     if hasattr(scheme, "replication_lag_events"):
         return lambda: float(scheme.replication_lag_events)
-    slaves = getattr(scheme, "slaves", None)
-    if slaves:
-        return lambda: float(
-            max(scheme.slave_lag_events(slave_id) for slave_id in scheme.slaves)
-        )
     return None
 
 

@@ -146,9 +146,6 @@ class TwoPCCoordinator(Node):
         retry: A :class:`~repro.core.policy.RetryPolicy` re-sending
             ``prepare`` to participants whose votes are missing before
             giving up.  Default: one round, the pre-policy behaviour.
-
-    The pre-policy ``vote_timeout`` kwarg, deprecated in PR 3, has
-    completed its cycle and was removed; read :attr:`timeout_policy`.
     """
 
     #: The historical single-round vote timeout.

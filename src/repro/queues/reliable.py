@@ -59,9 +59,6 @@ class ReliableQueue:
             ``overall`` limit becomes the default message deadline — a
             message still undelivered past its deadline is parked with a
             ``deadline_expired`` verdict instead of being retried.
-            (The pre-policy ``redelivery_timeout``/``max_attempts``
-            kwargs, deprecated in PR 3, have completed their cycle and
-            were removed; read :attr:`retry_policy` instead.)
         ack_loss_probability: Probability that a *successful* handler
             run's ack is lost (consumer crashed after processing, before
             acknowledging) — the classic source of duplicates that

@@ -292,8 +292,8 @@ class QuorumGroup(ReadSurface):
         read_quorum: Replies required for a read (``R``).
         timeout: A :class:`~repro.core.policy.TimeoutPolicy` — the
             per-attempt limit is the classic "no quorum" signal, the
-            overall limit bounds the operation across retries.  (The
-            bare-number alias was removed after its deprecation cycle.)
+            overall limit bounds the operation across retries; a bare
+            number is a :class:`TypeError`.
         retry: A :class:`~repro.core.policy.RetryPolicy` re-issuing the
             request to all replicas after a per-attempt timeout (late
             replies from earlier attempts still count).  Default: no
@@ -310,7 +310,7 @@ class QuorumGroup(ReadSurface):
         replica_ids: list[str],
         write_quorum: Optional[int] = None,
         read_quorum: Optional[int] = None,
-        timeout: TimeoutPolicy | float | None = None,
+        timeout: Optional[TimeoutPolicy] = None,
         coordinator_id: str = "quorum-coordinator",
         read_repair: bool = True,
         retry: Optional[RetryPolicy] = None,
@@ -330,10 +330,9 @@ class QuorumGroup(ReadSurface):
         elif isinstance(timeout, TimeoutPolicy):
             self.timeout_policy = timeout
         else:
-            # The PR 3 bare-number alias completed its deprecation cycle.
             raise TypeError(
-                "QuorumGroup(timeout=<number>) was deprecated and has been "
-                "removed; pass timeout=TimeoutPolicy(per_attempt=...)"
+                "QuorumGroup(timeout=...) takes a TimeoutPolicy, got "
+                f"{timeout!r}; pass timeout=TimeoutPolicy(per_attempt=...)"
             )
         self.retry_policy = retry if retry is not None else RetryPolicy.none()
         self.retries = 0

@@ -1,7 +1,7 @@
 """Active system with synchronous commits to a backup.
 
 The strong-durability counterpart of
-:mod:`repro.replication.asynchronous`: the primary does not acknowledge
+:mod:`repro.replication.master_slave`: the primary does not acknowledge
 a write until the backup confirms it has the events.  Nothing is lost on
 failover — and the user's response time now includes a network round
 trip, and writes become *unavailable* whenever the backup is unreachable
@@ -79,10 +79,6 @@ class SyncPrimaryBackup(PrimaryCopySurface):
             transaction's events after an ack timeout (the backup's
             apply is idempotent, so re-shipping is safe).  Default: no
             retries, the pre-policy behaviour.
-
-    The PR 3 legacy ``ack_timeout=<seconds>`` constructor kwarg has
-    completed its deprecation cycle and was removed; pass
-    ``timeout=TimeoutPolicy(per_attempt=...)``.
     """
 
     #: The historical single-knob ack timeout.

@@ -9,7 +9,6 @@ from repro.core.readpath import ReadRequest, ReadSurface
 from repro.lsdb.store import LSDBStore
 from repro.replication import (
     ActiveActiveGroup,
-    AsyncPrimaryBackup,
     MasterSlaveGroup,
     QuorumGroup,
     SyncPrimaryBackup,
@@ -23,10 +22,11 @@ class TestBuilderModes:
     def test_async_pair_round_trip(self):
         cluster = (
             Cluster.build(seed=1)
-            .with_replicas(2, mode="async", ship_interval=10.0)
+            .with_replicas(2, ship_interval=10.0)
             .create()
         )
-        assert isinstance(cluster.replication, AsyncPrimaryBackup)
+        assert isinstance(cluster.replication, MasterSlaveGroup)
+        assert set(cluster.replication.slaves) == {"slave-1"}
         cluster.replication.write_insert("order", "o-1", {"total": 5})
         cluster.sim.run(until=30.0)
         assert cluster.read("order", "o-1").fields["total"] == 5
@@ -34,8 +34,8 @@ class TestBuilderModes:
             "order", "o-1", request=ReadRequest.eventual()
         ).fields["total"] == 5
 
-    def test_async_generalises_to_master_slave(self):
-        cluster = Cluster.build(seed=1).with_replicas(3, mode="async").create()
+    def test_default_mode_is_master_slave(self):
+        cluster = Cluster.build(seed=1).with_replicas(3).create()
         assert isinstance(cluster.replication, MasterSlaveGroup)
         assert set(cluster.replication.slaves) == {"slave-1", "slave-2"}
 
@@ -66,8 +66,9 @@ class TestBuilderModes:
         assert isinstance(cluster.replication, QuorumGroup)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Cluster.build().with_replicas(2, mode="chain")
+        for mode in ("chain", "async"):
+            with pytest.raises(ValueError):
+                Cluster.build().with_replicas(2, mode=mode)
 
     def test_single_replica_rejected(self):
         with pytest.raises(ValueError):
@@ -121,7 +122,7 @@ class TestBuilderComponents:
     def test_tracing_wires_everything(self):
         cluster = (
             Cluster.build(seed=1)
-            .with_replicas(2, mode="async")
+            .with_replicas(2)
             .with_tracing()
             .create()
         )
@@ -142,12 +143,13 @@ class TestLegacyConstructors:
     def test_hand_wired_async_pair(self):
         sim = Simulator(seed=3)
         net = Network(sim, latency=5.0)
-        pair = AsyncPrimaryBackup(
-            sim, net, ship_interval=10.0, batching=BatchPolicy()
+        pair = MasterSlaveGroup(
+            sim, net, "primary", ["backup"], ship_interval=10.0,
+            batching=BatchPolicy(),
         )
         pair.write_insert("order", "o-1", {"total": 9})
         sim.run(until=30.0)
-        assert pair.backup.store.get("order", "o-1").fields["total"] == 9
+        assert pair.read_at("backup", "order", "o-1").fields["total"] == 9
 
     def test_legacy_node_addressed_read(self):
         sim = Simulator(seed=3)
@@ -198,7 +200,6 @@ class TestReadProtocol:
 
     def test_builder_round_trips_all_modes(self):
         for mode, count in (
-            ("async", 2),
             ("sync", 2),
             ("master_slave", 2),
             ("active_active", 2),

@@ -4,8 +4,8 @@ PR 5 changed the replication wire unit from one message per event to one
 *frame* per LSN-contiguous run.  These tests pin the frame semantics
 (one latency draw and one loss/duplication coin per frame), the chunking
 invariants (frames never span sequence gaps), the coalescing shipper,
-the batched apply fast path, the builder/scheme knobs and the
-deprecation shim — plus the broadcast regression from the same change.
+the batched apply fast path and the builder/scheme knobs — plus the
+broadcast regression from the same change.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import pytest
 from repro.lsdb.columnar import EventColumns, EventSlice
 from repro.lsdb.events import EventKind, LogEvent
 from repro.merge.deltas import Delta
-from repro.replication.asynchronous import AsyncPrimaryBackup
 from repro.replication.batching import BatchPolicy, FrameShipper
 from repro.replication.active_active import ActiveActiveGroup
 from repro.replication.master_slave import MasterSlaveGroup
@@ -286,7 +285,7 @@ class TestBatchedReplication:
                 sim, latency=2.0, loss_probability=0.1,
                 duplication_probability=0.05,
             )
-            pair = AsyncPrimaryBackup(
+            pair = MasterSlaveGroup(
                 sim, net, ship_interval=5.0,
                 batching=BatchPolicy(max_batch=8, flush_interval=2.0),
             )
@@ -306,7 +305,7 @@ class TestBatchedReplication:
                     "frames": net.stats.frames,
                     "loss": net.stats.dropped_loss,
                     "dup": net.stats.duplicated,
-                    "vv": pair.backup.store.version_vector.to_dict(),
+                    "vv": pair.slaves["slave"].store.version_vector.to_dict(),
                 },
                 sort_keys=True,
             )
@@ -315,19 +314,33 @@ class TestBatchedReplication:
 
 
 class TestSchemeKnobs:
-    def test_ship_interval_alone_is_an_error(self):
-        # The PR 5 deprecation completed its cycle: a shipping cadence
-        # without a frame policy no longer falls back to unbatched wire.
+    def test_ship_interval_alone_ships_unbatched(self):
+        # A cadence without a frame policy gets the default one: one
+        # event per frame.
         sim = Simulator(seed=11)
         net = Network(sim, latency=1.0)
-        with pytest.raises(TypeError, match="batching"):
-            AsyncPrimaryBackup(sim, net, ship_interval=7.0)
+        group = MasterSlaveGroup(sim, net, "m", ["s1"], ship_interval=3.0)
+        assert group.batching == BatchPolicy()
+        assert group.master.batching == BatchPolicy()
 
-    def test_master_slave_shim_matches(self):
-        sim = Simulator(seed=12)
-        net = Network(sim, latency=1.0)
-        with pytest.raises(TypeError, match="batching"):
-            MasterSlaveGroup(sim, net, "m", ["s1"], ship_interval=3.0)
+    def test_builder_ship_interval_alone_ships_unbatched(self):
+        # The builder without with_batching hands the scheme no policy,
+        # and the scheme's own default ships one event per frame.
+        from repro import Cluster
+
+        cluster = (
+            Cluster.build(seed=12)
+            .with_replicas(2, ship_interval=3.0)
+            .create()
+        )
+        assert cluster.batching is None
+        assert cluster.replication.batching == BatchPolicy()
+        for i in range(3):
+            cluster.replication.write_insert("order", f"o{i}", {"total": i})
+        cluster.sim.run(until=10.0)
+        slave = cluster.replication.slaves["slave-1"]
+        for i in range(3):
+            assert slave.store.get("order", f"o{i}") is not None
 
     def test_batching_kwarg_does_not_warn(self):
         import warnings
@@ -336,7 +349,7 @@ class TestSchemeKnobs:
         net = Network(sim, latency=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            pair = AsyncPrimaryBackup(
+            pair = MasterSlaveGroup(
                 sim, net, ship_interval=7.0, batching=BatchPolicy(max_batch=32)
             )
         assert pair.batching.max_batch == 32
@@ -346,18 +359,18 @@ class TestSchemeKnobs:
 
         cluster = (
             Cluster.build(seed=14)
-            .with_replicas(2, mode="async", ship_interval=5.0)
+            .with_replicas(2, ship_interval=5.0)
             .with_batching(max_batch=16)
             .with_warehouse(interval=10.0)
             .create()
         )
         assert cluster.batching.max_batch == 16
         assert cluster.replication.batching.max_batch == 16
-        assert cluster.replication.primary.batching.max_batch == 16
+        assert cluster.replication.master.batching.max_batch == 16
         assert cluster.warehouse.max_batch == 16
         cluster.replication.write_insert("order", "o1", {"total": 1})
         cluster.sim.run(until=30.0)
-        assert cluster.replication.backup.store.get("order", "o1") is not None
+        assert cluster.replication.slaves["slave-1"].store.get("order", "o1") is not None
 
     def test_explicit_scheme_batching_wins_over_builder_default(self):
         from repro import Cluster
@@ -365,7 +378,7 @@ class TestSchemeKnobs:
         cluster = (
             Cluster.build(seed=15)
             .with_replicas(
-                2, mode="async", batching=BatchPolicy(max_batch=4)
+                2, batching=BatchPolicy(max_batch=4)
             )
             .with_batching(max_batch=99)
             .create()

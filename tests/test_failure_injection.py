@@ -8,12 +8,13 @@ documented degradation and recovery behaviour.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.merge.deltas import Delta
 from repro.core.policy import TimeoutPolicy
 from repro.replication.batching import BatchPolicy
 from repro.replication import (
     ActiveActiveGroup,
-    AsyncPrimaryBackup,
     MasterSlaveGroup,
     QuorumGroup,
     SyncPrimaryBackup,
@@ -28,29 +29,41 @@ def world(latency=2.0, seed=0, loss=0.0):
     return sim, Network(sim, latency=latency, loss_probability=loss)
 
 
+def backup_group(sim, net, ship_interval, slaves=1):
+    return MasterSlaveGroup(
+        sim, net, "primary", [f"backup-{i}" for i in range(1, slaves + 1)],
+        ship_interval=ship_interval, batching=BatchPolicy(),
+    )
+
+
 class TestAsyncReplicationFailures:
-    def test_primary_crash_during_lag_loses_exact_tail(self):
+    @pytest.mark.parametrize("slaves", [1, 2])
+    def test_primary_crash_during_lag_loses_exact_tail(self, slaves):
         sim, net = world()
-        pair = AsyncPrimaryBackup(sim, net, ship_interval=50.0, batching=BatchPolicy())
+        pair = backup_group(sim, net, ship_interval=50.0, slaves=slaves)
         pair.write_insert("o", "o1", {}, tx_id="t1")
         sim.run(until=60.0)  # first shipping round done
         pair.write_insert("o", "o2", {}, tx_id="t2")
         pair.write_insert("o", "o3", {}, tx_id="t3")
         report = pair.failover()  # crash before the next round
         assert report.lost_tx_ids == ["t2", "t3"]
-        # The backup still has everything from the shipped prefix.
-        assert pair.backup.store.get("o", "o1") is not None
+        # Every backup still has everything from the shipped prefix.
+        for backup in pair.slaves.values():
+            assert backup.store.get("o", "o1") is not None
+        # The failover stopped the shipping loop: nothing is left to run.
+        sim.run(until=300.0)
+        assert sim.pending == 0
 
     def test_backup_crash_window_heals_via_reprobe(self):
         sim, net = world()
-        pair = AsyncPrimaryBackup(sim, net, ship_interval=10.0, batching=BatchPolicy())
+        pair = backup_group(sim, net, ship_interval=10.0)
         injector = FailureInjector(sim, net)
-        injector.crash_window(pair.backup, start=5.0, duration=30.0)
+        injector.crash_window(pair.slaves["backup-1"], start=5.0, duration=30.0)
         pair.write_insert("o", "o1", {})
         sim.run(until=120.0)
         # The shipping loop's idempotent reprobe catches the backup up
         # after recovery.
-        assert pair.backup.store.get("o", "o1") is not None
+        assert pair.read_at("backup-1", "o", "o1") is not None
         assert pair.replication_lag_events == 0
 
 

@@ -105,7 +105,7 @@ def _seeded_run_report_json(seed: int) -> str:
     cluster = (
         Cluster.build(seed=seed)
         .with_network(latency=3.0)
-        .with_replicas(2, mode="async", ship_interval=10.0)
+        .with_replicas(2, mode="master_slave", ship_interval=10.0)
         .with_tracing()
         .create()
     )

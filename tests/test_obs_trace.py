@@ -58,11 +58,11 @@ class TestAsyncWriteJourney:
         cluster = (
             Cluster.build(seed=7)
             .with_network(latency=5.0)
-            .with_replicas(2, mode="async", ship_interval=10.0)
+            .with_replicas(2, mode="master_slave", ship_interval=10.0)
             .with_tracing()
             .create()
         )
-        index = cluster.replication.backup.store.register_index("order", "status")
+        index = cluster.replication.slaves["slave-1"].store.register_index("order", "status")
         cluster.sim.schedule_at(30.0, index.refresh, label="index-refresh")
         cluster.replication.write_insert(
             "order", "o-1", {"total": 9, "status": "new"}
@@ -77,9 +77,9 @@ class TestAsyncWriteJourney:
         assert len(trace_ids) == 1
         (root,) = tracer.tree(trace_ids[0])
 
-        # Root: the origin append, instantaneous at t=0 on the primary.
+        # Root: the origin append, instantaneous at t=0 on the master.
         assert root["name"] == "store.append"
-        assert root["node"] == "primary"
+        assert root["node"] == "master"
         assert (root["start"], root["end"]) == (0.0, 0.0)
 
         # First child: the shipping hop, leaving at the first ship round
@@ -92,7 +92,7 @@ class TestAsyncWriteJourney:
         # Its child: the remote apply, at arrival time on the backup.
         (apply_span,) = ship["children"]
         assert apply_span["name"] == "store.apply"
-        assert apply_span["node"] == "backup"
+        assert apply_span["node"] == "slave-1"
         assert apply_span["start"] == 15.0
         assert apply_span["attrs"]["status"] == "applied"
 
@@ -100,7 +100,7 @@ class TestAsyncWriteJourney:
         # scheduled (later) time — the staleness window made visible.
         (refresh,) = apply_span["children"]
         assert refresh["name"] == "index.refresh"
-        assert refresh["node"] == "backup"
+        assert refresh["node"] == "slave-1"
         assert refresh["start"] == 30.0
 
         # Fault-free, the event crosses the wire exactly once: the
@@ -120,12 +120,12 @@ class TestPartitionAndHeal:
         cluster = (
             Cluster.build(seed=11)
             .with_network(latency=2.0)
-            .with_replicas(2, mode="async", ship_interval=10.0)
+            .with_replicas(2, mode="master_slave", ship_interval=10.0)
             .with_tracing()
             .create()
         )
         cluster.replication.write_insert("order", "o-1", {"total": 3})
-        cluster.network.partition_into({"primary"}, {"backup"})
+        cluster.network.partition_into({"master"}, {"slave-1"})
         cluster.sim.run(until=25.0)  # ship rounds fire into the partition
 
         tracer = cluster.tracer
@@ -134,7 +134,7 @@ class TestPartitionAndHeal:
             if span.name == "replicate.ship" and span.end is None
         ]
         assert open_ships, "dropped batches must leave their ship spans open"
-        assert cluster.replication.backup.store.get("order", "o-1") is None
+        assert cluster.replication.slaves["slave-1"].store.get("order", "o-1") is None
         assert "open" in render_timeline(tracer)
 
         cluster.network.heal()
@@ -150,7 +150,7 @@ class TestPartitionAndHeal:
         assert delivered
         applies = [s for s in tracer.spans if s.name == "store.apply"]
         assert any(s.attrs.get("status") == "applied" for s in applies)
-        assert cluster.replication.backup.store.get("order", "o-1").fields == {
+        assert cluster.replication.slaves["slave-1"].store.get("order", "o-1").fields == {
             "total": 3
         }
         # The originally lost hops remain open: history is not rewritten.
@@ -160,12 +160,12 @@ class TestPartitionAndHeal:
         cluster = (
             Cluster.build(seed=11)
             .with_network(latency=2.0)
-            .with_replicas(2, mode="async", ship_interval=10.0)
+            .with_replicas(2, mode="master_slave", ship_interval=10.0)
             .with_tracing()
             .create()
         )
         cluster.replication.write_insert("order", "o-1", {"total": 3})
-        cluster.network.partition_into({"primary"}, {"backup"})
+        cluster.network.partition_into({"master"}, {"slave-1"})
         cluster.sim.run(until=25.0)
         assert cluster.metrics.value("net.dropped", reason="partition") > 0
 
@@ -175,7 +175,7 @@ class TestExport:
         cluster = (
             Cluster.build(seed=7)
             .with_network(latency=5.0)
-            .with_replicas(2, mode="async", ship_interval=10.0)
+            .with_replicas(2, mode="master_slave", ship_interval=10.0)
             .with_tracing()
             .create()
         )

@@ -82,9 +82,10 @@ def geo_cluster():
 
 
 def async_cluster():
+    """The one-slave group: the classic asynchronous primary/backup pair."""
     return (
         ladder_builder()
-        .with_replicas(2, mode="async", ship_interval=10.0)
+        .with_replicas(2, mode="master_slave", ship_interval=10.0)
         .with_front_door()
         .create()
     )

@@ -22,7 +22,6 @@ from repro.lsdb.store import LSDBStore
 from repro.merge.deltas import Delta
 from repro.partition.placement import PlacementPolicy
 from repro.replication.active_active import ActiveActiveGroup
-from repro.replication.asynchronous import AsyncPrimaryBackup
 from repro.replication.batching import BatchPolicy
 from repro.replication.geo import GeoReplicaGroup
 from repro.replication.master_slave import MasterSlaveGroup
@@ -79,8 +78,11 @@ def _lagging(scheme, sim, write):
 
 
 def _async():
+    """The asynchronous primary/backup pair: a group with one slave."""
     sim, net = _world()
-    pair = AsyncPrimaryBackup(sim, net, ship_interval=10.0, batching=BatchPolicy())
+    pair = MasterSlaveGroup(
+        sim, net, "primary", ["backup"], ship_interval=10.0, batching=BatchPolicy()
+    )
     return _lagging(pair, sim, lambda f: pair.write_insert(ET, KEY, f))
 
 

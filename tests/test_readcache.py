@@ -469,7 +469,8 @@ class TestReplicatedReadPath:
         assert not result.bound_violated
 
     @pytest.mark.parametrize(
-        "mode, count", [("async", 2), ("sync", 2), ("active_active", 3), ("quorum", 3)]
+        "mode, count",
+        [("master_slave", 2), ("sync", 2), ("active_active", 3), ("quorum", 3)],
     )
     def test_every_scheme_follower_reads_through_its_cache(self, mode, count):
         from repro.cluster import Cluster

@@ -9,7 +9,6 @@ from repro.core.policy import TimeoutPolicy
 from repro.replication.batching import BatchPolicy
 from repro.replication.active_active import ActiveActiveGroup
 from repro.replication.anti_entropy import AntiEntropy
-from repro.replication.asynchronous import AsyncPrimaryBackup
 from repro.replication.master_slave import MasterSlaveGroup
 from repro.replication.quorum import QuorumGroup
 from repro.replication.replica import ReplicaNode, converged
@@ -55,34 +54,62 @@ class TestReplicaProtocol:
         assert not converged([a, b])
 
 
-class TestAsyncPrimaryBackup:
+def backup_group(sim, net, ship_interval, slaves=1):
+    """The asynchronous primary-copy scheme: a master shipping its log to
+    ``slaves`` followers (one slave is the classic primary/backup pair)."""
+    return MasterSlaveGroup(
+        sim, net, "primary", [f"backup-{i}" for i in range(1, slaves + 1)],
+        ship_interval=ship_interval, batching=BatchPolicy(),
+    )
+
+
+class TestAsynchronousBackup:
     def test_writes_ack_immediately(self):
         sim, net = world()
-        pair = AsyncPrimaryBackup(sim, net, ship_interval=10.0, batching=BatchPolicy())
+        pair = backup_group(sim, net, ship_interval=10.0)
         acked_at = pair.write_insert("order", "o1", {"v": 1})
         assert acked_at == sim.now  # no waiting on the backup
 
     def test_backup_catches_up_after_interval(self):
         sim, net = world()
-        pair = AsyncPrimaryBackup(sim, net, ship_interval=10.0, batching=BatchPolicy())
+        pair = backup_group(sim, net, ship_interval=10.0)
         pair.write_insert("order", "o1", {"v": 1})
-        assert pair.backup.store.get("order", "o1") is None
+        assert pair.read_at("backup-1", "order", "o1") is None
+        assert pair.replication_lag_events == 1
         sim.run(until=20.0)
-        assert pair.backup.store.get("order", "o1").fields["v"] == 1
+        assert pair.read_at("backup-1", "order", "o1").fields["v"] == 1
         assert pair.replication_lag_events == 0
 
-    def test_failover_loses_unshipped_tail(self):
+    def test_replication_lag_is_the_worst_slave(self):
         sim, net = world()
-        pair = AsyncPrimaryBackup(sim, net, ship_interval=100.0, batching=BatchPolicy())
+        group = backup_group(sim, net, ship_interval=10.0, slaves=2)
+        net.partition_into({"primary", "backup-1"}, {"backup-2"})
+        group.write_insert("order", "o1", {"v": 1})
+        group.write_insert("order", "o2", {"v": 2})
+        sim.run(until=20.0)
+        assert group.slave_lag_events("backup-1") == 0
+        assert group.slave_lag_events("backup-2") == 2
+        assert group.replication_lag_events == 2
+        net.heal()
+        sim.run(until=40.0)
+        assert group.replication_lag_events == 0
+
+    @pytest.mark.parametrize("slaves", [1, 2])
+    def test_failover_loses_unshipped_tail(self, slaves):
+        sim, net = world()
+        pair = backup_group(sim, net, ship_interval=100.0, slaves=slaves)
         for index in range(3):
             pair.write_insert("order", f"o{index}", {}, tx_id=f"t{index}")
         report = pair.failover()  # before any shipping round
         assert report.lost_events == 3
         assert report.lost_tx_ids == ["t0", "t1", "t2"]
+        assert pair.master.crashed
+        assert pair.failovers == [report]
 
-    def test_no_loss_after_shipping(self):
+    @pytest.mark.parametrize("slaves", [1, 2])
+    def test_no_loss_after_shipping(self, slaves):
         sim, net = world()
-        pair = AsyncPrimaryBackup(sim, net, ship_interval=5.0, batching=BatchPolicy())
+        pair = backup_group(sim, net, ship_interval=5.0, slaves=slaves)
         pair.write_insert("order", "o1", {}, tx_id="t1")
         sim.run(until=20.0)
         assert pair.failover().lost_events == 0

@@ -38,9 +38,7 @@ def build(mode: str, replicas: int, *, seed: int = 5, loss: float = 0.0, **optio
 def nodes_of(group):
     if hasattr(group, "replica_list"):
         return group.replica_list()
-    if hasattr(group, "master"):
-        return [group.master, *group.slaves.values()]
-    return [group.primary, group.backup]
+    return [group.master, *group.slaves.values()]
 
 
 def schedule_writes(cluster, count: int, spacing: float) -> None:
@@ -83,7 +81,8 @@ def total_balance(node) -> int:
             {"ship_interval": SHIP_INTERVAL, "batching": BatchPolicy(max_batch=8)},
             0.37,
         ),
-        ("async", 2, {"ship_interval": SHIP_INTERVAL}, 0.37),
+        # "async": one slave, the primary/backup pair.
+        ("master_slave", 2, {"ship_interval": SHIP_INTERVAL}, 0.37),
         # Eager propagation: the burst lands before the first gossip
         # round, which must then find nothing left to send.
         ("active_active", 3, {}, 0.05),
@@ -187,9 +186,9 @@ def test_frame_lost_in_flight_is_repaired_within_two_ship_intervals(lost_frame):
 def test_repair_waits_for_the_second_probe_not_a_timer():
     """The loss rule, step by step: the probe that travels with the lost
     push cannot tell (its vector predates the push); the next one can."""
-    cluster = build("async", 2, ship_interval=SHIP_INTERVAL)
+    cluster = build("master_slave", 2, ship_interval=SHIP_INTERVAL)
     pair = cluster.replication
-    primary, backup = pair.primary, pair.backup
+    primary, (backup,) = pair.master, pair.slaves.values()
     handle = backup.handle_message
     dropped = []
 
@@ -204,7 +203,7 @@ def test_repair_waits_for_the_second_probe_not_a_timer():
     cluster.sim.run(until=SHIP_INTERVAL + 2 * LATENCY)
     # First round: pushed, lost, probe answered with nothing to add.
     assert len(dropped) == 1
-    assert primary._sent["backup"] == {"primary": 1}
+    assert primary._sent["slave-1"] == {"master": 1}
     assert backup.store.get("order", "o1") is None
     assert cluster.network.stats.frame_payloads == 1
     cluster.sim.run(until=2 * SHIP_INTERVAL + 2 * LATENCY)
@@ -221,17 +220,19 @@ def test_repair_waits_for_the_second_probe_not_a_timer():
 
 @settings(max_examples=20, deadline=None)
 @given(
-    mode=st.sampled_from(["master_slave", "async", "active_active"]),
+    scheme=st.sampled_from(
+        [("master_slave", 3), ("master_slave", 2), ("active_active", 3)]
+    ),
     loss=st.floats(min_value=0.0, max_value=0.3),
     max_batch=st.sampled_from([None, 1, 4, 16]),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_lossy_runs_converge_and_lose_no_acked_write(mode, loss, max_batch, seed):
+def test_lossy_runs_converge_and_lose_no_acked_write(scheme, loss, max_batch, seed):
+    mode, replicas = scheme
     writes = 40
     options = {"batching": BatchPolicy(max_batch=max_batch)}
     if mode != "active_active":
         options["ship_interval"] = 5.0
-    replicas = 2 if mode == "async" else 3
     cluster = build(mode, replicas, seed=seed, loss=loss, **options)
     schedule_writes(cluster, writes, 0.7)
     cluster.sim.run(until=2500.0)  # the drain: 99 gossip rounds at 20-30 % loss

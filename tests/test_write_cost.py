@@ -107,7 +107,12 @@ def master_slave_cluster():
 
 
 def async_cluster():
-    return ladder_builder().with_replicas(2, mode="async", ship_interval=10.0).create()
+    """The one-slave group: the classic asynchronous primary/backup pair."""
+    return (
+        ladder_builder()
+        .with_replicas(2, mode="master_slave", ship_interval=10.0)
+        .create()
+    )
 
 
 def active_active_cluster():

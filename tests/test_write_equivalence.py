@@ -63,16 +63,17 @@ def build(mode: str):
     builder = builder.with_batching(max_batch=64)
     if mode == "active_active":
         return builder.with_replicas(3, mode="active_active", eager=True).create()
+    # "async" is the one-slave group, the primary/backup pair.
     count = 2 if mode == "async" else 3
-    return builder.with_replicas(count, mode=mode, ship_interval=10.0).create()
+    return builder.with_replicas(
+        count, mode="master_slave", ship_interval=10.0
+    ).create()
 
 
 def nodes_of(scheme):
     if hasattr(scheme, "replica_list"):
         return scheme.replica_list()
-    if hasattr(scheme, "master"):
-        return [scheme.master, *scheme.slaves.values()]
-    return [scheme.primary, scheme.backup]
+    return [scheme.master, *scheme.slaves.values()]
 
 
 def value_of(kind: str, amount: int):
