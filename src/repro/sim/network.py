@@ -10,6 +10,12 @@ as named groups of nodes; a message crossing group boundaries while a
 partition is active is silently dropped (and counted), exactly the
 behaviour that forces a replication scheme to choose between availability
 and consistency.
+
+There is one route: :meth:`Network.send` (a bare message) and
+:meth:`Network.send_batch` (a :class:`Frame`) share the endpoint checks,
+the crash, partition and loss decisions, the latency draw and the
+duplication coin, so a message meets the same fabric whichever door it
+used.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ class Frame:
 
     A frame is the granularity at which the network makes decisions:
     one latency draw, one loss coin, one duplication coin — for the
-    whole frame.  That is exactly how a real batched transport behaves
+    whole frame, exactly the decisions a bare :meth:`Network.send`
+    gets.  That is exactly how a real batched transport behaves
     (a TCP segment is lost whole, not per row), and it is why chaos
     loss/duplication operates per frame, not per event: a lost frame
     loses the entire LSN-contiguous run, which the reorder buffer and
@@ -180,9 +187,10 @@ class NetworkStats:
     dropped_partition: int = 0
     dropped_loss: int = 0
     dropped_crashed: int = 0
-    #: Wire messages that were multi-payload frames (each also counted
-    #: once in :attr:`sent`) and the application payloads they carried.
-    #: ``frame_payloads / frames`` is the realised batching factor.
+    #: Wire messages sent as :meth:`Network.send_batch` frames, of any
+    #: size (each also counted once in :attr:`sent`), and the logical
+    #: payloads they carried.  ``frame_payloads / frames`` is the
+    #: realised batching factor.
     frames: int = 0
     frame_payloads: int = 0
     #: Per-directed-WAN-link counters, keyed ``(src_site, dst_site)``.
@@ -222,6 +230,10 @@ class NetworkStats:
 
 class Network:
     """Latency/loss/partition-aware message router.
+
+    :meth:`send` and :meth:`send_batch` are two envelopes over one
+    routing decision (:meth:`_route`); they differ only in the frame
+    counters.  The tracer and metrics registry come from ``sim``.
 
     Args:
         sim: The simulator providing time and scheduling.
@@ -264,8 +276,6 @@ class Network:
         latency: float | Callable[..., float] = 1.0,
         loss_probability: float = 0.0,
         duplication_probability: float = 0.0,
-        tracer=None,
-        metrics=None,
     ):
         self.sim = sim
         self._latency = latency
@@ -281,12 +291,10 @@ class Network:
         #: extra loss coin, and is booked per directed link.
         self.topology = None
         self._rng = sim.fork_rng()
-        self._trace: list[tuple[float, str, str, Any]] = []
-        self.tracing = False
-        # Observability handles default from the simulator, so a traced
-        # simulator automatically yields a traced network.
-        self.tracer = tracer if tracer is not None else sim.tracer
-        self.metrics = metrics if metrics is not None else sim.metrics
+        # Observability handles come from the simulator, so a traced
+        # simulator yields a traced network.
+        self.tracer = sim.tracer
+        self.metrics = sim.metrics
         if self.metrics is not None:
             counter = self.metrics.counter
             self._m_sent = counter("net.sent")
@@ -361,84 +369,18 @@ class Network:
         return self.partition is not None and not self.partition.allows(
             source, destination
         )
-
     # ------------------------------------------------------------------ #
     # Sending
     # ------------------------------------------------------------------ #
 
     def send(self, source: str, destination: str, message: Any) -> bool:
-        """Route a message, applying partition, loss and crash rules.
+        """Route one message, applying partition, loss and crash rules.
 
         Returns ``True`` if delivery was scheduled.  Note a ``True``
         return still does not guarantee delivery: the destination may
         crash before the latency elapses.
         """
-        if destination not in self.nodes:
-            raise NetworkError(f"unknown destination {destination!r}")
-        if source not in self.nodes:
-            raise NetworkError(f"unknown source {source!r}")
-        self.stats.sent += 1
-        if self._m_sent is not None:
-            self._m_sent.inc()
-        wan = self._wan_hop(source, destination)
-        if wan is not None:
-            wan[3].sent += 1
-            wan[3].frames += 1
-            wan[3].payloads += 1
-        if self.nodes[source].crashed:
-            self._drop("crashed", source, destination, wan)
-            return False
-        if self.is_partitioned(source, destination):
-            self._drop("partition", source, destination, wan)
-            return False
-        if self.loss_probability > 0 and self._rng.coin(self.loss_probability):
-            self._drop("loss", source, destination, wan)
-            return False
-        if (
-            wan is not None
-            and wan[2].loss_probability > 0
-            and self._rng.coin(wan[2].loss_probability)
-        ):
-            self._drop("loss", source, destination, wan)
-            return False
-        delay = self._scaled_latency(source, destination)
-        if wan is not None:
-            delay += wan[2].latency
-            self._record_wan(wan, 1, delay)
-        if self._m_latency is not None:
-            self._m_latency.record(delay)
-        # A hop span is opened only when the send happens inside an
-        # active trace; it closes at delivery — or never, which is how a
-        # message dropped in flight shows up in the timeline.
-        hop = None
-        tracer = self.tracer
-        if tracer is not None and tracer.current is not None:
-            hop = tracer.start_span(
-                "net.hop", node=source, src=source, dst=destination,
-            )
-        self.sim.schedule(
-            delay,
-            lambda: self._deliver(source, destination, message, hop),
-            label=f"net {source}->{destination}",
-        )
-        if self.duplication_probability > 0 and self._rng.coin(
-            self.duplication_probability
-        ):
-            # The ghost copy takes its own (scaled) latency draw — plus
-            # the same constant WAN leg — so the duplicate may arrive
-            # before or after the original.
-            self.stats.duplicated += 1
-            if self.metrics is not None:
-                self.metrics.counter("net.duplicated").inc()
-            dup_delay = self._scaled_latency(source, destination)
-            if wan is not None:
-                dup_delay += wan[2].latency
-            self.sim.schedule(
-                dup_delay,
-                lambda: self._deliver(source, destination, message, None),
-                label=f"net dup {source}->{destination}",
-            )
-        return True
+        return self._route(source, destination, message, None)
 
     def send_batch(
         self,
@@ -458,10 +400,8 @@ class Network:
         :meth:`Node.handle_message` one by one, in order, so receivers
         written for single messages work unchanged.
 
-        A single-payload frame is the degenerate case: it behaves
-        exactly like :meth:`send` (same decisions, same counters except
-        the frame accounting), which is what keeps chaos fault injection
-        meaningful for unbatched shippers.
+        The routing decision is the one :meth:`send` takes; only the
+        envelope and the frame counters differ.
 
         Returns ``True`` if the frame was accepted for delivery.
         """
@@ -469,214 +409,137 @@ class Network:
         if not payloads:
             return True
         frame = Frame(messages=payloads, size=len(payloads) if size is None else size)
-        self.stats.sent += 1
-        self.stats.frames += 1
-        # Logical payloads (the caller's ``size``, e.g. events in an
-        # "events" message), so frame_payloads / frames is the realized
-        # batching factor even when a frame wraps one envelope dict.
-        self.stats.frame_payloads += frame.size
-        if self._m_sent is not None:
-            self._m_sent.inc()
-            self._m_frames.inc()
-            self._m_frame_size.record(frame.size)
+        return self._route(source, destination, frame, frame.size)
+
+    def _route(
+        self, source: str, destination: str, message: Any, size: Optional[int]
+    ) -> bool:
+        """The one routing decision behind :meth:`send` (``size`` is
+        ``None``) and :meth:`send_batch` (``message`` is a
+        :class:`Frame` of ``size`` logical payloads).
+
+        Nothing is counted until both endpoints are known.  Randomness
+        is drawn in a fixed order — loss coin, WAN loss coin, latency,
+        duplication coin, duplicate latency — so seeded runs replay.
+        """
         if destination not in self.nodes:
             raise NetworkError(f"unknown destination {destination!r}")
         if source not in self.nodes:
             raise NetworkError(f"unknown source {source!r}")
+        stats = self.stats
+        stats.sent += 1
+        if size is not None:
+            # Logical payloads (the caller's ``size``, e.g. events in an
+            # "events" message), so frame_payloads / frames is the
+            # realized batching factor even when a frame wraps one dict.
+            stats.frames += 1
+            stats.frame_payloads += size
+        if self._m_sent is not None:
+            self._m_sent.inc()
+            if size is not None:
+                self._m_frames.inc()
+                self._m_frame_size.record(size)
         wan = self._wan_hop(source, destination)
         if wan is not None:
-            wan[3].sent += 1
-            wan[3].frames += 1
-            wan[3].payloads += frame.size
+            link_stats = wan[3]
+            link_stats.sent += 1
+            link_stats.frames += 1
+            link_stats.payloads += 1 if size is None else size
         if self.nodes[source].crashed:
-            self._drop("crashed", source, destination, wan)
-            return False
-        if self.is_partitioned(source, destination):
-            self._drop("partition", source, destination, wan)
-            return False
-        if self.loss_probability > 0 and self._rng.coin(self.loss_probability):
-            self._drop("loss", source, destination, wan)
-            return False
-        if (
+            reason = "crashed"
+        elif self.is_partitioned(source, destination):
+            reason = "partition"
+        elif (
+            self.loss_probability > 0 and self._rng.coin(self.loss_probability)
+        ) or (
             wan is not None
             and wan[2].loss_probability > 0
             and self._rng.coin(wan[2].loss_probability)
         ):
-            self._drop("loss", source, destination, wan)
+            reason = "loss"
+        else:
+            reason = None
+        tracer = self.tracer
+        traced = tracer is not None and tracer.current is not None
+        if reason is not None:
+            self._drop(reason, wan)
+            if traced:
+                tracer.end_span(
+                    tracer.start_span(
+                        "net.hop", node=source, src=source, dst=destination,
+                        status=f"dropped_{reason}",
+                    )
+                )
             return False
-        delay = self._scaled_latency(source, destination)
-        if wan is not None:
-            delay += wan[2].latency
-            self._record_wan(wan, frame.size, delay)
+        delay = self._latency_for(source, destination, wan)
         if self._m_latency is not None:
             self._m_latency.record(delay)
+            if wan is not None:
+                self._record_wan(wan, 1 if size is None else size, delay)
+        # A hop span is opened only when the send happens inside an
+        # active trace; it closes at delivery — or never, which is how a
+        # message dropped by an in-flight partition shows up in the
+        # timeline.
         hop = None
-        tracer = self.tracer
-        if tracer is not None and tracer.current is not None:
+        if traced:
+            attrs = {} if size is None else {"payloads": size}
             hop = tracer.start_span(
-                "net.hop", node=source, src=source, dst=destination,
-                payloads=frame.size,
+                "net.hop", node=source, src=source, dst=destination, **attrs
             )
         self.sim.schedule(
             delay,
-            lambda: self._deliver(source, destination, frame, hop),
+            lambda: self._deliver(source, destination, message, hop),
             label=f"net {source}->{destination}",
         )
         if self.duplication_probability > 0 and self._rng.coin(
             self.duplication_probability
         ):
-            # The whole frame is duplicated — at-least-once hazards
-            # arrive in bulk, which is exactly what the idempotent apply
-            # path must absorb.
-            self.stats.duplicated += 1
+            # The ghost copy (a whole frame for send_batch) takes its
+            # own latency draw, so it may arrive before or after the
+            # original.
+            stats.duplicated += 1
             if self.metrics is not None:
                 self.metrics.counter("net.duplicated").inc()
-            dup_delay = self._scaled_latency(source, destination)
-            if wan is not None:
-                dup_delay += wan[2].latency
             self.sim.schedule(
-                dup_delay,
-                lambda: self._deliver(source, destination, frame, None),
+                self._latency_for(source, destination, wan),
+                lambda: self._deliver(source, destination, message, None),
                 label=f"net dup {source}->{destination}",
             )
         return True
 
-    def _record_wan(self, wan, payloads: int, delay: float) -> None:
-        """Metric side of a cross-site frame that made it onto the wire:
-        per-link ``net.wan_*`` counters plus the one-way WAN latency."""
-        if self.metrics is None:
-            return
-        label = f"{wan[0]}->{wan[1]}"
-        self.metrics.counter("net.wan_frames", link=label).inc()
-        self.metrics.counter("net.wan_payloads", link=label).inc(payloads)
-        self.metrics.histogram("net.wan_latency", link=label).record(delay)
-
-    def _drop(self, reason: str, source: str, destination: str, wan=None) -> None:
-        """Record a dropped message in stats, metrics, and (when inside
-        an active trace) as an instantly-closed hop span."""
-        setattr(
-            self.stats,
-            f"dropped_{reason}",
-            getattr(self.stats, f"dropped_{reason}") + 1,
-        )
-        if wan is not None:
-            link_stats = wan[3]
-            setattr(
-                link_stats,
-                f"dropped_{reason}",
-                getattr(link_stats, f"dropped_{reason}") + 1,
-            )
-        counter = self._m_dropped.get(reason)
-        if counter is not None:
-            counter.inc()
-        tracer = self.tracer
-        if tracer is not None and tracer.current is not None:
-            tracer.end_span(
-                tracer.start_span(
-                    "net.hop", node=source, src=source, dst=destination,
-                    status=f"dropped_{reason}",
-                )
-            )
-
-    def broadcast(self, source: str, message: Any) -> int:
-        """Send ``message`` from ``source`` to every other node.
-
-        The broadcast reuses the batched decision model: ONE loss coin,
-        ONE base latency draw and ONE duplication coin shared by every
-        copy (a broadcast leaves the source as one wire operation that
-        the fabric fans out), while partition and crash checks — and the
-        :attr:`NetworkStats.sent` accounting — stay per destination,
-        because reachability is a property of each link.  Per-node
-        ``slow_nodes`` factors still scale the shared draw per
-        destination.
-
-        Broadcast is a LAN primitive: it ignores any attached topology
-        (no WAN latency, no link coins, no per-link booking).  Cross-site
-        fan-out goes through the per-site gateways, which turn it into
-        explicit per-link :meth:`send_batch` frames.
-
-        Returns the number of sends accepted for delivery.
-        """
-        if source not in self.nodes:
-            raise NetworkError(f"unknown source {source!r}")
-        destinations = [n for n in self.nodes if n != source]
-        src_crashed = self.nodes[source].crashed
-        lost = self.loss_probability > 0 and self._rng.coin(self.loss_probability)
-        base: Optional[float] = None
-        dup_base: Optional[float] = None
-        accepted = 0
-        for destination in destinations:
-            self.stats.sent += 1
-            if self._m_sent is not None:
-                self._m_sent.inc()
-            if src_crashed:
-                self._drop("crashed", source, destination)
-                continue
-            if self.is_partitioned(source, destination):
-                self._drop("partition", source, destination)
-                continue
-            if lost:
-                self._drop("loss", source, destination)
-                continue
-            if base is None:
-                # Draws happen lazily, on the first reachable
-                # destination, so a fully-dropped broadcast consumes no
-                # randomness beyond the loss coin.
-                base = self._draw_latency()
-                if self.duplication_probability > 0 and self._rng.coin(
-                    self.duplication_probability
-                ):
-                    dup_base = self._draw_latency()
-            delay = self._apply_latency_knobs(base, source, destination)
-            if self._m_latency is not None:
-                self._m_latency.record(delay)
-            hop = None
-            tracer = self.tracer
-            if tracer is not None and tracer.current is not None:
-                hop = tracer.start_span(
-                    "net.hop", node=source, src=source, dst=destination,
-                )
-            self.sim.schedule(
-                delay,
-                lambda d=destination, h=hop: self._deliver(source, d, message, h),
-                label=f"net {source}->{destination}",
-            )
-            if dup_base is not None:
-                self.stats.duplicated += 1
-                if self.metrics is not None:
-                    self.metrics.counter("net.duplicated").inc()
-                self.sim.schedule(
-                    self._apply_latency_knobs(dup_base, source, destination),
-                    lambda d=destination: self._deliver(source, d, message, None),
-                    label=f"net dup {source}->{destination}",
-                )
-            accepted += 1
-        return accepted
-
-    def _draw_latency(self) -> float:
-        if callable(self._latency):
-            return max(0.0, self._latency(self._rng))
-        return float(self._latency)
-
-    def _scaled_latency(self, source: str, destination: str) -> float:
-        """One latency draw with the chaos knobs applied.  With the
-        knobs at their defaults this is a single extra float compare
-        over the raw draw — nothing on the hot path."""
-        return self._apply_latency_knobs(
-            self._draw_latency(), source, destination
-        )
-
-    def _apply_latency_knobs(
-        self, delay: float, source: str, destination: str
-    ) -> float:
-        """Scale an already-drawn delay by the chaos knobs (global
-        factor plus per-endpoint slow-node multipliers)."""
+    def _latency_for(self, source: str, destination: str, wan) -> float:
+        """One latency draw, scaled by the chaos knobs (global factor,
+        then both endpoints' slow-node multipliers), plus the constant
+        WAN leg of a cross-site hop."""
+        latency = self._latency
+        delay = max(0.0, latency(self._rng)) if callable(latency) else float(latency)
         if self.latency_factor != 1.0:
             delay *= self.latency_factor
         if self.slow_nodes:
             delay *= self.slow_nodes.get(source, 1.0)
             delay *= self.slow_nodes.get(destination, 1.0)
+        if wan is not None:
+            delay += wan[2].latency
         return delay
+
+    def _record_wan(self, wan, payloads: int, delay: float) -> None:
+        """Metric side of a cross-site frame that made it onto the wire:
+        per-link ``net.wan_*`` counters plus the one-way WAN latency."""
+        label = f"{wan[0]}->{wan[1]}"
+        self.metrics.counter("net.wan_frames", link=label).inc()
+        self.metrics.counter("net.wan_payloads", link=label).inc(payloads)
+        self.metrics.histogram("net.wan_latency", link=label).record(delay)
+
+    def _drop(self, reason: str, wan) -> None:
+        """Book a dropped message in the stats and metrics."""
+        field_name = f"dropped_{reason}"
+        setattr(self.stats, field_name, getattr(self.stats, field_name) + 1)
+        if wan is not None:
+            link_stats = wan[3]
+            setattr(link_stats, field_name, getattr(link_stats, field_name) + 1)
+        counter = self._m_dropped.get(reason)
+        if counter is not None:
+            counter.inc()
 
     def _deliver(
         self,
@@ -688,20 +551,14 @@ class Network:
         tracer = self.tracer
         node = self.nodes.get(destination)
         if node is None or node.crashed:
-            self.stats.dropped_crashed += 1
-            counter = self._m_dropped.get("crashed")
-            if counter is not None:
-                counter.inc()
+            self._drop("crashed", None)
             if hop is not None:
                 tracer.end_span(hop, status="dropped_crashed")
             return
         # A partition that started while the message was in flight also
         # blocks it: partitions sever links, not just send attempts.
         if self.is_partitioned(source, destination):
-            self.stats.dropped_partition += 1
-            counter = self._m_dropped.get("partition")
-            if counter is not None:
-                counter.inc()
+            self._drop("partition", None)
             # The hop span stays OPEN: the message left the source and
             # never arrived, which the timeline renders as "open".
             return
@@ -711,8 +568,6 @@ class Network:
             wan[3].delivered += 1
         if self._m_delivered is not None:
             self._m_delivered.inc()
-        if self.tracing:
-            self._trace.append((self.sim.now, source, destination, message))
         if hop is not None:
             tracer.end_span(hop, status="delivered")
             with tracer.resume(hop.span_id):
@@ -729,9 +584,3 @@ class Network:
                 node.handle_message(source, payload)
         else:
             node.handle_message(source, message)
-
-    @property
-    def trace(self) -> list[tuple[float, str, str, Any]]:
-        """Delivered-message trace ``(time, src, dst, message)``;
-        populated only while :attr:`tracing` is ``True``."""
-        return list(self._trace)

@@ -77,6 +77,9 @@ class ScheduledEvent:
 class Simulator:
     """A deterministic discrete-event loop with a virtual clock.
 
+    :meth:`run` is the one event loop; :meth:`step` is
+    ``run(max_events=1)``.
+
     Example:
         >>> sim = Simulator()
         >>> fired = []
@@ -94,11 +97,11 @@ class Simulator:
         tracer: Optional :class:`repro.obs.trace.Tracer`.  When set, the
             ambient span is captured at ``schedule()`` time and resumed
             around the callback when it fires — the causal carrier for
-            deferred work.  Components built on this simulator default
-            their own tracer to this one.
+            deferred work.  Components built on this simulator take
+            their tracer from it.
         metrics: Optional :class:`repro.obs.metrics.MetricsRegistry`;
             the simulator counts fired events into it, and components
-            built on this simulator default their registry to this one.
+            built on this simulator take their registry from it.
     """
 
     def __init__(self, seed: int = 0, tracer=None, metrics=None):
@@ -117,16 +120,6 @@ class Simulator:
         self._fired_counter = (
             metrics.counter("sim.events_fired") if metrics is not None else None
         )
-
-    def instrument(self, tracer=None, metrics=None) -> "Simulator":
-        """Attach observability handles after construction (the cluster
-        builder uses this; components created later inherit them)."""
-        if tracer is not None:
-            self.tracer = tracer
-        if metrics is not None:
-            self.metrics = metrics
-            self._fired_counter = metrics.counter("sim.events_fired")
-        return self
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -187,27 +180,7 @@ class Simulator:
         Returns:
             ``True`` if an event fired, ``False`` if the heap is empty.
         """
-        while self._heap:
-            time, _seq, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            if time < self.now:
-                raise SimulationError(
-                    f"event time {time} precedes clock {self.now}"
-                )
-            self._live -= 1
-            event._sim = None  # fired: later cancel() calls are no-ops
-            self.now = time
-            self._processed += 1
-            if self._fired_counter is not None:
-                self._fired_counter.inc()
-            if self.tracer is not None and event.ctx is not None:
-                with self.tracer.resume(event.ctx):
-                    event.action()
-            else:
-                event.action()
-            return True
-        return False
+        return self.run(max_events=1) == 1
 
     def run(
         self,
@@ -224,8 +197,7 @@ class Simulator:
         Returns:
             The number of events fired by this call.
         """
-        # One fused loop: the old _peek-then-step pair traversed the heap
-        # head twice per event; here each event is examined exactly once.
+        # One fused loop: each event is examined exactly once.
         fired = 0
         heap = self._heap
         pop = heapq.heappop
@@ -261,13 +233,6 @@ class Simulator:
     def run_for(self, duration: float, max_events: Optional[int] = None) -> int:
         """Run for ``duration`` virtual time units from the current clock."""
         return self.run(until=self.now + duration, max_events=max_events)
-
-    def _peek(self) -> Optional[ScheduledEvent]:
-        """Return the next live event without firing it, dropping
-        cancelled entries encountered along the way."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0][2] if self._heap else None
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -4,8 +4,7 @@ PR 5 changed the replication wire unit from one message per event to one
 *frame* per LSN-contiguous run.  These tests pin the frame semantics
 (one latency draw and one loss/duplication coin per frame), the chunking
 invariants (frames never span sequence gaps), the coalescing shipper,
-the batched apply fast path and the builder/scheme knobs — plus the
-broadcast regression from the same change.
+the batched apply fast path and the builder/scheme knobs.
 """
 
 from __future__ import annotations
@@ -150,39 +149,6 @@ class TestFrameWire:
         assert [payload for _, payload in receiver.messages] == [
             "m1", "m2", "m1", "m2",
         ]
-
-    def test_broadcast_under_partition_reaches_exactly_reachable_side(self):
-        # Regression for the shared-draw broadcast rewrite: a partition
-        # must drop exactly the cross-partition copies, nothing else.
-        sim = Simulator(seed=4)
-        net = Network(sim, latency=1.0)
-        for node_id in ("a", "b", "c", "d"):
-            net.register(Recorder(node_id))
-        net.partition_into({"a", "b"}, {"c", "d"})
-        accepted = net.broadcast("a", {"type": "ping"})
-        sim.run()
-        assert accepted == 1  # only b
-        assert len(net.nodes["b"].messages) == 1
-        assert net.nodes["c"].messages == []
-        assert net.nodes["d"].messages == []
-        assert net.stats.dropped_partition == 2
-
-    def test_broadcast_shares_one_latency_draw(self):
-        sim = Simulator(seed=5)
-        draws = []
-
-        def latency(rng):
-            draws.append(1)
-            return 2.0
-
-        net = Network(sim, latency=latency)
-        for node_id in ("a", "b", "c", "d"):
-            net.register(Recorder(node_id))
-        net.broadcast("a", "hello")
-        sim.run()
-        assert len(draws) == 1  # one draw shared by all three copies
-        for node_id in ("b", "c", "d"):
-            assert len(net.nodes[node_id].messages) == 1
 
 
 class TestFrameShipper:

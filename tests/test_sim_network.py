@@ -1,11 +1,17 @@
-"""Tests for the simulated network: latency, loss, partitions, crashes."""
+"""Tests for the simulated network: latency, loss, partitions, crashes.
+
+The fault classes run over both envelopes of the one route: a bare
+``send`` and a one-payload ``send_batch`` frame (the ``...Frame``
+subclasses at the bottom).  The receiver sees the same payload either
+way, and every counter but the frame accounting agrees.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import NetworkError
-from repro.sim.network import Network, Node, Partition
+from repro.sim.network import Network, NetworkStats, Node, Partition
 from repro.sim.scheduler import Simulator
 
 
@@ -29,6 +35,14 @@ def make_pair(latency=1.0, loss=0.0, seed=0):
     return sim, net, a, b
 
 
+def send_bare(node, destination, message):
+    return node.send(destination, message)
+
+
+def send_frame(node, destination, message):
+    return node.send_batch(destination, [message])
+
+
 class TestDelivery:
     def test_message_arrives_after_latency(self):
         sim, net, a, b = make_pair(latency=3.0)
@@ -50,9 +64,12 @@ class TestDelivery:
         assert all(1.0 <= at <= 2.0 for at in times)
 
     def test_unknown_destination_raises(self):
+        # A refused send is not a send: neither envelope counts it.
         sim, net, a, _ = make_pair()
-        with pytest.raises(NetworkError):
-            a.send("nope", "x")
+        for ship in (send_bare, send_frame):
+            with pytest.raises(NetworkError):
+                ship(a, "nope", "x")
+        assert net.stats == NetworkStats()
 
     def test_unregistered_node_cannot_send(self):
         node = Node("lonely")
@@ -66,24 +83,14 @@ class TestDelivery:
         with pytest.raises(NetworkError):
             net.register(Node("dup"))
 
-    def test_broadcast_reaches_everyone_but_sender(self):
-        sim = Simulator()
-        net = Network(sim, latency=1.0)
-        nodes = [Recorder(f"n{index}") for index in range(4)]
-        for node in nodes:
-            net.register(node)
-        accepted = net.broadcast("n0", "ping")
-        sim.run()
-        assert accepted == 3
-        assert nodes[0].received == []
-        assert all(len(node.received) == 1 for node in nodes[1:])
-
 
 class TestLoss:
+    ship = staticmethod(send_bare)
+
     def test_lossy_link_drops_some_messages(self):
         sim, net, a, b = make_pair(loss=0.5, seed=9)
         for _ in range(100):
-            a.send("b", "x")
+            self.ship(a, "b", "x")
         sim.run()
         assert 20 < len(b.received) < 80
         assert net.stats.dropped_loss == 100 - len(b.received)
@@ -91,16 +98,18 @@ class TestLoss:
     def test_zero_loss_delivers_everything(self):
         sim, net, a, b = make_pair(loss=0.0)
         for _ in range(20):
-            a.send("b", "x")
+            self.ship(a, "b", "x")
         sim.run()
         assert len(b.received) == 20
 
 
 class TestPartitions:
+    ship = staticmethod(send_bare)
+
     def test_partition_blocks_cross_group_traffic(self):
         sim, net, a, b = make_pair()
         net.partition_into({"a"}, {"b"})
-        assert a.send("b", "x") is False
+        assert self.ship(a, "b", "x") is False
         sim.run()
         assert b.received == []
         assert net.stats.dropped_partition == 1
@@ -112,7 +121,7 @@ class TestPartitions:
         for node in (a, b, c):
             net.register(node)
         net.partition_into({"a", "b"}, {"c"})
-        assert a.send("b", "x") is True
+        assert self.ship(a, "b", "x") is True
         sim.run()
         assert len(b.received) == 1
 
@@ -120,13 +129,13 @@ class TestPartitions:
         sim, net, a, b = make_pair()
         net.partition_into({"a"}, {"b"})
         net.heal()
-        a.send("b", "x")
+        self.ship(a, "b", "x")
         sim.run()
         assert len(b.received) == 1
 
     def test_partition_starting_mid_flight_blocks_delivery(self):
         sim, net, a, b = make_pair(latency=10.0)
-        a.send("b", "x")
+        self.ship(a, "b", "x")
         sim.schedule(5.0, lambda: net.partition_into({"a"}, {"b"}))
         sim.run()
         assert b.received == []
@@ -139,10 +148,12 @@ class TestPartitions:
 
 
 class TestCrashes:
+    ship = staticmethod(send_bare)
+
     def test_crashed_node_receives_nothing(self):
         sim, net, a, b = make_pair()
         b.crash()
-        a.send("b", "x")
+        self.ship(a, "b", "x")
         sim.run()
         assert b.received == []
         assert net.stats.dropped_crashed == 1
@@ -150,35 +161,54 @@ class TestCrashes:
     def test_crashed_sender_cannot_send(self):
         sim, net, a, b = make_pair()
         a.crash()
-        assert a.send("b", "x") is False
+        assert self.ship(a, "b", "x") is False
 
     def test_recovered_node_receives_again(self):
         sim, net, a, b = make_pair()
         b.crash()
         b.recover()
-        a.send("b", "x")
+        self.ship(a, "b", "x")
         sim.run()
         assert len(b.received) == 1
 
     def test_crash_during_flight_drops_message(self):
         sim, net, a, b = make_pair(latency=10.0)
-        a.send("b", "x")
+        self.ship(a, "b", "x")
         sim.schedule(5.0, b.crash)
         sim.run()
         assert b.received == []
 
 
 class TestStats:
+    ship = staticmethod(send_bare)
+
     def test_stats_account_for_all_outcomes(self):
         sim, net, a, b = make_pair()
-        a.send("b", "ok")
+        self.ship(a, "b", "ok")
         sim.run()  # deliver before injecting failures
         net.partition_into({"a"}, {"b"})
-        a.send("b", "blocked")
+        self.ship(a, "b", "blocked")
         net.heal()
         b.crash()
-        a.send("b", "to-crashed")
+        self.ship(a, "b", "to-crashed")
         sim.run()
+        assert b.received == [(1.0, "a", "ok")]
         assert net.stats.sent == 3
         assert net.stats.delivered == 1
         assert net.stats.dropped == 2
+
+
+class TestLossFrame(TestLoss):
+    ship = staticmethod(send_frame)
+
+
+class TestPartitionsFrame(TestPartitions):
+    ship = staticmethod(send_frame)
+
+
+class TestCrashesFrame(TestCrashes):
+    ship = staticmethod(send_frame)
+
+
+class TestStatsFrame(TestStats):
+    ship = staticmethod(send_frame)

@@ -159,6 +159,18 @@ class TestRunBounds:
         sim.run(max_events=3)
         assert fired == [0, 1, 2]
 
+    def test_step_skips_a_cancelled_head_and_fires_one_event(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1)).cancel()
+        sim.schedule(2.0, lambda: fired.append(2))
+        sim.schedule(3.0, lambda: fired.append(3))
+        assert sim.step() is True
+        assert (fired, sim.now, sim.pending) == ([2], 2.0, 1)
+        assert sim.step() is True
+        assert sim.step() is False
+        assert fired == [2, 3]
+
     def test_run_on_empty_heap_advances_to_until(self):
         sim = Simulator()
         assert sim.run(until=10.0) == 0
