@@ -152,7 +152,9 @@ class LinkStats:
     when a :class:`~repro.sim.topology.SiteTopology` is attached, every
     cross-site send is *also* booked against its directed link so WAN
     frame amortization (payloads per frame, per link) is observable and
-    gateable per datacenter pair.
+    gateable per datacenter pair.  Drops are booked on the link whether
+    they happen at send time or in flight, so without duplication
+    ``sent == delivered + dropped``.
     """
 
     sent: int = 0
@@ -531,7 +533,9 @@ class Network:
         self.metrics.histogram("net.wan_latency", link=label).record(delay)
 
     def _drop(self, reason: str, wan) -> None:
-        """Book a dropped message in the stats and metrics."""
+        """Book a dropped message in the stats, on its WAN link (``wan``
+        from :meth:`_wan_hop`, ``None`` for same-site traffic) and in
+        the metrics."""
         field_name = f"dropped_{reason}"
         setattr(self.stats, field_name, getattr(self.stats, field_name) + 1)
         if wan is not None:
@@ -550,20 +554,22 @@ class Network:
     ) -> None:
         tracer = self.tracer
         node = self.nodes.get(destination)
+        # In-flight drops are booked on the WAN link too, so every
+        # link's sent == delivered + dropped (duplicates aside).
+        wan = self._wan_hop(source, destination)
         if node is None or node.crashed:
-            self._drop("crashed", None)
+            self._drop("crashed", wan)
             if hop is not None:
                 tracer.end_span(hop, status="dropped_crashed")
             return
         # A partition that started while the message was in flight also
         # blocks it: partitions sever links, not just send attempts.
         if self.is_partitioned(source, destination):
-            self._drop("partition", None)
+            self._drop("partition", wan)
             # The hop span stays OPEN: the message left the source and
             # never arrived, which the timeline renders as "open".
             return
         self.stats.delivered += 1
-        wan = self._wan_hop(source, destination)
         if wan is not None:
             wan[3].delivered += 1
         if self._m_delivered is not None:

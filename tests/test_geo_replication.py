@@ -153,6 +153,53 @@ class TestTopologyOnNetwork:
         assert b.deliveries == []
         assert network.stats.links[("dc1", "dc2")].dropped_loss == 1
 
+    def test_in_flight_drops_are_booked_on_the_link(self):
+        sim = Simulator(seed=3)
+        network = Network(sim, latency=1.0)
+        topology = make_topology(sim, network)
+        a, b, c = Recorder("a", sim), Recorder("b", sim), Recorder("c", sim)
+        for node, site in ((a, "dc1"), (b, "dc2"), (c, "dc3")):
+            network.register(node)
+            topology.assign(node.node_id, site)
+        a.send("b", {"x": 1})
+        a.send_batch("c", [{"x": 2}, {"x": 3}])
+        sim.schedule(10.0, b.crash)
+        sim.schedule(10.0, lambda: network.partition_into({"a"}, {"c"}))
+        sim.run()
+        to_b = network.stats.links[("dc1", "dc2")]
+        to_c = network.stats.links[("dc1", "dc3")]
+        assert (to_b.sent, to_b.dropped_crashed) == (1, 1)
+        assert (to_c.sent, to_c.dropped_partition) == (1, 1)
+        assert b.deliveries == c.deliveries == []
+
+    def test_link_books_balance_without_duplication(self):
+        sim = Simulator(seed=5)
+        network = Network(sim, latency=1.0, loss_probability=0.2)
+        topology = make_topology(
+            sim, network, default_link=WanLink(latency=5.0, loss_probability=0.2)
+        )
+        nodes = [Recorder(f"n{index}", sim) for index in range(6)]
+        for index, node in enumerate(nodes):
+            network.register(node)
+            topology.assign(node.node_id, ("dc1", "dc2", "dc3")[index % 3])
+        for step in range(60):
+            source, destination = nodes[step % 6], nodes[(step * 5 + 1) % 6]
+            sim.schedule_at(
+                float(step), lambda s=source, d=destination, n=step: s.send(d.node_id, n)
+            )
+        # Faults both at send time and while frames are on the wire.
+        sim.schedule_at(12.5, nodes[1].crash)
+        sim.schedule_at(30.0, nodes[1].recover)
+        sim.schedule_at(
+            33.5, lambda: network.partition_into({"n0", "n1", "n2"}, {"n3", "n4", "n5"})
+        )
+        sim.schedule_at(48.0, network.heal)
+        sim.run()
+        links = network.stats.links.values()
+        assert sum(link.dropped_crashed + link.dropped_partition for link in links) > 0
+        for link in links:
+            assert link.sent == link.delivered + link.dropped
+
 
 class TestGatewayAggregation:
     def test_one_instant_one_frame_per_link(self):
