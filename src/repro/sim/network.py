@@ -441,12 +441,13 @@ class Network:
             if size is not None:
                 self._m_frames.inc()
                 self._m_frame_size.record(size)
+        payloads = 1 if size is None else size
         wan = self._wan_hop(source, destination)
         if wan is not None:
             link_stats = wan[3]
             link_stats.sent += 1
             link_stats.frames += 1
-            link_stats.payloads += 1 if size is None else size
+            link_stats.payloads += payloads
         if self.nodes[source].crashed:
             reason = "crashed"
         elif self.is_partitioned(source, destination):
@@ -477,7 +478,7 @@ class Network:
         if self._m_latency is not None:
             self._m_latency.record(delay)
             if wan is not None:
-                self._record_wan(wan, 1 if size is None else size, delay)
+                self._record_wan(wan, payloads, delay)
         # A hop span is opened only when the send happens inside an
         # active trace; it closes at delivery — or never, which is how a
         # message dropped by an in-flight partition shows up in the
