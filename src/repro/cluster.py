@@ -446,11 +446,14 @@ class ClusterBuilder:
         path of DESIGN.md section 16.
 
         Every store built by the cluster (primary, backups, slaves,
-        replicas, the warehouse extract) gets its own cache; typed
-        reads through :meth:`Cluster.read` and the front door's
-        BOUNDED/EVENTUAL rungs are then served from cached folds with
-        honest measured staleness, while STRONG reads revalidate
-        against the log watermark on every hit.
+        replicas) gets its own cache, and the store's own typed reads
+        (:meth:`~repro.lsdb.store.LSDBStore.read` / ``serve``) route
+        through it: STRONG revalidates against the log watermark on
+        every hit, weaker levels may serve a cached fold stamped with
+        its honest measured age.  Replication schemes, the warehouse
+        extract and the front door's rungs do not consult it: a copy's
+        incrementally kept fold is already one dict probe away, so they
+        read it directly and stamp the replication lag.
 
         Args:
             capacity: LRU entry bound per cache.
@@ -869,15 +872,6 @@ class ClusterBuilder:
                         window=rc_kwargs["coalesce_window"],
                         max_batch=rc_kwargs["coalesce_max_batch"],
                     )
-            if cluster.warehouse is not None:
-                cluster.read_caches.append(
-                    ReadCache.over_warehouse(
-                        cluster.warehouse,
-                        capacity=rc_kwargs["capacity"],
-                        hot_capacity=rc_kwargs["hot_capacity"],
-                        metrics=metrics,
-                    )
-                )
 
         if self._chaos_kwargs is not None:
             from repro.chaos.engine import ChaosEngine

@@ -11,9 +11,10 @@ cache, a warehouse extract, each replication scheme — is a
 *Pick the copy the level selects and report what it honestly holds.*
 ``serve`` knows nothing about the caller's policy: it never raises for
 a weaker-than-asked answer, never compares staleness with a bound and
-never builds a :class:`ReadResult`.  ``max_staleness`` is only a budget
-for the copies behind it (a read cache may serve an entry that old);
-``site`` is where the reader sits, for surfaces that span datacenters.
+never builds a :class:`ReadResult`.  ``max_staleness`` is only the
+budget a store's read cache may spend (it may serve an entry that old);
+replication schemes ignore it and read the copy itself.  ``site`` is
+where the reader sits, for surfaces that span datacenters.
 
 Callers get the one shared entry point, inherited from the base class::
 

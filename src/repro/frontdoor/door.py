@@ -469,8 +469,10 @@ def _bottom_reader(cluster):
 
     Preference order: the warehouse extract (already a read model),
     else the primary store's latest rollup checkpoint (a frozen
-    snapshot — zero marginal load on the serving path), else the store
-    itself.
+    snapshot — zero marginal load on the serving path), else the
+    store's own fold at staleness zero.  None of them goes through a
+    read cache: each is already a fold, and a probe in front of a
+    dict probe only adds cost and age.
     """
     sim = cluster.sim
     warehouse = getattr(cluster, "warehouse", None)
@@ -489,6 +491,6 @@ def _bottom_reader(cluster):
             state = checkpoint.states.get((entity_type, entity_key))
             age = max(0.0, sim.now - checkpoint.taken_at)
             return state, eventual, age, "checkpoint", ""
-        return store.serve(entity_type, entity_key, eventual)
+        return store.get(entity_type, entity_key), eventual, 0.0, store.name, ""
 
     return reader

@@ -16,7 +16,12 @@ the store:
   timestamps) fits the caller's staleness budget, so cache-served reads
   stamp **honest measured staleness** and never silently exceed a
   bound.  Eviction is size-bounded LRU with a space-saving top-k hot-set
-  tracker pinning the hot set.
+  tracker pinning the hot set.  Only a store's own typed reads
+  (:meth:`~repro.lsdb.store.LSDBStore.read` / ``serve``) consult it:
+  every store keeps its rollup incrementally, so a replication scheme,
+  the warehouse extract and the front door read a copy's fold directly —
+  one dict probe, which no cache probe in front of it can beat, and an
+  answer no older than the copy itself.
 * :class:`WriteCoalescer` — hot-key write coalescing on the ingest
   path.  The log append, per-origin feed and version-vector bookkeeping
   stay immediate (replication correctness is untouched); only the
@@ -115,8 +120,8 @@ class ReadCache(ReadSurface):
     repeatedly; callers must treat it as immutable (the same contract
     as reading the store's live state map).
 
-    Build one with :meth:`over_store` or :meth:`over_warehouse` rather
-    than calling the constructor directly.
+    Build one with :meth:`over_store` rather than calling the
+    constructor directly.
 
     Args:
         name: Diagnostic/metric label.
@@ -124,10 +129,8 @@ class ReadCache(ReadSurface):
             authoritative read.
         head: ``(entity_type, entity_key) -> int`` — the entity's
             current watermark.
-        age: ``(entity_type, entity_key, watermark) -> Optional[float]``
-            — measured age of a fold taken at ``watermark``; ``None``
-            means "cannot measure, refresh instead".  ``None`` callable
-            disables stale serving.
+        age: ``(entity_type, entity_key, watermark) -> float`` —
+            measured age of a fold taken at ``watermark``.
         capacity: Maximum cached entries (LRU beyond this).
         hot_capacity: Top-k size of the hot-set tracker; hot entries are
             pinned against LRU eviction.
@@ -144,7 +147,7 @@ class ReadCache(ReadSurface):
         name: str = "cache",
         fetch: Callable[[str, str], Optional[EntityState]],
         head: Callable[[str, str], int],
-        age: Optional[Callable[[str, str, int], Optional[float]]] = None,
+        age: Callable[[str, str, int], float],
         capacity: int = 512,
         hot_capacity: int = 16,
         metrics: Any = None,
@@ -207,7 +210,7 @@ class ReadCache(ReadSurface):
 
         log = store.log
 
-        def entity_age(*ref_and_watermark: Any) -> Optional[float]:
+        def entity_age(*ref_and_watermark: Any) -> float:
             stamp = log.entity_first_timestamp_after(*ref_and_watermark)
             if stamp is None:
                 return 0.0
@@ -226,37 +229,6 @@ class ReadCache(ReadSurface):
             served_by=f"{store.name}+cache",
         )
         store.attach_read_cache(cache)
-        return cache
-
-    @classmethod
-    def over_warehouse(
-        cls,
-        warehouse: Any,
-        *,
-        capacity: int = 512,
-        hot_capacity: int = 16,
-        metrics: Any = None,
-        name: str = "warehouse-cache",
-    ) -> "ReadCache":
-        """A cache over a :class:`~repro.replication.warehouse.WarehouseExtract`.
-
-        The watermark is the extract's ``extracted_lsn`` — one number
-        for every entity, because an extract is an atomic snapshot.  A
-        new extract re-watermarks the world: old entries miss and
-        refresh on next touch (no stale serving below an extract; the
-        warehouse already stamps extract-level staleness itself).
-        """
-        cache = cls(
-            name=name,
-            fetch=lambda *ref: warehouse.get(*ref),
-            head=lambda *_ref: warehouse.extracted_lsn,
-            age=None,
-            capacity=capacity,
-            hot_capacity=hot_capacity,
-            metrics=metrics if metrics is not None else warehouse.sim.metrics,
-            served_by="warehouse+cache",
-        )
-        warehouse.attach_read_cache(cache)
         return cache
 
     # ------------------------------------------------------------------ #
@@ -294,9 +266,9 @@ class ReadCache(ReadSurface):
             if watermark == self._head(entity_type, entity_key):
                 self._record_hit(ref)
                 return state, 0.0
-            if not revalidate and self._age is not None:
+            if not revalidate:
                 age = self._age(entity_type, entity_key, watermark)
-                if age is not None and (budget is None or age <= budget):
+                if budget is None or age <= budget:
                     self._record_hit(ref)
                     return state, age
         self.misses += 1

@@ -31,7 +31,6 @@ from repro.replication.replica import (
     ReplicaNode,
     converged,
     lag_behind_peers,
-    read_follower,
 )
 from repro.sim.network import Network
 from repro.sim.scheduler import Simulator
@@ -177,13 +176,15 @@ class ActiveActiveGroup(ReadSurface):
         replica has not applied yet.
         """
         serving = next(iter(self.replicas.values()))
-        lag = lag_behind_peers(serving, self.replicas.values())
-        state, staleness = read_follower(
-            serving, lag, entity_type, entity_key, max_staleness
-        )
         if is_weaker(ConsistencyLevel.EVENTUAL, level):
             level = ConsistencyLevel.EVENTUAL
-        return state, level, staleness, serving.node_id, ""
+        return (
+            serving.store.get(entity_type, entity_key),
+            level,
+            lag_behind_peers(serving, self.replicas.values()),
+            serving.node_id,
+            "",
+        )
 
     def read_at(
         self, replica_id: str, entity_type: str, entity_key: str

@@ -27,7 +27,7 @@ from repro.core.readpath import (
     replica_level,
 )
 from repro.errors import QuorumUnavailable, RetryExhausted
-from repro.replication.replica import ReplicaNode, lag_behind_peers, read_follower
+from repro.replication.replica import ReplicaNode, lag_behind_peers
 from repro.sim.network import Network, Node
 from repro.sim.scheduler import Simulator
 
@@ -408,11 +408,13 @@ class QuorumGroup(ReadSurface):
                 "the pending result"
             )
         serving = self.replicas[0]
-        lag = lag_behind_peers(serving, self.replicas)
-        state, staleness = read_follower(
-            serving, lag, entity_type, entity_key, max_staleness
+        return (
+            serving.store.get(entity_type, entity_key),
+            replica_level(level),
+            lag_behind_peers(serving, self.replicas),
+            serving.node_id,
+            "",
         )
-        return state, replica_level(level), staleness, serving.node_id, ""
 
     def read(
         self,

@@ -32,7 +32,6 @@ from typing import Any, Iterable, Mapping, Optional
 from repro.core.consistency import ConsistencyLevel
 from repro.core.readpath import ReadSurface, Served
 from repro.lsdb.columnar import ColumnFrame, EventSlice
-from repro.lsdb.rollup import EntityState
 from repro.lsdb.store import LSDBStore
 from repro.replication.batching import BatchPolicy, FrameShipper
 from repro.sim.network import Network, Node
@@ -335,34 +334,12 @@ def lag_behind_peers(serving: ReplicaNode, peers: Iterable[ReplicaNode]) -> floa
     return staleness
 
 
-def read_follower(
-    serving: ReplicaNode,
-    lag: float,
-    entity_type: str,
-    entity_key: str,
-    max_staleness: Optional[float],
-) -> tuple[Optional[EntityState], float]:
-    """What a copy lagging by ``lag`` holds, and how stale that answer is.
-
-    Without a read cache on ``serving``'s store this is its current
-    fold at ``lag``.  With one, the replication lag already eats part
-    of the caller's staleness budget and the cache may only add what is
-    left (``budget = max(0, max_staleness - lag)``, unbounded when
-    ``max_staleness`` is ``None``); the stamp is the oldest write the
-    answer misses — replication lag or cache age, whichever is worse.
-    """
-    cache = serving.store.read_cache
-    if cache is None:
-        return serving.store.get(entity_type, entity_key), lag
-    budget = None if max_staleness is None else max(0.0, max_staleness - lag)
-    state, cache_age = cache.lookup(entity_type, entity_key, budget=budget)
-    return state, max(lag, cache_age)
-
-
 class PrimaryCopySurface(ReadSurface):
     """``serve`` for schemes with one authoritative copy: ``STRONG``
-    reads the authority at staleness zero, anything weaker reads a
-    follower (:func:`read_follower`) at the replica floor."""
+    reads the authority at staleness zero, anything weaker reads the
+    follower's own fold at the replica floor, stamped with how far it
+    lags (:func:`staleness_behind`).  ``max_staleness`` is not consulted:
+    the copy holds what it holds, and the stamp says how old it is."""
 
     @abstractmethod
     def _read_nodes(self) -> tuple[ReplicaNode, ReplicaNode]:
@@ -381,12 +358,14 @@ class PrimaryCopySurface(ReadSurface):
         if level is ConsistencyLevel.STRONG:
             state = authority.store.get(entity_type, entity_key)
             return state, level, 0.0, authority.node_id, ""
-        lag = staleness_behind(authority, follower)
-        state, staleness = read_follower(
-            follower, lag, entity_type, entity_key, max_staleness
-        )
         # Not STRONG, so already at or below the replica floor.
-        return state, level, staleness, follower.node_id, ""
+        return (
+            follower.store.get(entity_type, entity_key),
+            level,
+            staleness_behind(authority, follower),
+            follower.node_id,
+            "",
+        )
 
 
 def converged(replicas: list[ReplicaNode]) -> bool:

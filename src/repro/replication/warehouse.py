@@ -12,7 +12,7 @@ warehouse when it has one and no front door.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.core.consistency import ConsistencyLevel
 from repro.core.readpath import ReadSurface, Served
@@ -33,8 +33,10 @@ class WarehouseExtract(ReadSurface):
             many OLTP events are folded per extract round (one frame of
             the feed).  A backlog larger than the frame waits for the
             next round and shows up in :attr:`lag_events` — bounded work
-            per round instead of unbounded catch-up stalls.  ``None``
-            folds the whole backlog at once (the legacy behaviour).
+            per round instead of unbounded catch-up stalls — and in
+            :attr:`staleness`, which then counts from the first row left
+            behind.  ``None`` folds the whole backlog at once (the legacy
+            behaviour).
     """
 
     def __init__(
@@ -56,11 +58,13 @@ class WarehouseExtract(ReadSurface):
         self.incremental = incremental
         self.max_batch = max_batch
         self.extracted_at: float = -1.0
+        #: When the extract started to be behind its source: the extract
+        #: time, or the first row a batched extract left behind.
+        self._behind_since: float = -1.0
         self.extracted_lsn: int = 0
         self.extracts_taken = 0
         self.events_applied_incrementally = 0
         self.feed_frames = 0
-        self.read_cache = None
         self._snapshot: dict[tuple[str, str], EntityState] = {}
         self._g_lag = (
             sim.metrics.gauge("warehouse.lag_events")
@@ -73,6 +77,8 @@ class WarehouseExtract(ReadSurface):
         self.sim.schedule(self.interval, self._extract, label="warehouse-extract")
 
     def _extract(self) -> None:
+        now = self.sim.now
+        behind_since = now
         if self.incremental and self.extracts_taken > 0:
             # Incremental extract: fold only the OLTP events appended
             # since the last extract over the previous snapshot — the
@@ -83,7 +89,10 @@ class WarehouseExtract(ReadSurface):
             suffix = self.source.events_since(self.extracted_lsn)
             if self.max_batch is not None and len(suffix) > self.max_batch:
                 # One frame of the feed per round; the remainder stays
-                # visible as lag until the next round drains it.
+                # visible as lag until the next round drains it, and the
+                # extract misses writes from the remainder's first row on.
+                first_left = suffix.rows[self.max_batch]
+                behind_since = min(now, suffix.arena.timestamps[first_left])
                 suffix = suffix[: self.max_batch]
             self._snapshot = self.source.rollup.fold(suffix, initial=self._snapshot)
             self.events_applied_incrementally += len(suffix)
@@ -95,7 +104,8 @@ class WarehouseExtract(ReadSurface):
         else:
             self._snapshot = self.source.current_state()
             self.extracted_lsn = self.source.log.head_lsn
-        self.extracted_at = self.sim.now
+        self.extracted_at = now
+        self._behind_since = behind_since
         self.extracts_taken += 1
         if self._g_lag is not None:
             self._g_lag.set(self.lag_events)
@@ -104,14 +114,6 @@ class WarehouseExtract(ReadSurface):
     # ------------------------------------------------------------------ #
     # Read-only query surface
     # ------------------------------------------------------------------ #
-
-    def attach_read_cache(self, cache: Any) -> None:
-        """Route point reads through a watermark-validated cache (see
-        :class:`repro.lsdb.readcache.ReadCache`).  The watermark is
-        :attr:`extracted_lsn` — one number for the whole snapshot — so
-        every cached entry is implicitly refreshed when the next
-        extract lands (the watermark moves, entries revalidate)."""
-        self.read_cache = cache
 
     def get(self, entity_type: str, entity_key: str) -> Optional[EntityState]:
         """Entity state as of the last extract (``None`` before the
@@ -133,16 +135,13 @@ class WarehouseExtract(ReadSurface):
         so every answer comes from the last extract regardless of the
         level asked for, stamped with the extract's measured staleness:
         zero when the feed has drained (:attr:`lag_events` is zero, the
-        snapshot *is* current), otherwise the time since the extract
-        was taken.
+        snapshot *is* current), otherwise :attr:`staleness`.  The state
+        is the extract's own frozen entry: read-only, like every served
+        fold.
         """
-        if self.read_cache is not None:
-            state, _ = self.read_cache.lookup(entity_type, entity_key)
-        else:
-            state = self.get(entity_type, entity_key)
+        state = self._snapshot.get((entity_type, entity_key))
         staleness = 0.0 if self.lag_events == 0 else self.staleness
-        served_by = "warehouse" if self.read_cache is None else "warehouse+cache"
-        return state, ConsistencyLevel.EXTRACT, staleness, served_by, ""
+        return state, ConsistencyLevel.EXTRACT, staleness, "warehouse", ""
 
     def scan(self, entity_type: str) -> list[EntityState]:
         """All live entities of a type as of the last extract."""
@@ -161,10 +160,12 @@ class WarehouseExtract(ReadSurface):
 
     @property
     def staleness(self) -> float:
-        """Virtual time since the last extract (``inf`` before the first)."""
+        """Virtual time since the extract started to be behind its
+        source (``inf`` before the first): since the last extract, or
+        since the first row a batched extract left for the next round."""
         if self.extracted_at < 0:
             return float("inf")
-        return self.sim.now - self.extracted_at
+        return self.sim.now - self._behind_since
 
     @property
     def lag_events(self) -> int:

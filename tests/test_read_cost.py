@@ -7,12 +7,12 @@ the "cheaper" half by counting work, never by timing it:
 * stamping a follower read's staleness answers from the authority's
   per-origin index — no ``EventSlice`` is built and no ``LogEvent`` is
   materialised on any read, on any scheme;
-* one warm cache hit through the whole ladder stack (cluster → front
-  door → ladder rung → master/slave → read cache) stays inside a budget
-  of Python function calls, which is what keeps ``Enum.__hash__``,
-  ``.value`` descriptors and per-read list building off the path —
-  whether the caller passes the request or the entity type's
-  consistency policy supplies it;
+* one warm follower read through the whole ladder stack (cluster →
+  front door → ladder rung → master/slave → the slave's own fold) stays
+  inside a budget of Python function calls, which is what keeps
+  ``Enum.__hash__``, ``.value`` descriptors, per-read list building and
+  a read-cache probe off the path — whether the caller passes the
+  request or the entity type's consistency policy supplies it;
 * one warm geo read (cluster → sited front door → geo group) stays
   inside its own budget, with no key digest and no latency lookup —
   routing is a memo hit and a precomputed read order.
@@ -38,11 +38,12 @@ BOUND = 20.0
 BOUNDED = ReadRequest.bounded(BOUND)
 KEYS = 40
 READS = 1_000
-#: Python ``call`` events for one warm cache-hit BOUNDED read through
-#: ``Cluster.read``: 59 before the read path was made constant-work,
-#: 28 measured when this budget was set (CPython 3.11).  Ratchet it down
-#: with the next saving; never up without saying what the calls buy.
-WARM_HIT_CALL_BUDGET = 32
+#: Python ``call`` events for one warm BOUNDED follower read through
+#: ``Cluster.read``: 59 before the read path was made constant-work, 28
+#: while the slave's read cache answered it, 24 measured once the read
+#: went to the slave's own fold (CPython 3.11).  Ratchet it down with the
+#: next saving; never up without saying what the calls buy.
+WARM_HIT_CALL_BUDGET = 26
 #: The same for one warm geo BOUNDED read served by the door's own site:
 #: 34 while every read re-hashed its key and re-ranked the shard's live
 #: members by latency, 27 measured once the shard was memoised and the
@@ -181,8 +182,9 @@ def test_bounded_reads_materialise_nothing(build, monkeypatch):
     # and the stamps say by how much.
     assert sum(1 for r in results if r.staleness) > READS // 10
     assert all(r.staleness <= BOUND for r in results if not r.degraded)
-    if cluster.placement is None:  # geo reads do not go through the caches
-        assert sum(cache.hits for cache in cluster.read_caches) > READS // 4
+    # Every serving copy is read at its own fold; no cache is asked.
+    lookups = [cache.hits + cache.misses for cache in cluster.read_caches]
+    assert lookups == [0] * len(lookups)
     assert counter.calls == {"event_at": 0, "events_from_origin": 0}
     # The counter has teeth: this is what a read used to do per stamp.
     store = LSDBStore(origin="probe")
@@ -192,25 +194,27 @@ def test_bounded_reads_materialise_nothing(build, monkeypatch):
     assert counter.calls == {"event_at": 1, "events_from_origin": 1}
 
 
-def warm_hit(cluster, **request):
-    """One warm cache-hit read of ``k7`` on a lagging slave, and its
-    Python calls; ``request`` is the ``request=`` keyword, if any."""
+def warm_follower_read(cluster, **request):
+    """One warm read of ``k7`` on a lagging slave, and its Python calls;
+    ``request`` is the ``request=`` keyword, if any."""
     for index in range(KEYS):
         write(cluster, index)
     cluster.sim.run(until=50.0)  # shipped: the slave holds every key
-    for _ in range(3):  # cached, tracked hot, breakers closed
+    for _ in range(3):  # breakers closed, coalescers flushed
         cluster.read("entity", "k7", **request)
     write(cluster, 8)
     cluster.sim.run(until=51.0)  # the slave now lags: a measured stamp
 
-    hits = sum(cache.hits for cache in cluster.read_caches)
     result, calls = python_calls(cluster.read, "entity", "k7", **request)
-    assert sum(cache.hits for cache in cluster.read_caches) == hits + 1
+    # The slave's fold answers; its coalescer's (empty) flush is the
+    # only trace of the read cache's module on the path.
+    assert "readcache.py:lookup" not in calls
+    assert sum(cache.hits + cache.misses for cache in cluster.read_caches) == 0
     return result, calls
 
 
-def test_warm_cache_hit_stays_inside_the_call_budget():
-    result, calls = warm_hit(master_slave_cluster(), request=BOUNDED)
+def test_warm_follower_read_stays_inside_the_call_budget():
+    result, calls = warm_follower_read(master_slave_cluster(), request=BOUNDED)
 
     assert result.served_by == "slave-1" and not result.degraded
     assert result.staleness == 1.0
@@ -219,14 +223,14 @@ def test_warm_cache_hit_stays_inside_the_call_budget():
     assert not [c for c in calls if c.startswith(("enum.py:", "types.py:"))]
 
 
-def test_policy_default_warm_hit_stays_inside_the_call_budget():
-    """The same hit with no ``request=``: the entity type's policy
+def test_policy_default_warm_follower_read_stays_inside_the_call_budget():
+    """The same read with no ``request=``: the entity type's policy
     supplies it, and the table lookup costs no Python call."""
     policy = ConsistencyPolicy(
         "entity", ConsistencyLevel.BOUNDED_STALENESS,
         rationale="reads tolerate shipping lag", max_staleness=BOUND,
     )
-    result, calls = warm_hit(master_slave_cluster(policy))
+    result, calls = warm_follower_read(master_slave_cluster(policy))
 
     assert result.requested_level is ConsistencyLevel.BOUNDED_STALENESS
     assert result.served_by == "slave-1" and not result.degraded

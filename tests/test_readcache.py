@@ -6,8 +6,8 @@ space-saving hot-set tracker and its LRU pinning, structural
 invalidation (compaction, checkpoint install, recover, reducer change
 — the regression this PR exists to prevent), write coalescing
 (window/batch flushes, read-your-writes, state equivalence), and the
-replication surfaces the cache plugs into (warehouse, master/slave,
-cluster builder).
+replicated read path that bypasses the cache (every scheme's follower
+read, the warehouse rung, the cluster builder's wiring).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.lsdb.readcache import HotSetTracker, ReadCache, WriteCoalescer
 from repro.lsdb.store import LSDBStore
 from repro.merge.deltas import Delta
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.scheduler import Simulator
 
 
 class Clock:
@@ -425,71 +424,115 @@ class TestWriteCoalescer:
             )
 
 
-class TestWarehouseCache:
-    def test_cache_refreshes_on_new_extract(self):
-        sim = Simulator(seed=1)
-        source = LSDBStore(name="oltp", origin="oltp", clock=lambda: sim.now)
-        from repro.replication.warehouse import WarehouseExtract
+def _cluster(mode: str = "master_slave", count: int = 3, **warehouse):
+    from repro.cluster import Cluster
 
-        warehouse = WarehouseExtract(sim, source, interval=10.0)
-        cache = ReadCache.over_warehouse(warehouse)
-        source.insert("acct", "a", {"bal": 10})
-        sim.run(until=15.0)  # first extract lands
-        result = warehouse.read("acct", "a", request=ReadRequest.eventual())
+    builder = Cluster.build(seed=5).with_replicas(count, mode=mode)
+    if warehouse:
+        builder = builder.with_warehouse(**warehouse).with_front_door()
+    return builder.with_read_cache(coalesce_window=2.0).create()
+
+
+def _lookups(cluster) -> int:
+    return sum(cache.hits + cache.misses for cache in cluster.read_caches)
+
+
+class TestWarehouseRung:
+    def test_serves_the_new_extract(self):
+        """The door's bottom rung reads the extract's own fold, and a
+        new extract is what the next read sees — no cache in between."""
+        cluster = _cluster(interval=10.0)
+        warehouse = cluster.warehouse
+        eventual = ReadRequest.eventual()
+        cluster.replication.write_insert("acct", "a", {"bal": 10})
+        cluster.sim.run(until=15.0)  # first extract lands
+        result = cluster.read("acct", "a", request=eventual)
         assert result.value.fields == {"bal": 10}
-        assert result.served_by == "warehouse+cache"
-        source.apply_delta("acct", "a", Delta.add("bal", 5))
-        sim.run(until=25.0)  # second extract: watermark moves
-        result = warehouse.read("acct", "a", request=ReadRequest.eventual())
-        assert result.value.fields == {"bal": 15}
-        assert cache.stats()["misses"] == 2
+        assert result.value is warehouse.get("acct", "a")
+        assert result.served_by == "warehouse" and result.staleness == 0.0
+        cluster.replication.write_delta("acct", "a", Delta.add("bal", 5))
+        cluster.sim.run(until=17.0)  # still the first extract, stamped
+        result = cluster.read("acct", "a", request=eventual)
+        assert result.value.fields == {"bal": 10} and result.staleness == 7.0
+        cluster.sim.run(until=25.0)  # second extract
+        result = cluster.read("acct", "a", request=eventual)
+        assert result.value.fields == {"bal": 15} and result.staleness == 0.0
+        assert _lookups(cluster) == 0
+
+    def test_bottom_rung_reads_the_store_before_the_first_extract(self):
+        cluster = _cluster(interval=10.0)
+        cluster.replication.write_insert("acct", "a", {"bal": 10})
+        result = cluster.read("acct", "a", request=ReadRequest.eventual())
+        assert result.value is cluster.store.get("acct", "a")
+        assert result.served_by == cluster.store.name
+        assert result.staleness == 0.0
+        assert _lookups(cluster) == 0
+
+
+#: How each scheme writes one entity; active/active writes away from the
+#: replica that serves, so the served copy has something to lag behind.
+_WRITERS = {
+    "master_slave": lambda scheme, key, fields: scheme.write_insert(
+        "acct", key, fields
+    ),
+    "sync": lambda scheme, key, fields: scheme.write_insert("acct", key, fields),
+    "active_active": lambda scheme, key, fields: scheme.write_insert(
+        list(scheme.replicas)[-1], "acct", key, fields
+    ),
+    "quorum": lambda scheme, key, fields: scheme.write("acct", key, fields),
+}
 
 
 class TestReplicatedReadPath:
-    def test_slave_cache_budget_is_bound_minus_lag(self):
-        from repro.cluster import Cluster
-
-        cluster = (
-            Cluster.build(seed=5)
-            .with_replicas(3, mode="master_slave")
-            .with_read_cache()
-            .create()
-        )
-        group = cluster.replication
-        group.write_insert("acct", "a", {"bal": 10})
-        cluster.sim.run(until=100.0)
-        result = cluster.read("acct", "a", request=ReadRequest.bounded(50.0))
-        assert result.value.fields == {"bal": 10}
-        assert not result.bound_violated
-        # A second read hits the slave's cache at the same watermark.
-        slave = group.slaves[next(iter(group.slaves))]
-        hits_before = slave.store.read_cache.hits
-        result = cluster.read("acct", "a", request=ReadRequest.bounded(50.0))
-        assert slave.store.read_cache.hits == hits_before + 1
-        assert not result.bound_violated
-
     @pytest.mark.parametrize(
         "mode, count",
         [("master_slave", 2), ("sync", 2), ("active_active", 3), ("quorum", 3)],
     )
-    def test_every_scheme_follower_reads_through_its_cache(self, mode, count):
-        from repro.cluster import Cluster
+    def test_follower_read_is_the_followers_own_fold(self, mode, count):
+        """A BOUNDED read that picks a replica copy returns that copy's
+        live state, stamped with exactly its replication lag, and never
+        asks a cache."""
+        from repro.replication.replica import lag_behind_peers, staleness_behind
 
-        cluster = (
-            Cluster.build(seed=5)
-            .with_replicas(count, mode=mode)
-            .with_read_cache()
-            .create()
-        )
-        bounded = ReadRequest.bounded(1000.0)
-        first = cluster.read("acct", "a", request=bounded)
-        again = cluster.read("acct", "a", request=bounded)
-        follower = next(
-            c for c in cluster.read_caches if c.served_by == f"{first.served_by}+cache"
-        )
-        assert (follower.misses, follower.hits) == (1, 1)
-        assert again.served_by == first.served_by
-        assert sum(c.hits + c.misses for c in cluster.read_caches) == 2
+        cluster = _cluster(mode, count)
+        scheme = cluster.replication
+        _WRITERS[mode](scheme, "a", {"bal": 10})
+        cluster.sim.run(until=100.0)
+        _WRITERS[mode](scheme, "b", {"bal": 1})
+        cluster.sim.run(until=100.5)  # the follower lags the second write
+
+        result = cluster.read("acct", "a", request=ReadRequest.bounded(1000.0))
+
+        if mode in ("master_slave", "sync"):
+            authority, follower = scheme._read_nodes()
+            lag = staleness_behind(authority, follower)
+        else:
+            members = scheme.replicas
+            if isinstance(members, dict):
+                members = list(members.values())
+            follower = members[0]
+            lag = lag_behind_peers(follower, members)
+        assert result.served_by == follower.node_id
+        assert result.value is follower.store.get("acct", "a")
+        assert result.value.fields == {"bal": 10}
+        assert result.staleness == lag > 0.0
+        assert _lookups(cluster) == 0
+
+    def test_follower_read_is_never_older_than_the_follower(self):
+        """A slave holding ``bal=15`` answers ``bal=15`` at zero lag; a
+        cached ``bal=10`` stamped with its age was staler than the copy
+        it came from."""
+        cluster = _cluster()
+        group = cluster.replication
+        bounded = ReadRequest.bounded(50.0)
+        group.write_insert("acct", "a", {"bal": 10})
+        cluster.sim.run(until=100.0)
+        assert cluster.read("acct", "a", request=bounded).value.fields == {"bal": 10}
+        group.write_delta("acct", "a", Delta.add("bal", 5))
+        cluster.sim.run(until=130.0)  # shipped: the slave holds bal=15
+        result = cluster.read("acct", "a", request=bounded)
+        assert result.value.fields == {"bal": 15}
+        assert result.staleness == 0.0 and not result.bound_violated
 
     def test_strong_reads_unaffected_by_cache(self):
         from repro.cluster import Cluster
@@ -506,20 +549,13 @@ class TestReplicatedReadPath:
         assert result.value.fields == {"bal": 10}
         assert result.staleness == 0.0
 
-    def test_builder_wires_every_store_and_warehouse(self):
-        from repro.cluster import Cluster
-
-        cluster = (
-            Cluster.build(seed=5)
-            .with_replicas(3, mode="master_slave")
-            .with_warehouse(interval=50.0)
-            .with_read_cache(coalesce_window=2.0)
-            .create()
-        )
-        # master + 2 slaves + warehouse
-        assert len(cluster.read_caches) == 4
+    def test_builder_wires_every_store_and_no_warehouse(self):
+        cluster = _cluster(interval=50.0)
+        # master + 2 slaves; the warehouse reads its extract directly
+        assert len(cluster.read_caches) == 3
         assert cluster.read_cache is cluster.store.read_cache
-        assert cluster.warehouse.read_cache is not None
-        for node in [cluster.replication.master, *cluster.replication.slaves.values()]:
-            assert node.store.read_cache is not None
+        assert not hasattr(cluster.warehouse, "read_cache")
+        nodes = [cluster.replication.master, *cluster.replication.slaves.values()]
+        assert [node.store.read_cache for node in nodes] == cluster.read_caches
+        for node in nodes:
             assert node.store.coalescer is not None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.consistency import ConsistencyLevel
 from repro.merge.deltas import Delta
 from repro.core.policy import TimeoutPolicy
 from repro.replication.batching import BatchPolicy
@@ -338,6 +339,30 @@ class TestWarehouse:
         assert warehouse.lag_events == 1
         sim.run(until=20.0)
         assert warehouse.aggregate("order", "total") == 12
+
+    def test_batched_extract_stamps_its_first_missing_write(self):
+        """A batched extract that leaves rows for the next round has been
+        behind since the first of them was written, not since it ran."""
+        sim, _ = world()
+        from repro.lsdb.store import LSDBStore
+
+        store = LSDBStore(clock=lambda: sim.now)
+        warehouse = WarehouseExtract(sim, store, interval=10.0, max_batch=4)
+        for index in range(30):
+            sim.schedule_at(
+                index + 0.5,
+                lambda: store.apply_delta("acct", "a", Delta.add("bal", 1)),
+                label="w",
+            )
+        sim.run(until=25.0)
+        # t=10: full extract of 10 rows; t=20: 4 of the next 10, so the
+        # row written at t=14.5 is the oldest write the extract misses.
+        assert warehouse.extracted_lsn == 14 and warehouse.lag_events == 11
+        state, _level, staleness, _by, _site = warehouse.serve(
+            "acct", "a", ConsistencyLevel.EXTRACT
+        )
+        assert state.fields == {"bal": 14}
+        assert staleness == warehouse.staleness == 25.0 - 14.5
 
     def test_staleness_is_bounded_by_interval(self):
         sim, _ = world()
