@@ -77,12 +77,6 @@ class TokenBucket:
             return True
         return False
 
-    @property
-    def available(self) -> float:
-        """Tokens currently spendable (after a lazy refill)."""
-        self._refill()
-        return self.tokens
-
 
 class AdmissionController:
     """Per-tenant rate limiting with per-level read costs.
@@ -118,17 +112,16 @@ class AdmissionController:
         self.quotas[tenant] = quota
         self._buckets.pop(tenant, None)
 
-    def bucket_for(self, tenant: str) -> TokenBucket:
+    def try_admit(self, tenant: str, cost: float = 1.0) -> bool:
+        """Charge ``cost`` tokens against ``tenant``'s bucket (built on
+        the tenant's first read).  An unmetered bucket admits without a
+        call: its infinite burst stays infinite whatever is spent."""
         bucket = self._buckets.get(tenant)
         if bucket is None:
             quota = self.quotas.get(tenant, self.default_quota)
             bucket = TokenBucket(quota.rate, quota.burst, self.clock)
             self._buckets[tenant] = bucket
-        return bucket
-
-    def try_admit(self, tenant: str, cost: float = 1.0) -> bool:
-        """Charge ``cost`` tokens against ``tenant``'s bucket."""
-        admitted = self.bucket_for(tenant).try_take(cost)
+        admitted = bucket.tokens == math.inf or bucket.try_take(cost)
         if self.metrics is not None:
             name = "frontdoor.admitted" if admitted else "frontdoor.throttled"
             self.metrics.counter(name, tenant=tenant or "default").inc()

@@ -33,11 +33,8 @@ class BackpressureSignal:
     probe: Callable[[], float]
     limit: float
 
-    def reading(self) -> float:
-        return float(self.probe())
-
     def tripped(self) -> bool:
-        return self.reading() > self.limit
+        return float(self.probe()) > self.limit
 
 
 class BackpressureMonitor:
@@ -70,7 +67,3 @@ class BackpressureMonitor:
                         "frontdoor.backpressure", signal=signal.name
                     ).inc()
         return over
-
-    def readings(self) -> dict[str, float]:
-        """Current value of every signal (for reports and tests)."""
-        return {signal.name: signal.reading() for signal in self.signals}

@@ -87,10 +87,6 @@ class CircuitBreaker:
     # Queries
     # ------------------------------------------------------------------ #
 
-    def healthy(self) -> bool:
-        """The simulator's live view of the unit (``True`` if no probe)."""
-        return self.health() if self.health is not None else True
-
     def allow(self) -> bool:
         """Whether the front door may attempt this unit right now.
 
@@ -99,7 +95,8 @@ class CircuitBreaker:
         breaker whose deadline has passed flips to half-open and allows
         exactly the probe attempt.
         """
-        if not self.healthy():
+        health = self.health
+        if health is not None and not health():
             return False
         if self.state is BreakerState.OPEN:
             if self._retry_at.expired(self.clock()):

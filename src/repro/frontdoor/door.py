@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.core.consistency import ConsistencyLevel
-from repro.core.readpath import ReadRequest, ReadResult, Served
+from repro.core.readpath import ReadRequest, ReadResult
 from repro.frontdoor.admission import AdmissionController, TenantQuota, TokenBucket
 from repro.frontdoor.backpressure import BackpressureMonitor
 from repro.frontdoor.breaker import BreakerBoard
@@ -75,6 +75,9 @@ class FrontDoor:
         self.apologies = apologies
         self.metrics = sim.metrics
         self.tracer = sim.tracer
+        #: The datacenter this door fronts (:meth:`for_cluster`'s
+        #: ``site``); every rung serves for it.
+        self.site: Optional[str] = None
         self.reads = 0
         self.rejects = 0
         self.degraded_serves = 0
@@ -92,63 +95,66 @@ class FrontDoor:
     ) -> ReadResult:
         """Serve one read through the valve chain; always returns a
         :class:`ReadResult` (rejections come back with
-        ``rejected=True`` and a reason, never as exceptions)."""
+        ``rejected=True`` and a reason, never as exceptions).
+
+        An idle valve costs an attribute test, not a call: backpressure
+        with no signals is not probed, and an unmetered tenant's bucket
+        is not charged."""
         if request is None:
             request = ReadRequest()
         self.reads += 1
+        tracer = self.tracer
         span = (
-            self.tracer.start_span(
+            tracer.start_span(
                 "frontdoor.read",
                 entity=f"{entity_type}/{entity_key}",
                 level=request.level.value,
                 tenant=request.tenant or "default",
             )
-            if self.tracer is not None
+            if tracer is not None
             else None
         )
-        result = self._serve(entity_type, entity_key, request)
-        if span is not None:
-            status = "rejected" if result.rejected else (
-                "degraded" if result.degraded else "served"
-            )
-            self.tracer.end_span(span, status=status)
-        return result
-
-    def _serve(
-        self, entity_type: str, entity_key: str, request: ReadRequest
-    ) -> ReadResult:
+        result = None
         deadline = request.deadline
         if deadline is not None and deadline.expired(self.sim.now):
-            return self._reject(request, "deadline")
-
-        # Admission charges the *cheapest* eligible rung: a tenant out
-        # of strong-read budget can still afford the degraded rungs, so
-        # quota pressure pushes traffic down the ladder before it ever
-        # rejects.
-        candidates, cost = self.ladder.plan(request)
-        if not candidates:
-            return self._reject(request, "no_rung")
-        if not self.admission.try_admit(request.tenant, cost):
-            return self._reject(request, "quota")
-
-        overloaded = self.backpressure.tripped()
-        metrics = self.metrics
-        for rung in candidates:
-            if (
-                overloaded
-                and rung.level is ConsistencyLevel.STRONG
-                and len(candidates) > 1
-            ):
-                # Backpressure sheds the strong rung (when a weaker one
-                # exists to shed onto); the breakers and capacity
-                # buckets below handle the rest.
-                self._count("frontdoor.shed", reason=overloaded[0])
-                continue
-            if rung.breaker is not None and not rung.breaker.allow():
-                continue
-            result = rung.serve(entity_type, entity_key, request)
-            if result is None:
-                continue
+            reason = "deadline"
+        else:
+            # Admission charges the *cheapest* eligible rung: a tenant
+            # out of strong-read budget can still afford the degraded
+            # rungs, so quota pressure pushes traffic down the ladder
+            # before it ever rejects.
+            candidates, cost = self.ladder.plans[request.level.strength][
+                request.allow_degraded
+            ]
+            if not candidates:
+                reason = "no_rung"
+            elif not self.admission.try_admit(request.tenant, cost):
+                reason = "quota"
+            else:
+                reason = "saturated"
+                backpressure = self.backpressure
+                overloaded = backpressure.tripped() if backpressure.signals else ()
+                for rung in candidates:
+                    if (
+                        overloaded
+                        and rung.level is ConsistencyLevel.STRONG
+                        and len(candidates) > 1
+                    ):
+                        # Backpressure sheds the strong rung (when a
+                        # weaker one exists to shed onto); the breakers
+                        # and capacity buckets below handle the rest.
+                        self._count("frontdoor.shed", reason=overloaded[0])
+                        continue
+                    breaker = rung.breaker
+                    if breaker is not None and not breaker.allow():
+                        continue
+                    result = rung.serve(entity_type, entity_key, request, self.site)
+                    if result is not None:
+                        break
+        if result is None:
+            result = self._reject(request, reason)
+        else:
+            metrics = self.metrics
             # Labels (``.value`` is a Python-level descriptor) are only
             # built for a registry that will take them.
             if metrics is not None:
@@ -169,8 +175,12 @@ class FrontDoor:
                 result.apology = self._apologize(
                     entity_type, entity_key, request, result
                 )
-            return result
-        return self._reject(request, "saturated")
+        if span is not None:
+            status = "rejected" if result.rejected else (
+                "degraded" if result.degraded else "served"
+            )
+            tracer.end_span(span, status=status)
+        return result
 
     # ------------------------------------------------------------------ #
     # Outcomes
@@ -300,7 +310,6 @@ class FrontDoor:
         )
         rungs = _rungs(
             cluster,
-            site,
             clock=clock,
             board=board,
             bounded_staleness=bounded_staleness,
@@ -335,13 +344,15 @@ class FrontDoor:
             apologies = getattr(
                 getattr(cluster, "compensation", None), "apologies", None
             )
-        return cls(
+        door = cls(
             sim,
             DegradeLadder(rungs),
             admission=admission,
             backpressure=monitor,
             apologies=apologies,
         )
+        door.site = site
+        return door
 
 
 # ---------------------------------------------------------------------- #
@@ -351,7 +362,6 @@ class FrontDoor:
 
 def _rungs(
     cluster,
-    site,
     *,
     clock,
     board,
@@ -359,25 +369,14 @@ def _rungs(
     strong_capacity,
     bounded_capacity,
 ) -> list:
-    """The ladder over the cluster's read surface: one ``serve`` per
-    level, plus the flat clusters' cheapest-copy bottom reader."""
+    """The ladder over the cluster's read surface: each rung serves it
+    at the rung's level, except the flat clusters' bottom rung, which
+    reads the cheapest copy."""
     scheme = cluster.replication
     surface = scheme if scheme is not None else cluster.store
     # A geo group (per-site WAN gateways) answers every level itself,
     # site-aware; a flat cluster bottoms out in its cheapest copy.
     geo = hasattr(scheme, "gateways")
-
-    def serve_at(level):
-        def reader(entity_type, entity_key, request):
-            return surface.serve(
-                entity_type,
-                entity_key,
-                level,
-                max_staleness=request.max_staleness,
-                site=site,
-            )
-
-        return reader
 
     def bucket(capacity):
         if capacity is None:
@@ -390,9 +389,14 @@ def _rungs(
         return lambda: not getattr(node, "crashed", False)
 
     if geo:
-        strong_health = bounded_health = lambda: any(
-            not gateway.crashed for gateway in scheme.gateways.values()
-        )
+
+        def any_gateway_up() -> bool:
+            for gateway in scheme.gateways.values():
+                if not gateway.crashed:
+                    return True
+            return False
+
+        strong_health = bounded_health = any_gateway_up
     elif isinstance(scheme, PrimaryCopySurface):
         authority, follower = scheme._read_nodes()
         strong_health, bounded_health = up(authority), up(follower)
@@ -403,7 +407,7 @@ def _rungs(
     rungs = [
         Rung(
             level=ConsistencyLevel.STRONG,
-            reader=serve_at(ConsistencyLevel.STRONG),
+            surface=surface,
             cost=4.0,
             capacity=bucket(strong_capacity),
             breaker=board.get("strong", health=strong_health),
@@ -416,7 +420,7 @@ def _rungs(
         rungs.append(
             Rung(
                 level=ConsistencyLevel.BOUNDED_STALENESS,
-                reader=serve_at(ConsistencyLevel.BOUNDED_STALENESS),
+                surface=surface,
                 cost=2.0,
                 capacity=bucket(bounded_capacity),
                 breaker=board.get("bounded", health=bounded_health),
@@ -426,11 +430,7 @@ def _rungs(
     rungs.append(
         Rung(
             level=ConsistencyLevel.EVENTUAL,
-            reader=(
-                serve_at(ConsistencyLevel.EVENTUAL)
-                if geo
-                else _bottom_reader(cluster)
-            ),
+            surface=surface if geo else _CheapestCopy(cluster),
             cost=1.0,
         )
     )
@@ -463,9 +463,10 @@ def _rebalance_in_progress(cluster) -> bool:
     return any(not getattr(run, "done", True) for run in runs)
 
 
-def _bottom_reader(cluster):
-    """The bottom rung: the cheapest copy that always answers, served
-    as EVENTUAL.
+class _CheapestCopy:
+    """The flat clusters' bottom rung: the cheapest copy that always
+    answers, served as EVENTUAL.  Only the door reads it, so it has a
+    ``serve`` and no ``read``.
 
     Preference order: the warehouse extract (already a read model),
     else the primary store's latest rollup checkpoint (a frozen
@@ -474,23 +475,25 @@ def _bottom_reader(cluster):
     read cache: each is already a fold, and a probe in front of a
     dict probe only adds cost and age.
     """
-    sim = cluster.sim
-    warehouse = getattr(cluster, "warehouse", None)
-    store = cluster.store
-    eventual = ConsistencyLevel.EVENTUAL
 
-    def reader(entity_type, entity_key, request) -> Served:
+    def __init__(self, cluster):
+        self.sim = cluster.sim
+        self.warehouse = getattr(cluster, "warehouse", None)
+        self.store = cluster.store
+
+    def serve(self, entity_type, entity_key, level, *, max_staleness=None, site=None):
+        eventual = ConsistencyLevel.EVENTUAL
+        warehouse = self.warehouse
         if warehouse is not None and warehouse.extracted_at >= 0:
             state, _extract, staleness, _by, _site = warehouse.serve(
                 entity_type, entity_key, eventual
             )
             return state, eventual, staleness, "warehouse", ""
+        store = self.store
         manager = getattr(store, "checkpoints", None)
         checkpoint = manager.latest() if manager is not None else None
         if checkpoint is not None:
             state = checkpoint.states.get((entity_type, entity_key))
-            age = max(0.0, sim.now - checkpoint.taken_at)
+            age = max(0.0, self.sim.now - checkpoint.taken_at)
             return state, eventual, age, "checkpoint", ""
         return store.get(entity_type, entity_key), eventual, 0.0, store.name, ""
-
-    return reader

@@ -11,8 +11,8 @@ for exactly this case).  The ladder encodes that as an ordered list of
     BOUNDED_STALENESS slave / backup read         staleness <= declared bound
     EVENTUAL          checkpoint snapshot read    staleness measured, unbounded
 
-Each rung owns a reader (a surface's ``serve`` bound to the rung's
-level — see :mod:`repro.core.readpath`), an optional service-capacity
+Each rung owns a read surface (served at the rung's level — see
+:mod:`repro.core.readpath`), an optional service-capacity
 :class:`~repro.frontdoor.admission.TokenBucket` (the rung's throughput
 model), an optional circuit breaker, and — for the bounded rung — a
 *declared* staleness bound the rung refuses to exceed: a slave that has
@@ -25,12 +25,13 @@ refuses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.core.consistency import ConsistencyLevel
-from repro.core.readpath import ReadRequest, ReadResult, Served
+from repro.core.readpath import ReadRequest, ReadResult
+from repro.errors import ReproError
 from repro.frontdoor.admission import TokenBucket
-from repro.frontdoor.breaker import CircuitBreaker
+from repro.frontdoor.breaker import BreakerState, CircuitBreaker
 
 
 @dataclass
@@ -39,9 +40,9 @@ class Rung:
 
     Args:
         level: The consistency level this rung delivers.
-        reader: ``(entity_type, entity_key, request) -> (state, level,
-            staleness, served_by, site)`` — what the rung's copy
-            honestly holds (:meth:`ReadSurface.serve`'s tuple).
+        surface: What the rung reads: anything with
+            :meth:`~repro.core.readpath.ReadSurface.serve`, served at the
+            rung's level — what its copy honestly holds.
         cost: Admission tokens a read on this rung charges the tenant
             (strong reads cost more than snapshot reads).
         capacity: Optional service-capacity bucket — the rung's
@@ -56,7 +57,7 @@ class Rung:
     """
 
     level: ConsistencyLevel
-    reader: Callable[[str, str, ReadRequest], Served]
+    surface: Any
     cost: float = 1.0
     capacity: Optional[TokenBucket] = None
     breaker: Optional[CircuitBreaker] = None
@@ -65,24 +66,23 @@ class Rung:
     #: bound (visible to tests and reports).
     bound_refusals: int = field(default=0, compare=False)
 
-    def available(self) -> bool:
-        """Breaker and capacity both willing (does not spend tokens)."""
-        if self.breaker is not None and not self.breaker.allow():
-            return False
-        if self.capacity is not None and self.capacity.available < 1.0:
-            return False
-        return True
-
     def serve(
-        self, entity_type: str, entity_key: str, request: ReadRequest
+        self,
+        entity_type: str,
+        entity_key: str,
+        request: ReadRequest,
+        site: Optional[str] = None,
     ) -> Optional[ReadResult]:
-        """Attempt the read at this rung and stamp the answer.
+        """Attempt the read at this rung, for a door fronting ``site``,
+        and stamp the answer.
 
-        Returns ``None`` when the rung refuses — capacity empty, reader
-        raised, the copy holds less than this rung's level (both breaker
-        failures: the rung never relabels a weaker answer), or the
-        measured staleness exceeds the declared bound — and the caller
-        falls through to the next rung.
+        Returns ``None`` when the rung refuses — capacity empty, the
+        surface raised a :class:`~repro.errors.ReproError`, the copy
+        holds less than this rung's level (both breaker failures: the
+        rung never relabels a weaker answer), or the measured staleness
+        exceeds the declared bound — and the caller falls through to the
+        next rung.  Any other exception is a programming error, not an
+        unavailable copy: it propagates and no breaker hears of it.
 
         A served read is stamped here, once: delivered at the rung's
         level, degraded when that is weaker than requested.
@@ -93,12 +93,17 @@ class Rung:
         """
         if self.capacity is not None and not self.capacity.try_take(1.0):
             return None
-        try:
-            served = self.reader(entity_type, entity_key, request)
-        except Exception:
-            return self._failed()
-        state, held, staleness, served_by, site = served
         level = self.level
+        try:
+            state, held, staleness, served_by, served_site = self.surface.serve(
+                entity_type,
+                entity_key,
+                level,
+                max_staleness=request.max_staleness,
+                site=site,
+            )
+        except ReproError:
+            return self._failed()
         if held.strength > level.strength:
             return self._failed()
         if (
@@ -110,8 +115,12 @@ class Rung:
             # let a rung with no bound (or a wider one) answer.
             self.bound_refusals += 1
             return None
-        if self.breaker is not None:
-            self.breaker.record_success()
+        breaker = self.breaker
+        # A success on a closed breaker with no failures changes nothing.
+        if breaker is not None and (
+            breaker.failures or breaker.state is not BreakerState.CLOSED
+        ):
+            breaker.record_success()
         return ReadResult(
             state,
             requested_level=request.level,
@@ -119,7 +128,7 @@ class Rung:
             staleness=staleness,
             degraded=level.strength > request.level.strength,
             served_by=served_by,
-            site=site,
+            site=served_site,
         )
 
     def _failed(self) -> None:
@@ -132,7 +141,7 @@ class DegradeLadder:
     """Ordered rungs, strongest first.  Fixed once built: which rungs a
     request may use, and what admission charges for it, depend only on
     ``(level, allow_degraded)``, so both are tabulated here instead of
-    re-derived per read (:meth:`plan`)."""
+    re-derived per read (:attr:`plans`)."""
 
     def __init__(self, rungs: list[Rung]):
         if not rungs:
@@ -141,7 +150,9 @@ class DegradeLadder:
         if order != sorted(order):
             raise ValueError("rungs must be ordered strongest to weakest")
         self.rungs = tuple(rungs)
-        self._plans = tuple(
+        #: ``plans[level.strength][allow_degraded]`` is :meth:`plan`'s
+        #: answer; the door indexes it directly.
+        self.plans = tuple(
             tuple(
                 self._plan(ReadRequest(level=level, allow_degraded=allow))
                 for allow in (False, True)
@@ -157,7 +168,7 @@ class DegradeLadder:
         """``(candidate rungs, cheapest cost among them)`` for
         ``request``: :meth:`candidates` and the admission charge, looked
         up by ``level.strength`` and ``allow_degraded``."""
-        return self._plans[request.level.strength][request.allow_degraded]
+        return self.plans[request.level.strength][request.allow_degraded]
 
     def candidates(self, request: ReadRequest) -> list[Rung]:
         """Rungs eligible for ``request``: the requested level's rung
@@ -175,12 +186,6 @@ class DegradeLadder:
             # serving slightly stronger than asked is never a downgrade.
             return [self.rungs[-1]]
         return eligible
-
-    def rung_for(self, level: ConsistencyLevel) -> Optional[Rung]:
-        for rung in self.rungs:
-            if rung.level is level:
-                return rung
-        return None
 
     def describe(self) -> list[dict[str, Any]]:
         """One dict per rung, for reports."""

@@ -76,6 +76,8 @@ class LSDBStore(ReadSurface):
         self.origin = origin
         self._clock = clock or (lambda: 0.0)
         self.log = AppendOnlyLog(name)
+        #: The log's arena (immortal), for reads that index one column.
+        self._arena = self.log.arena
         self.rollup = Rollup()
         self._states: StateMap = {}
         self.log.subscribe_columnar(self._on_append_row, self._on_append_batch)
@@ -736,8 +738,9 @@ class LSDBStore(ReadSurface):
         """The current rolled-up state of one entity (``None`` if the
         entity has no events at all; a tombstoned entity is returned
         with ``deleted=True``)."""
-        if self.coalescer is not None:
-            self.coalescer.flush()
+        coalescer = self.coalescer
+        if coalescer is not None and coalescer._pending:  # rows to fold first
+            coalescer.flush()
         return self._states.get((entity_type, entity_key))
 
     def serve(
@@ -1004,7 +1007,7 @@ class LSDBStore(ReadSurface):
         if not seqs or after_seq >= seqs[-1]:
             return None
         row = self._by_origin[origin][bisect_right(seqs, after_seq)]
-        return self.log.arena.timestamps[row]
+        return self._arena.timestamps[row]
 
     def count_from_origin(self, origin: str, after_seq: int) -> int:
         """How many events from ``origin`` have sequence > ``after_seq``,

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.core.consistency import ConsistencyLevel
-from repro.core.readpath import Served
 from repro.errors import NotMaster
 from repro.lsdb.events import EventKind, LogEvent
 from repro.lsdb.rollup import EntityState
@@ -111,6 +109,7 @@ class MasterSlaveGroup(PrimaryCopySurface):
         self.rejected_writes = 0
         self._active = True
         self.failovers: list[FailoverReport] = []
+        # Every slave read, typed or node-addressed, records its lag.
         self._h_staleness = self._g_lag = None
         if sim.metrics is not None:
             self._h_staleness = sim.metrics.histogram(
@@ -161,25 +160,6 @@ class MasterSlaveGroup(PrimaryCopySurface):
     def _read_nodes(self) -> tuple[ReplicaNode, ReplicaNode]:
         return self.master, self._reader
 
-    def serve(
-        self,
-        entity_type: str,
-        entity_key: str,
-        level: ConsistencyLevel,
-        *,
-        max_staleness: Optional[float] = None,
-        site: Optional[str] = None,
-    ) -> Served:
-        """``STRONG`` reads the master, anything weaker the first slave
-        (see :class:`PrimaryCopySurface`); slave reads record their lag
-        in events into the ``read.staleness_events`` histogram when
-        metrics are attached."""
-        if level is not ConsistencyLevel.STRONG and self._h_staleness is not None:
-            self._record_slave_read(self._reader.node_id)
-        return super().serve(
-            entity_type, entity_key, level, max_staleness=max_staleness
-        )
-
     def read_at(
         self, node_id: str, entity_type: str, entity_key: str
     ) -> Optional[EntityState]:
@@ -187,12 +167,9 @@ class MasterSlaveGroup(PrimaryCopySurface):
         are recorded in ``read.staleness_events`` like typed ones)."""
         if node_id == self.master.node_id:
             return self.master.store.get(entity_type, entity_key)
-        self._record_slave_read(node_id)
-        return self.slaves[node_id].store.get(entity_type, entity_key)
-
-    def _record_slave_read(self, slave_id: str) -> None:
         if self._h_staleness is not None:
-            self._h_staleness.record(self.slave_lag_events(slave_id))
+            self._h_staleness.record(self.slave_lag_events(node_id))
+        return self.slaves[node_id].store.get(entity_type, entity_key)
 
     def slave_lag_events(self, slave_id: str) -> int:
         """Master events not yet applied at ``slave_id``."""

@@ -316,8 +316,9 @@ def staleness_behind(authority: ReplicaNode, follower: ReplicaNode) -> float:
     gets stamped with (the measurement-first posture of the consistency
     simulation literature: measure the distribution, don't assert it).
     """
-    applied = follower.store.version_vector.get(authority.node_id)
-    oldest = authority.store.origin_timestamp_after(authority.node_id, applied)
+    origin = authority.node_id
+    applied = follower.store.version_vector.counts.get(origin, 0)
+    oldest = authority.store.origin_timestamp_after(origin, applied)
     if oldest is None:
         return 0.0
     return max(0.0, authority.sim.now - oldest)
@@ -339,7 +340,15 @@ class PrimaryCopySurface(ReadSurface):
     reads the authority at staleness zero, anything weaker reads the
     follower's own fold at the replica floor, stamped with how far it
     lags (:func:`staleness_behind`).  ``max_staleness`` is not consulted:
-    the copy holds what it holds, and the stamp says how old it is."""
+    the copy holds what it holds, and the stamp says how old it is.
+    A subclass sets :attr:`_h_staleness` when follower reads should
+    record their lag in events."""
+
+    #: :meth:`_read_nodes`, asked once: membership is fixed at
+    #: construction.
+    _read_pair: Optional[tuple[ReplicaNode, ReplicaNode]] = None
+    #: Histogram of each follower read's lag in authority events.
+    _h_staleness = None
 
     @abstractmethod
     def _read_nodes(self) -> tuple[ReplicaNode, ReplicaNode]:
@@ -354,18 +363,25 @@ class PrimaryCopySurface(ReadSurface):
         max_staleness: Optional[float] = None,
         site: Optional[str] = None,
     ) -> Served:
-        authority, follower = self._read_nodes()
+        pair = self._read_pair
+        if pair is None:
+            pair = self._read_pair = self._read_nodes()
+        authority, follower = pair
         if level is ConsistencyLevel.STRONG:
             state = authority.store.get(entity_type, entity_key)
             return state, level, 0.0, authority.node_id, ""
-        # Not STRONG, so already at or below the replica floor.
-        return (
-            follower.store.get(entity_type, entity_key),
-            level,
-            staleness_behind(authority, follower),
-            follower.node_id,
-            "",
-        )
+        # Not STRONG, so already at or below the replica floor.  The
+        # stamp is :func:`staleness_behind`, inlined.
+        origin = authority.node_id
+        applied = follower.store.version_vector.counts.get(origin, 0)
+        if self._h_staleness is not None:
+            self._h_staleness.record(
+                authority.store.count_from_origin(origin, applied)
+            )
+        state = follower.store.get(entity_type, entity_key)
+        oldest = authority.store.origin_timestamp_after(origin, applied)
+        staleness = 0.0 if oldest is None else max(0.0, authority.sim.now - oldest)
+        return state, level, staleness, follower.node_id, ""
 
 
 def converged(replicas: list[ReplicaNode]) -> bool:

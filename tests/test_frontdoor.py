@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.consistency import ConsistencyLevel
-from repro.core.readpath import ReadRequest, ReadResult
+from repro.core.readpath import ReadRequest, ReadResult, ReadSurface
+from repro.errors import ReplicationError
 from repro.frontdoor import (
     AdmissionController,
     BackpressureMonitor,
@@ -156,11 +157,27 @@ class TestCircuitBreaker:
         assert not breaker.allow()
 
 
-def make_rung(level, value="v", *, staleness=0.0, **kwargs):
-    def reader(entity_type, entity_key, request):
-        return value, level, staleness, "fake", ""
+class FakeSurface(ReadSurface):
+    """A copy holding ``value`` at ``level``; each serve first raises the
+    next of ``errors``, if any are left."""
 
-    return Rung(level=level, reader=reader, **kwargs)
+    def __init__(self, value="v", level=ConsistencyLevel.STRONG, staleness=0.0,
+                 errors=()):
+        self.value = value
+        self.level = level
+        self.staleness = staleness
+        self.errors = list(errors)
+
+    def serve(self, entity_type, entity_key, level, *, max_staleness=None,
+              site=None):
+        if self.errors:
+            raise self.errors.pop(0)
+        return self.value, self.level, self.staleness, "fake", ""
+
+
+def make_rung(level, value="v", *, staleness=0.0, errors=(), **kwargs):
+    surface = FakeSurface(value, level, staleness, errors)
+    return Rung(level=level, surface=surface, **kwargs)
 
 
 class TestDegradeLadder:
@@ -357,13 +374,11 @@ class TestFrontDoor:
 
     def test_breaker_failure_path(self):
         sim = Simulator(seed=1)
-
-        def exploding(entity_type, entity_key, request):
-            raise RuntimeError("replica down")
-
         breaker = CircuitBreaker("strong", lambda: sim.now, failure_threshold=2)
-        broken = Rung(
-            level=ConsistencyLevel.STRONG, reader=exploding, breaker=breaker
+        broken = make_rung(
+            ConsistencyLevel.STRONG,
+            errors=[ReplicationError("replica down")] * 3,
+            breaker=breaker,
         )
         door = make_door(sim, [broken, make_rung(ConsistencyLevel.EVENTUAL)])
         for _ in range(2):
@@ -373,6 +388,128 @@ class TestFrontDoor:
         # With the breaker open the failing reader is not even attempted.
         result = door.read("order", "o-1", request=ReadRequest.strong())
         assert result.delivered_level is ConsistencyLevel.EVENTUAL
+
+
+    def test_quota_set_after_build_still_throttles(self):
+        sim = Simulator(seed=1)
+        door = make_door(sim, [make_rung(ConsistencyLevel.EVENTUAL)])
+        eventual = ReadRequest.eventual(tenant="t")
+        assert door.read("order", "o-1", request=eventual).ok
+        door.admission.set_quota("t", TenantQuota(rate=0.0, burst=1.0))
+        assert door.read("order", "o-1", request=eventual).ok
+        result = door.read("order", "o-1", request=eventual)
+        assert result.rejected and result.reject_reason == "quota"
+
+    def test_signal_added_after_build_still_sheds_the_strong_rung(self):
+        sim = Simulator(seed=1)
+        door = make_door(sim, [
+            make_rung(ConsistencyLevel.STRONG),
+            make_rung(ConsistencyLevel.EVENTUAL),
+        ])
+        strong = ReadRequest.strong()
+        assert door.read("order", "o-1", request=strong).delivered_level is (
+            ConsistencyLevel.STRONG
+        )
+        door.backpressure.add("load", lambda: 2.0, limit=1.0)
+        result = door.read("order", "o-1", request=strong)
+        assert result.degraded
+        assert result.delivered_level is ConsistencyLevel.EVENTUAL
+
+    def test_success_after_a_sub_threshold_failure_clears_it(self):
+        sim = Simulator(seed=1)
+        breaker = CircuitBreaker("strong", lambda: sim.now, failure_threshold=3)
+        strong = make_rung(
+            ConsistencyLevel.STRONG,
+            errors=[ReplicationError("blip")],
+            breaker=breaker,
+        )
+        door = make_door(sim, [strong, make_rung(ConsistencyLevel.EVENTUAL)])
+        assert door.read("order", "o-1", request=ReadRequest.strong()).degraded
+        assert breaker.failures == 1 and breaker.state is BreakerState.CLOSED
+        result = door.read("order", "o-1", request=ReadRequest.strong())
+        assert result.delivered_level is ConsistencyLevel.STRONG
+        assert breaker.failures == 0
+
+    def test_half_open_probe_that_succeeds_closes_the_breaker(self):
+        sim = Simulator(seed=1)
+        breaker = CircuitBreaker("strong", lambda: sim.now, failure_threshold=1)
+        strong = make_rung(
+            ConsistencyLevel.STRONG,
+            errors=[ReplicationError("down")],
+            breaker=breaker,
+        )
+        door = make_door(sim, [strong, make_rung(ConsistencyLevel.EVENTUAL)])
+        assert door.read("order", "o-1", request=ReadRequest.strong()).degraded
+        assert breaker.state is BreakerState.OPEN
+        sim.run(until=1_000.0)  # past the reset deadline: the next read probes
+        result = door.read("order", "o-1", request=ReadRequest.strong())
+        assert result.delivered_level is ConsistencyLevel.STRONG
+        assert breaker.state is BreakerState.CLOSED and breaker.failures == 0
+
+
+def master_slave_door_cluster(*, traced: bool = False, replicas: int = 3):
+    from repro import Cluster
+
+    builder = Cluster.build(seed=7)
+    if traced:
+        builder = builder.with_tracing()
+    return (
+        builder.with_network(latency=2.0)
+        .with_replicas(replicas, mode="master_slave", ship_interval=10.0)
+        .with_front_door()
+        .create()
+    )
+
+
+def test_a_surface_programming_error_propagates_and_spares_the_breakers():
+    """Only a :class:`~repro.errors.ReproError` is an unavailable copy; a
+    bug in a surface is not answered as a degraded read and opens no
+    breaker."""
+    cluster = master_slave_door_cluster()
+    cluster.replication.write_insert("order", "o-1", {"total": 4})
+
+    def broken(*_args, **_kwargs):
+        raise AttributeError("no such attribute")
+
+    cluster.replication.serve = broken
+    for _ in range(4):
+        with pytest.raises(AttributeError):
+            cluster.read("order", "o-1", request=ReadRequest.strong())
+    ladder = cluster.front_door.ladder
+    assert [rung["breaker"] for rung in ladder.describe()] == [
+        "closed", "closed", None
+    ]
+    assert all(
+        rung.breaker.failures == 0 for rung in ladder.rungs if rung.breaker
+    )
+
+
+def test_a_traced_door_decides_exactly_as_an_untraced_one():
+    def run(traced):
+        cluster = master_slave_door_cluster(traced=traced)
+        scheme = cluster.replication
+        answers = []
+        requests = [
+            ReadRequest.strong(), ReadRequest.bounded(5.0), ReadRequest.eventual()
+        ]
+        for step in range(30):
+            scheme.write_insert("order", f"o-{step % 4}", {"total": step})
+            if step == 20:
+                scheme.master.crash()
+            cluster.sim.run(until=3.0 * step + 1.0)
+            for request in requests:
+                result = cluster.read("order", f"o-{step % 5}", request=request)
+                answers.append((
+                    result.value, result.delivered_level, result.staleness,
+                    result.degraded, result.rejected, result.served_by,
+                ))
+        door = cluster.front_door
+        counts = (door.reads, door.rejects, door.degraded_serves)
+        return answers, counts, door.ladder.describe()
+
+    untraced, traced = run(False), run(True)
+    assert traced == untraced
+    assert untraced[1][2] > 0  # the crash made the door degrade
 
 
 class TestForCluster:
