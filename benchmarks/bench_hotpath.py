@@ -11,8 +11,8 @@ rotation) drives identical seeded schedules against two configurations:
 * **baseline** — the paper's fold-on-read: every read re-folds the
   entity's event history from the log (what serving current state costs
   without a snapshot cache);
-* **cached** — the same store fronted by ``ReadCache`` (plus hot-key
-  write coalescing), reads via the typed BOUNDED protocol.
+* **cached** — the same store fronted by ``ReadCache``, reads via the
+  typed BOUNDED protocol.
 
 The committed artefact ``BENCH_hotpath.json`` separates the
 **deterministic signature** (op counts, hit/miss/eviction counters,
@@ -98,11 +98,10 @@ def _run_baseline(spec, ops) -> dict[str, Any]:
 
 
 def _run_cached(spec, ops) -> dict[str, Any]:
-    """The hot path: ReadCache + write coalescing, typed BOUNDED reads."""
+    """The hot path: ReadCache, typed BOUNDED reads."""
     clock = [0.0]
     store = LSDBStore(name="hot", origin="bench", clock=lambda: clock[0])
     cache = ReadCache.over_store(store, capacity=1024, hot_capacity=32)
-    store.enable_coalescing(window=2.0, max_batch=64)
     request = ReadRequest.bounded(STALENESS_BOUND)
     read_seconds = 0.0
     reads = writes = violations = 0
@@ -138,8 +137,6 @@ def _run_cached(spec, ops) -> dict[str, Any]:
         "digest": _digest(store),
         "read_seconds": read_seconds,
         "cache": stats,
-        "coalesce_flushes": store.coalescer.flushes,
-        "coalesce_fused_rows": store.coalescer.fused_rows,
         "stale_beyond_bound_serves": violations,
         "hot_reads": hot_reads,
         "hot_hits": hot_hits,
@@ -186,8 +183,6 @@ def collect(quick: bool = False) -> dict[str, Any]:
                 "writes": cached["writes"],
                 "digest": cached["digest"],
                 "cache": cached["cache"],
-                "coalesce_flushes": cached["coalesce_flushes"],
-                "coalesce_fused_rows": cached["coalesce_fused_rows"],
                 "stale_beyond_bound_serves": cached[
                     "stale_beyond_bound_serves"
                 ],
@@ -229,8 +224,8 @@ def trajectory(metrics: dict[str, Any]) -> dict[str, Any]:
             "registered traffic scenario (Zipf theta=0.5/0.99, flash "
             "crowd, diurnal rotation) drives one seeded op schedule "
             "against fold-on-read (the paper's rollup-per-read "
-            "baseline) and against the watermark-validated ReadCache "
-            "with write coalescing, under a typed BOUNDED(20.0) "
+            "baseline) and against the watermark-validated ReadCache, "
+            "under a typed BOUNDED(20.0) "
             "staleness budget. signature blocks are byte-deterministic "
             "(the --check-determinism surface); timing blocks record "
             "wall-clock read throughput. stale_beyond_bound_serves "

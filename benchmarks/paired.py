@@ -7,12 +7,14 @@ temporary directory and runs that checkout's
 ``benchmarks/e2e/run.py --workload W --seed S`` once per side per pair,
 alternating which side runs first, so drift on the box lands on both
 sides alike.  Each run's result is the last JSON line it prints (the
-ladder's contract line).  Then, per end-to-end metric of
-``BENCHMARK.json``: each side's median and quartiles, the ratio of the
-medians (B over A, so A is the base) and how many pairs B won — in the
-metric's ``better`` direction, ties counting for neither side — plus
-failed operations and failed runs on each side.  The worktrees are
-removed however the runs end.
+ladder's contract line), and each run prints one line as it ends: the
+pair, the side, whether that side ran first or second in its pair, and
+every end-to-end metric — so a noisy pair can be told from a slow side.
+Then, per end-to-end metric of ``BENCHMARK.json``: each side's median
+and quartiles, the ratio of the medians (B over A, so A is the base)
+and how many pairs B won — in the metric's ``better`` direction, ties
+counting for neither side — plus failed operations and failed runs on
+each side.  The worktrees are removed however the runs end.
 """
 
 from __future__ import annotations
@@ -132,10 +134,26 @@ def format_summary(summary: dict[str, Any], label_a: str, label_b: str) -> str:
     return "\n".join(lines)
 
 
+def format_run(
+    pair: int, side: str, order: str, result: Optional[dict[str, Any]], metrics
+) -> str:
+    """One run's line: pair number, side, ``first``/``second`` and each
+    of ``metrics`` (``-`` where the run reported none)."""
+    values = []
+    for metric in metrics:
+        value = _value(result, metric)
+        shown = "-" if value is None else _number(value)
+        values.append(f"{metric}={shown}")
+    failed = "no result" if result is None else f"failed={result.get('failed', 0)}"
+    return f"pair {pair} {side} {order:6s} " + " ".join(values) + f" {failed}"
+
+
+def _number(value: float) -> str:
+    return f"{value:.0f}" if abs(value) >= 1e4 else f"{value:.4g}"
+
+
 def _spread(quartile: tuple[float, float, float]) -> str:
-    q1, median, q3 = (
-        f"{value:.0f}" if abs(value) >= 1e4 else f"{value:.4g}" for value in quartile
-    )
+    q1, median, q3 = (_number(value) for value in quartile)
     return f"{median} [{q1}, {q3}]"
 
 
@@ -185,21 +203,31 @@ def main(argv: Optional[list[str]] = None) -> int:
             for checkout, rev in zip(checkouts, revs):
                 _git("worktree", "add", "--detach", str(checkout), rev)
                 added.append(checkout)
+            print(
+                f"{args.workload} seed={args.seed} pairs={args.pairs} "
+                f"A={revs[0]} B={revs[1]}",
+                flush=True,
+            )
             pairs = []
             for index in range(args.pairs):
                 order = (0, 1) if index % 2 == 0 else (1, 0)
                 results: list[Optional[dict[str, Any]]] = [None, None]
-                for side in order:
+                for position, side in enumerate(order):
                     results[side] = _run(checkouts[side], args.workload, args.seed)
+                    print(
+                        format_run(
+                            index + 1,
+                            "AB"[side],
+                            ("first", "second")[position],
+                            results[side],
+                            better,
+                        ),
+                        flush=True,
+                    )
                 pairs.append((results[0], results[1]))
-                print(f"pair {index + 1}/{args.pairs} done", file=sys.stderr)
         finally:
             for checkout in added:
                 _git("worktree", "remove", "--force", str(checkout))
-    print(
-        f"{args.workload} seed={args.seed} pairs={args.pairs} "
-        f"A={revs[0]} B={revs[1]}"
-    )
     print(format_summary(summarize(pairs, better), "A", "B"))
     return 0
 

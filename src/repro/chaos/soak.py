@@ -64,12 +64,11 @@ class SoakConfig:
     # one-event-per-frame wire behaviour.
     max_batch: Optional[int] = 32
     flush_interval: float = 5.0
-    # Hot-path knobs.  Deliberately NOT part of the report's ``config``
+    # Hot-path knob.  Deliberately NOT part of the report's ``config``
     # dict: a cache-on soak must produce a report byte-identical to the
     # cache-off run (the cache may change performance, never answers —
     # tests/test_cache_chaos_parity.py pins this).
     read_cache: bool = False
-    coalesce_window: float = 0.0
 
     def resolved_staleness_bound(self) -> float:
         """The bound used when none is given: the longest fault window
@@ -113,14 +112,11 @@ def run_soak(config: SoakConfig) -> dict[str, Any]:
         ),
     )
     chaos = ChaosEngine(sim, network, group.replica_list(), profile=config.profile)
-    if config.read_cache or config.coalesce_window > 0:
+    if config.read_cache:
         from repro.lsdb.readcache import ReadCache
 
         for replica in group.replica_list():
-            if config.read_cache:
-                ReadCache.over_store(replica.store, metrics=metrics)
-            if config.coalesce_window > 0:
-                replica.store.enable_coalescing(window=config.coalesce_window)
+            ReadCache.over_store(replica.store, metrics=metrics)
     recorder = _Recorder()
     recorder.sessions = {f"s{index}": [] for index in range(1, config.sessions + 1)}
 

@@ -439,7 +439,6 @@ class ClusterBuilder:
         capacity: int = 512,
         hot_capacity: int = 16,
         coalesce_window: float = 0.0,
-        coalesce_max_batch: int = 64,
     ) -> "ClusterBuilder":
         """Put a watermark-validated read cache in front of every store
         (:class:`~repro.lsdb.readcache.ReadCache`) — the skew-aware hot
@@ -459,17 +458,14 @@ class ClusterBuilder:
             capacity: LRU entry bound per cache.
             hot_capacity: Size of the pinned hot set (space-saving
                 top-k tracker).
-            coalesce_window: When positive, also enable hot-key write
-                coalescing on every store — incremental-cache folds
-                for appends inside one virtual-time window are fused
-                into a single batch fold.
-            coalesce_max_batch: Row bound per fused fold.
+            coalesce_window: Accepted and ignored.  It once armed write
+                coalescing; every store now folds each row once, when a
+                read of its entity or its ship round needs it, so there
+                is nothing left to coalesce.
         """
         self._read_cache_kwargs = {
             "capacity": capacity,
             "hot_capacity": hot_capacity,
-            "coalesce_window": coalesce_window,
-            "coalesce_max_batch": coalesce_max_batch,
         }
         return self
 
@@ -867,11 +863,6 @@ class ClusterBuilder:
                 cluster.read_caches.append(cache)
                 if store is cluster.store:
                     cluster.read_cache = cache
-                if rc_kwargs["coalesce_window"] > 0:
-                    store.enable_coalescing(
-                        window=rc_kwargs["coalesce_window"],
-                        max_batch=rc_kwargs["coalesce_max_batch"],
-                    )
 
         if self._chaos_kwargs is not None:
             from repro.chaos.engine import ChaosEngine

@@ -244,6 +244,10 @@ class SchemaMigrationManager:
                 f"migration of {new_type.name!r} v{plan.from_version}->"
                 f"v{plan.to_version} proscribed: {details}"
             )
+        # Rows already appended were written under the old chain: fold
+        # them before it changes, as an eager store would have.
+        for store in self._attached_stores:
+            store.fold_pending()
         self.catalog.register(new_type)
         self._upcasts[(new_type.name, plan.from_version)] = upcast or (
             lambda payload: payload

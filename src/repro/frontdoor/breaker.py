@@ -164,10 +164,3 @@ class BreakerBoard:
             )
             self._breakers[name] = breaker
         return breaker
-
-    def states(self) -> dict[str, str]:
-        """Unit name to breaker state (for reports and tests)."""
-        return {
-            name: breaker.state.value
-            for name, breaker in sorted(self._breakers.items())
-        }

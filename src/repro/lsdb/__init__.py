@@ -26,7 +26,7 @@ from repro.lsdb.compaction import Archive, CompactionReport, Compactor
 from repro.lsdb.events import EventKind, LogEvent
 from repro.lsdb.index import SecondaryIndex
 from repro.lsdb.log import AppendOnlyLog
-from repro.lsdb.readcache import HotSetTracker, ReadCache, WriteCoalescer
+from repro.lsdb.readcache import HotSetTracker, ReadCache
 from repro.lsdb.rollup import EntityState, GenericReducer, Reducer, Rollup
 from repro.lsdb.store import LSDBStore
 
@@ -43,7 +43,6 @@ __all__ = [
     "AppendOnlyLog",
     "HotSetTracker",
     "ReadCache",
-    "WriteCoalescer",
     "EntityState",
     "GenericReducer",
     "Reducer",

@@ -1,36 +1,24 @@
-"""The skew-aware hot path: watermark-validated read cache + write coalescing.
+"""The skew-aware read cache: a watermark-validated snapshot cache.
 
 Paper principle 2.10 (contention concentrates on hot entities) and 2.9
 (demand versus supply) say real traffic is skewed: a few entities absorb
-most reads and writes.  This module serves that skew on both sides of
-the store:
-
-* :class:`ReadCache` — a read-through snapshot cache over the rollup,
-  keyed by ``(entity_type, key)``.  Every entry carries an **LSN
-  watermark**: the head LSN of the entity's log history at fill time.
-  Validation is one O(1) probe of the log's per-entity index ("any
-  events since my watermark?"); a current hit returns the cached folded
-  state without touching the arena or the live state map.  A *stale*
-  entry may still be served — but only when its measured age (the age
-  of the oldest event past the watermark, read from the log's
-  timestamps) fits the caller's staleness budget, so cache-served reads
-  stamp **honest measured staleness** and never silently exceed a
-  bound.  Eviction is size-bounded LRU with a space-saving top-k hot-set
-  tracker pinning the hot set.  Only a store's own typed reads
-  (:meth:`~repro.lsdb.store.LSDBStore.read` / ``serve``) consult it:
-  every store keeps its rollup incrementally, so a replication scheme,
-  the warehouse extract and the front door read a copy's fold directly —
-  one dict probe, which no cache probe in front of it can beat, and an
-  answer no older than the copy itself.
-* :class:`WriteCoalescer` — hot-key write coalescing on the ingest
-  path.  The log append, per-origin feed and version-vector bookkeeping
-  stay immediate (replication correctness is untouched); only the
-  incremental-cache *fold* is deferred, and a burst against the same
-  hot entity fuses into one call of the store's one columnar fold
-  (:meth:`~repro.lsdb.rollup.Rollup.fold_slice_into`, a single
-  row-order pass) at flush.  The coalescing window runs on **virtual
-  time** and every state read flushes first, so read-your-writes holds
-  and chaos soaks stay byte-deterministic with coalescing on.
+most reads.  :class:`ReadCache` serves that skew in front of one store:
+a read-through snapshot cache over the rollup, keyed by
+``(entity_type, key)``.  Every entry carries an **LSN watermark**: the
+head LSN of the entity's log history at fill time.  Validation is one
+O(1) probe of the log's per-entity index ("any events since my
+watermark?"); a current hit returns the cached folded state without
+touching the arena or the live state map.  A *stale* entry may still be
+served — but only when its measured age (the age of the oldest event
+past the watermark, read from the log's timestamps) fits the caller's
+staleness budget, so cache-served reads stamp **honest measured
+staleness** and never silently exceed a bound.  Eviction is size-bounded
+LRU with a space-saving top-k hot-set tracker pinning the hot set.  Only
+a store's own typed reads (:meth:`~repro.lsdb.store.LSDBStore.read` /
+``serve``) consult it: every store keeps its rollup incrementally, so a
+replication scheme, the warehouse extract and the front door read a
+copy's fold directly — one dict probe, which no cache probe in front of
+it can beat, and an answer no older than the copy itself.
 
 Invalidation is structural, not temporal: compaction
 (:meth:`~repro.lsdb.log.AppendOnlyLog.rewrite_prefix`) rewrites history
@@ -391,127 +379,4 @@ class ReadCache(ReadSurface):
         return (
             f"ReadCache({self.name!r}, entries={len(self._entries)}, "
             f"hits={self.hits}, misses={self.misses})"
-        )
-
-
-class WriteCoalescer:
-    """Defer incremental-cache folds so hot-key bursts fuse into one
-    fold over the queued rows.
-
-    Only the *fold* is deferred: the log append, LSN assignment,
-    per-origin feed and version-vector bookkeeping all happen
-    immediately, so replication, staleness measurement and catch-up
-    feeds are untouched.  Pending rows flush
-
-    * when the **virtual-time window** since the batch's first row
-      expires (checked at the next append — no timers, no wall clock,
-      so seeded runs stay byte-deterministic),
-    * when the batch reaches ``max_batch`` rows,
-    * and before **any** state read (the store's read surfaces flush
-      first), which is what makes deferral unobservable: read-your-
-      writes holds and the final state map is byte-identical to folding
-      every row immediately (``fold_slice_into`` folds rows in the
-      exact append order, one pass, whatever reducer each type uses).
-
-    Args:
-        fold: ``rows -> None`` — the store's fold over pending arena
-            rows (:meth:`LSDBStore._fold_rows_now`).
-        clock: Virtual-time source.
-        window: Coalescing window on virtual time.
-        max_batch: Flush when this many rows are pending.
-        metrics: Optional registry for ``store.coalesce_flushes`` /
-            ``store.coalesce_fused_rows`` counters.
-        origin: Metric label.
-    """
-
-    __slots__ = (
-        "window",
-        "max_batch",
-        "flushes",
-        "fused_rows",
-        "_fold",
-        "_clock",
-        "_pending",
-        "_window_start",
-        "_m_flushes",
-        "_m_fused",
-    )
-
-    def __init__(
-        self,
-        *,
-        fold: Callable[[list[int]], None],
-        clock: Callable[[], float],
-        window: float = 5.0,
-        max_batch: int = 64,
-        metrics: Any = None,
-        origin: str = "local",
-    ):
-        if window < 0:
-            raise ValueError(f"window must be >= 0, got {window}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        self._fold = fold
-        self._clock = clock
-        self.window = window
-        self.max_batch = max_batch
-        self._pending: list[int] = []
-        self._window_start = 0.0
-        self.flushes = 0
-        self.fused_rows = 0
-        if metrics is not None:
-            self._m_flushes = metrics.counter(
-                "store.coalesce_flushes", origin=origin
-            )
-            self._m_fused = metrics.counter(
-                "store.coalesce_fused_rows", origin=origin
-            )
-        else:
-            self._m_flushes = self._m_fused = None
-
-    def defer(self, row: int) -> None:
-        """Queue one freshly appended arena row for a fused fold."""
-        pending = self._pending
-        now = self._clock()
-        if pending and now - self._window_start > self.window:
-            self.flush()
-            pending = self._pending
-        if not pending:
-            self._window_start = now
-        pending.append(row)
-        if len(pending) >= self.max_batch:
-            self.flush()
-
-    def flush(self) -> int:
-        """Fold every pending row now (in append order).  Returns how
-        many rows were folded."""
-        pending = self._pending
-        if not pending:
-            return 0
-        self._pending = []
-        self._fold(pending)
-        count = len(pending)
-        self.flushes += 1
-        self.fused_rows += count
-        if self._m_flushes is not None:
-            self._m_flushes.inc()
-            self._m_fused.inc(count)
-        return count
-
-    def discard(self) -> int:
-        """Drop pending rows without folding — for rebuilds that re-fold
-        the log wholesale (the pending rows are already in the log)."""
-        dropped = len(self._pending)
-        self._pending = []
-        return dropped
-
-    @property
-    def pending(self) -> int:
-        """Rows queued but not yet folded."""
-        return len(self._pending)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"WriteCoalescer(window={self.window}, pending={self.pending}, "
-            f"flushes={self.flushes})"
         )

@@ -5,8 +5,10 @@ ties together the pieces of paper section 3.1:
 
 * every write is an event appended to an :class:`AppendOnlyLog`;
 * the application-visible "current state" is a rollup aggregation of the
-  log (kept incrementally on the append path, recomputable from scratch
-  or from the rollup checkpoint for time-travel reads);
+  log (kept incrementally: each row is folded once, by the first read of
+  its entity or whole-map reader or ship round that needs it;
+  recomputable from scratch or from the rollup checkpoint for
+  time-travel reads);
 * secondary indexes are maintained asynchronously;
 * compaction summarises old events into an archive;
 * remote events are applied idempotently (per-origin sequence numbers)
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from itertools import compress, islice
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 from repro.core.consistency import ConsistencyLevel
@@ -64,6 +67,16 @@ class LSDBStore(ReadSurface):
         50
     """
 
+    #: Always ``None``: there is no write coalescer to report on (the
+    #: fold needs no batching; see :meth:`get` and :meth:`fold_pending`).
+    coalescer = None
+
+    # ``__init__`` sets 29 instance attributes, CPython 3.11's limit for a
+    # key-shared instance dict: one more makes every ``self.x`` on the
+    # read and append paths a slower lookup.  Cold helpers (the
+    # compactor, the reorder gauge) are therefore built or looked up
+    # where they are used.
+
     def __init__(
         self,
         name: str = "store",
@@ -82,7 +95,6 @@ class LSDBStore(ReadSurface):
         self._states: StateMap = {}
         self.log.subscribe_columnar(self._on_append_row, self._on_append_batch)
         self.archive = Archive()
-        self.compactor = Compactor(self.log, self.rollup, self.archive)
         self.version_vector = VersionVector()
         self._origin_seq = 0
         #: origin -> arena rows in origin-sequence order, with a
@@ -117,12 +129,10 @@ class LSDBStore(ReadSurface):
                 "store.duplicates_rejected", origin=origin
             )
             self._m_folds = counter("store.folds", origin=origin)
-            self._g_reorder = metrics.gauge(
-                "store.reorder_buffer_depth", origin=origin
-            )
+            # Registered now, looked up when the buffer changes (rare).
+            metrics.gauge("store.reorder_buffer_depth", origin=origin)
         else:
             self._m_appends = self._m_duplicates = self._m_folds = None
-            self._g_reorder = None
         #: Optional hook returning the current schema version for an
         #: entity type; locally written events are stamped with it so
         #: lazy upcasting (repro.core.migration) knows what each event
@@ -134,9 +144,20 @@ class LSDBStore(ReadSurface):
         #: Watermark-validated snapshot cache (None until
         #: :meth:`attach_read_cache`); typed reads route through it.
         self.read_cache = None
-        #: Hot-key write coalescer (None until
-        #: :meth:`enable_coalescing`); defers incremental-cache folds.
-        self.coalescer = None
+        #: The first LSN no whole-suffix fold has reached (the mark).  A
+        #: row appended on its own is not folded on the spot, so the rows
+        #: owed to the state map are always a suffix of the arena: its
+        #: last ``log._next_lsn - _fold_from`` rows (every append since
+        #: the last compaction took one row and one LSN), less the rows a
+        #: read already folded.  Kept in LSN space so the log's own
+        #: counter says whether anything is owed, with no call.
+        self._fold_from = 1
+        #: ref id -> the last row a read folded for that entity past the
+        #: mark (:meth:`get`); emptied whenever the mark moves.
+        self._caught_up: dict[int, int] = {}
+        #: How many entities a read put in the state map ahead of their
+        #: turn since the mark last moved (they sit at its end).
+        self._early = 0
 
     # ------------------------------------------------------------------ #
     # Configuration
@@ -150,6 +171,9 @@ class LSDBStore(ReadSurface):
         changes what the log means, so it goes through
         :meth:`reinterpret`.
         """
+        # Rows already appended were written under the old meaning:
+        # fold them before it changes, as an eager store would have.
+        self.fold_pending()
         self.rollup.register(entity_type, reducer)
         self.reinterpret()
 
@@ -202,39 +226,93 @@ class LSDBStore(ReadSurface):
         self.read_cache = cache
         self.log.subscribe_structure(cache.on_structure_change)
 
-    def enable_coalescing(self, window: float = 5.0, max_batch: int = 64):
-        """Arm hot-key write coalescing (see
-        :class:`~repro.lsdb.readcache.WriteCoalescer`): appended rows
-        queue instead of folding one by one, and flush as a single
-        ``fold_slice_into`` call on window expiry (virtual time), batch
-        size, or — transparently — before any state read.
-        """
-        from repro.lsdb.readcache import WriteCoalescer
+    def fold_pending(self) -> int:
+        """Fold every appended row no fold has reached yet, in row
+        order, skipping the rows a read already folded for its own
+        entity — what each whole-map reader and each ship round calls
+        first.  Returns how many rows it folded."""
+        return self._fold_suffix(len(self._arena.lsns))
 
-        self.coalescer = WriteCoalescer(
-            fold=self._fold_rows_now,
-            clock=self._clock,
-            window=window,
-            max_batch=max_batch,
-            metrics=self.metrics,
-            origin=self.origin,
-        )
-        return self.coalescer
+    @property
+    def unfolded(self) -> int:
+        """How many appended rows the state map does not hold yet."""
+        mark = self._mark_row()
+        return len(self._arena.lsns) - mark - len(self._read_folded_rows(mark))
 
-    def _fold_rows_now(self, rows) -> None:
-        """Fold arena rows into the incremental cache — the coalescer's
-        flush target, a frame's fold, and an uncoalesced single append
-        (a run of one)."""
-        view = EventSlice(self.log.arena, rows)
-        self.rollup.fold_slice_into(self._states, view, self._type_refs)
+    def _mark_row(self) -> int:
+        """The arena row of the first row past the mark."""
+        return len(self._arena.lsns) - (self.log._next_lsn - self._fold_from)
+
+    def _fold_suffix(self, end: int) -> int:
+        """Fold the unfolded rows below arena row ``end`` and move the
+        mark to ``end``."""
+        mark = self._mark_row()
+        if mark >= end:
+            return 0
+        rows = range(mark, end)
+        if self._caught_up:
+            keep = bytearray(b"\x01") * (end - mark)
+            for row in self._read_folded_rows(mark):
+                keep[row - mark] = 0
+            self._caught_up = {}
+            rows = list(compress(rows, keep))
+        self._fold_from += end - mark
+        size = len(self._states)
+        if rows:
+            self._fold_rows(rows)
+        if self._early:
+            self._first_event_order(len(self._states) - size + self._early)
+            self._early = 0
+        return len(rows)
+
+    def _first_event_order(self, count: int) -> None:
+        """Re-insert the state map's last ``count`` entities — every one
+        first appended past the mark, some put there early by a read —
+        in the order of their first rows, so the map's order is the
+        first-event order an eager fold gives."""
+        states = self._states
+        tail = list(islice(reversed(states), count))
+        by_ref, lookup = self.log._by_ref, self._arena._ref_lookup
+        firsts = [by_ref[lookup[kind][key]][0] for kind, key in tail]
+        for _first, ref in sorted(zip(firsts, tail)):
+            states[ref] = states.pop(ref)
+
+    def _read_folded_rows(self, mark: int) -> list[int]:
+        """The rows past the mark (arena row ``mark``) that reads
+        already folded: for each entity a read caught up, its rows from
+        the mark to where that read stopped."""
+        by_ref = self.log._by_ref
+        folded: list[int] = []
+        for rid, last in self._caught_up.items():
+            rows = by_ref[rid]
+            first = len(rows)
+            while first and rows[first - 1] >= mark:
+                first -= 1
+            folded.extend(row for row in rows[first:] if row <= last)
+        return folded
+
+    def _fold_rows(self, rows) -> None:
+        """Fold arena rows into the state map — the suffix, one
+        entity's catch-up, or a frame."""
+        self.rollup.fold_slice_into(self._states, EventSlice(self._arena, rows))
         if self._m_folds is not None:
             self._m_folds.inc(len(rows))
 
-    def _flush_coalesced(self) -> None:
-        """Fold any pending coalesced rows — the read barrier every
-        state-reading surface passes first (read-your-writes)."""
-        if self.coalescer is not None:
-            self.coalescer.flush()
+    def _catch_up(self, rid: int, rows: list[int]) -> None:
+        """Fold the rows of one entity (ref id ``rid``, live rows
+        ``rows``) that are past the mark and past what a read of it
+        already folded.  Those rows are a tail of ``rows``, in row order:
+        every row ahead of it is behind the mark (a compaction folds
+        everything first, so its summary rows are too)."""
+        caught = self._caught_up.get(rid, -1)
+        fold_from, lsns = self._fold_from, self._arena.lsns
+        first = len(rows) - 1
+        while first and rows[first - 1] > caught and lsns[rows[first - 1]] >= fold_from:
+            first -= 1
+        self._caught_up[rid] = rows[-1]
+        size = len(self._states)
+        self._fold_rows(rows[first:])
+        self._early += len(self._states) - size
 
     def register_index(self, entity_type: str, field_name: str) -> SecondaryIndex:
         """Create (or return) an asynchronously maintained equality index."""
@@ -266,12 +344,15 @@ class LSDBStore(ReadSurface):
         return self._origin_seq
 
     def states_view(self) -> StateMap:
-        """The live incremental state map — do not mutate."""
-        self._flush_coalesced()
+        """The live incremental state map, every row folded — do not
+        mutate."""
+        self.fold_pending()
         return self._states
 
     def type_refs_view(self) -> dict[str, list[tuple[str, str]]]:
-        """The live type -> refs (first-event order) map — do not mutate."""
+        """The live type -> refs (first-event order) map, every row
+        folded — do not mutate."""
+        self.fold_pending()
         return self._type_refs
 
     def indexes_view(self) -> dict[tuple[str, str], SecondaryIndex]:
@@ -627,8 +708,8 @@ class LSDBStore(ReadSurface):
         self._update_reorder_gauge()
 
     def _update_reorder_gauge(self) -> None:
-        if self._g_reorder is not None:
-            self._g_reorder.set(
+        if self.metrics is not None:
+            self.metrics.gauge("store.reorder_buffer_depth", origin=self.origin).set(
                 sum(len(pending) for pending in self._reorder_buffer.values())
             )
 
@@ -637,18 +718,23 @@ class LSDBStore(ReadSurface):
     # ------------------------------------------------------------------ #
 
     def _on_append_row(self, cols: EventColumns, row: int) -> None:
-        """Bookkeeping for one appended row: fold it into the
-        incremental cache — deferred when coalescing is armed (the
-        coalescer queues the row and fuses bursts into one fold) — and
-        record it in its origin's feed immediately either way:
-        replication correctness never waits on a flush.  The feed record
-        is :meth:`_record_origin_run` for a run of one, inlined."""
+        """Bookkeeping for one appended row: record it in its origin's
+        feed and the version vector (replication never waits on a fold),
+        and, for its entity's first live row, the entity's ref in
+        first-event order.  The row itself is not folded: it joins the
+        unfolded suffix, which a read of its entity or a whole-map fold
+        folds when it needs it.  The feed record is
+        :meth:`_record_origin_run` for a run of one, inlined."""
         if self._m_appends is not None:
             self._m_appends.inc()
-        if self.coalescer is not None:
-            self.coalescer.defer(row)
-        else:
-            self._fold_rows_now((row,))
+        rid = cols.ref_ids[row]
+        if len(self.log._by_ref[rid]) == 1:
+            # Recorded here, not at fold time, so a read that folds a new
+            # entity early keeps ``entities_of_type`` in append order.  A
+            # ref already in the map came with an installed checkpoint.
+            ref = cols.ref_tuples[rid]
+            if ref not in self._states:
+                self._type_refs.setdefault(ref[0], []).append(ref)
         origin = cols.origins.values[cols.origin_ids[row]]
         seq = cols.origin_seqs[row]
         if seq:
@@ -669,19 +755,23 @@ class LSDBStore(ReadSurface):
 
     def _on_append_batch(self, view: EventSlice) -> None:
         """Bookkeeping for a frame apply (the log hands over the
-        contiguous rows it just appended): one fold over the slice, then
-        one feed record per origin run — one in all for the single-origin
-        runs the frame ingest appends."""
-        # Pending coalesced rows precede this batch in LSN order: fold
-        # them first so the state map always reflects append order.
-        self._flush_coalesced()
+        contiguous rows it just appended): the frame folds at once, then
+        one feed record per origin run — one in all for the
+        single-origin runs the frame ingest appends."""
         rows = view.rows
+        first, end = rows[0], rows[-1]
         if self._m_appends is not None:
             self._m_appends.inc(len(rows))
-        self._fold_rows_now(rows)
         cols = view.arena
+        # The unfolded suffix precedes the frame in row order: fold it
+        # first so the state map always reflects append order.
+        if self._fold_from < cols.lsns[first]:
+            self._fold_suffix(first)
+        self.rollup.fold_slice_into(self._states, view, self._type_refs)
+        if self._m_folds is not None:
+            self._m_folds.inc(len(rows))
+        self._fold_from = self.log._next_lsn
         origin_ids = cols.origin_ids
-        first, end = rows[0], rows[-1]
         if origin_ids[first:end + 1].count(origin_ids[first]) > end - first:
             self._record_origin_run(cols, first, end)
             return
@@ -737,10 +827,24 @@ class LSDBStore(ReadSurface):
     def get(self, entity_type: str, entity_key: str) -> Optional[EntityState]:
         """The current rolled-up state of one entity (``None`` if the
         entity has no events at all; a tombstoned entity is returned
-        with ``deleted=True``)."""
-        coalescer = self.coalescer
-        if coalescer is not None and coalescer._pending:  # rows to fold first
-            coalescer.flush()
+        with ``deleted=True``).
+
+        Folds the entity's own unfolded rows first, and only those: the
+        check is dict and list probes (``lookup_ref`` inlined), so a read
+        whose entity has nothing pending makes no further call."""
+        fold_from = self._fold_from
+        if fold_from < self.log._next_lsn:
+            by_key = self._arena._ref_lookup.get(entity_type)
+            rid = None if by_key is None else by_key.get(entity_key)
+            if rid is not None:
+                rows = self.log._by_ref.get(rid)
+                if rows:
+                    last = rows[-1]
+                    if (
+                        self._arena.lsns[last] >= fold_from
+                        and last > self._caught_up.get(rid, -1)
+                    ):
+                        self._catch_up(rid, rows)
         return self._states.get((entity_type, entity_key))
 
     def serve(
@@ -779,14 +883,14 @@ class LSDBStore(ReadSurface):
 
     def current_state(self) -> StateMap:
         """A copy of the whole current-state map."""
-        self._flush_coalesced()
+        self.fold_pending()
         return {ref: state.copy() for ref, state in self._states.items()}
 
     def entities_of_type(self, entity_type: str, live_only: bool = True) -> list[EntityState]:
         """All entities of a type (optionally excluding deleted/obsolete).
         Served from the per-type ref index: O(entities of the type), not
         O(all entities)."""
-        self._flush_coalesced()
+        self.fold_pending()
         states = self._states
         return [
             state
@@ -848,10 +952,11 @@ class LSDBStore(ReadSurface):
         being replaced, and a watermark still equal to the head would
         keep serving them.
         """
-        if self.coalescer is not None:
-            # Pending rows are already in the log and the replay re-folds
-            # them, so folding the queue first would be redundant work.
-            self.coalescer.discard()
+        # Unfolded rows are in the log and the replay folds them, so
+        # folding them first would be redundant work.
+        self._fold_from = self.log._next_lsn
+        self._caught_up = {}
+        self._early = 0
         if self.read_cache is not None:
             self.read_cache.invalidate_all("restore")
         if checkpoint is None:
@@ -1025,8 +1130,12 @@ class LSDBStore(ReadSurface):
         rewritten) and — under the default policy — a fresh one is taken
         immediately, so recovery stays O(delta) across compactions.
         """
-        self._flush_coalesced()  # summarise folded truth, not a queue
-        report = self.compactor.compact_keep_recent(keep_recent)
+        # Summarise folded truth.  The rewrite's summary rows stand for
+        # rows already folded, and take no LSN, so they stay behind the
+        # mark.
+        self.fold_pending()
+        compactor = Compactor(self.log, self.rollup, self.archive)
+        report = compactor.compact_keep_recent(keep_recent)
         if self.checkpoints is not None:
             self.checkpoints.on_compaction()
         return report

@@ -230,7 +230,11 @@ class ReplicaNode(Node):
         """Push this node's own writes not yet handed to the wire for
         ``destination`` — the one call every ship round makes per peer.
         A probe sent in the same round is answered past this push, so
-        it re-ships a run only if the peer still lacks it a round on."""
+        it re-ships a run only if the peer still lacks it a round on.
+
+        It first folds the rows no read has folded yet, so every row a
+        node appends is folded within the round that ships it."""
+        self.store.fold_pending()
         return self._ship_past_cursor(destination, (self.node_id,))
 
     def _ship_past_cursor(self, destination: str, origins: Iterable[str]) -> bool:

@@ -1,8 +1,9 @@
 """The one columnar fold against an event-by-event reference.
 
 ``Rollup.fold_slice_into`` is the only fold of a state map over arena
-columns: the store's incremental cache, its coalesced flushes, frame
-applies and rebuilds, and every secondary index go through it.  It
+columns: the store's incremental cache (a read's catch-up, the
+unfolded-suffix fold, frame applies and rebuilds) and every secondary
+index go through it.  It
 inlines the stock ``GenericReducer`` and sends rows of any other
 reducer through that reducer, in the same row-order pass.  This is its
 licence: on arena-built slices of every shape, every event kind and a

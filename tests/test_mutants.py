@@ -1,0 +1,243 @@
+"""Kept mutants: each row breaks the product on purpose, in process, and
+runs the one test named to catch that break, which must then fail.
+
+A mutant is a ``monkeypatch`` of the product, so the product needs no
+switch for it; it is undone when its row ends.  The killer is called
+directly (fixtures built by hand) under the mutant.  A row whose killer
+passes means a test has lost its teeth.  Every killer also runs, and
+passes, unmutated in its own file.
+
+Rows, grouped by the mechanism each breaks:
+
+* the fold paid once: the ship round skips the fold; ``get``
+  folds the whole unfolded suffix as the old write coalescer's flush
+  did; the per-entity catch-up forgets how far it folded; a
+  reinterpretation (a migration or a new reducer) skips the fold of the
+  rows appended under the old meaning; an append skips its entity's
+  first-touch record;
+* older mechanisms: compaction skips the log's structure hook, snapshot
+  commits drop first-committer-wins, and a quorum write acks before its
+  quorum.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Callable
+
+import pytest
+
+from repro.core.migration import SchemaMigrationManager
+from repro.core.transaction import TransactionManager
+from repro.lsdb.log import AppendOnlyLog
+from repro.lsdb.readcache import ReadCache
+from repro.lsdb.store import LSDBStore
+from repro.replication.quorum import QuorumCoordinator
+from repro.replication.replica import ReplicaNode
+from repro.sim.scheduler import Simulator
+from tests import (
+    test_failure_injection,
+    test_fold_once,
+    test_isolation_modes,
+    test_readcache,
+    test_reinterpretation,
+    test_write_cost,
+)
+
+
+@contextmanager
+def folds_nothing(stores):
+    """``fold_pending`` does nothing on ``stores`` while the block runs."""
+    for store in stores:
+        store.fold_pending = lambda: 0
+    try:
+        yield
+    finally:
+        for store in stores:
+            del store.fold_pending
+
+
+def ship_round_skips_the_fold(monkeypatch):
+    original = ReplicaNode.ship_backlog
+
+    def ship_backlog(self, destination):
+        with folds_nothing([self.store]):
+            return original(self, destination)
+
+    monkeypatch.setattr(ReplicaNode, "ship_backlog", ship_backlog)
+
+
+def get_folds_the_whole_suffix(monkeypatch):
+    def get(self, entity_type, entity_key):
+        self.fold_pending()
+        return self._states.get((entity_type, entity_key))
+
+    monkeypatch.setattr(LSDBStore, "get", get)
+
+
+def catch_up_forgets_how_far_it_folded(monkeypatch):
+    original = LSDBStore._catch_up
+
+    def catch_up(self, rid, rows):
+        original(self, rid, rows)
+        del self._caught_up[rid]
+
+    monkeypatch.setattr(LSDBStore, "_catch_up", catch_up)
+
+
+def migration_skips_the_fold(monkeypatch):
+    original = SchemaMigrationManager.apply
+
+    def apply(self, *args, **kwargs):
+        with folds_nothing(self._attached_stores):
+            return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SchemaMigrationManager, "apply", apply)
+
+
+def new_reducer_skips_the_fold(monkeypatch):
+    original = LSDBStore.register_reducer
+
+    def register_reducer(self, entity_type, reducer):
+        with folds_nothing([self]):
+            original(self, entity_type, reducer)
+
+    monkeypatch.setattr(LSDBStore, "register_reducer", register_reducer)
+
+
+def append_skips_the_first_touch_record(monkeypatch):
+    original = LSDBStore._on_append_row
+
+    def on_append_row(self, cols, row):
+        lengths = {name: len(refs) for name, refs in self._type_refs.items()}
+        original(self, cols, row)
+        for name, refs in self._type_refs.items():
+            del refs[lengths.get(name, 0):]
+
+    monkeypatch.setattr(LSDBStore, "_on_append_row", on_append_row)
+
+
+def compaction_skips_the_structure_hook(monkeypatch):
+    original = AppendOnlyLog.rewrite_prefix
+
+    def rewrite_prefix(self, up_to_lsn, replacement):
+        hooks, self._structure = self._structure, []
+        try:
+            return original(self, up_to_lsn, replacement)
+        finally:
+            self._structure = hooks
+
+    monkeypatch.setattr(AppendOnlyLog, "rewrite_prefix", rewrite_prefix)
+
+
+def commit_drops_first_committer_wins(monkeypatch):
+    monkeypatch.setattr(
+        TransactionManager, "_first_committer_conflict", lambda self, tx: ""
+    )
+
+
+def quorum_write_acks_on_the_first_reply(monkeypatch):
+    original = QuorumCoordinator.start
+
+    def start(self, kind, needed, payload, on_done):
+        return original(self, kind, 1 if kind == "write" else needed, payload, on_done)
+
+    monkeypatch.setattr(QuorumCoordinator, "start", start)
+
+
+def compaction_killer():
+    clock = test_readcache.Clock()
+    store = LSDBStore(name="hot", origin="hot", clock=clock)
+    test_readcache.TestStructuralInvalidation().test_compaction_drops_every_entry(
+        store, ReadCache.over_store(store)
+    )
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    apply: Callable
+    killer: str
+    run_killer: Callable[[], None]
+
+
+MUTANTS = [
+    Mutant(
+        "ship_round_skips_the_fold",
+        ship_round_skips_the_fold,
+        "tests/test_fold_once.py::"
+        "test_a_ship_round_leaves_its_shipper_nothing_to_fold[master_slave]",
+        lambda: test_fold_once.test_a_ship_round_leaves_its_shipper_nothing_to_fold(
+            test_fold_once.master_slave_cluster
+        ),
+    ),
+    Mutant(
+        "get_folds_the_whole_suffix",
+        get_folds_the_whole_suffix,
+        "tests/test_write_cost.py::test_warm_store_get_folds_only_its_own_rows[2-63]",
+        lambda: test_write_cost.test_warm_store_get_folds_only_its_own_rows(2, 63),
+    ),
+    Mutant(
+        "catch_up_forgets_how_far_it_folded",
+        catch_up_forgets_how_far_it_folded,
+        "tests/test_fold_once.py::"
+        "test_folding_on_demand_equals_folding_every_row_at_once",
+        test_fold_once.test_folding_on_demand_equals_folding_every_row_at_once,
+    ),
+    Mutant(
+        "migration_skips_the_fold",
+        migration_skips_the_fold,
+        "tests/test_reinterpretation.py::TestCachedStoreAfterMigration::"
+        "test_read_serves_the_rebuilt_fold[read_between]",
+        lambda: test_reinterpretation.TestCachedStoreAfterMigration()
+        .test_read_serves_the_rebuilt_fold(("between",)),
+    ),
+    Mutant(
+        "new_reducer_skips_the_fold",
+        new_reducer_skips_the_fold,
+        "tests/test_reinterpretation.py::TestPendingWriteAtReinterpretation::"
+        "test_new_reducer_folds_the_pending_row_under_the_old_one",
+        lambda: test_reinterpretation.TestPendingWriteAtReinterpretation()
+        .test_new_reducer_folds_the_pending_row_under_the_old_one(),
+    ),
+    Mutant(
+        "append_skips_the_first_touch_record",
+        append_skips_the_first_touch_record,
+        "tests/test_fold_once.py::TestFoldOnDemand::"
+        "test_a_read_of_a_new_entity_keeps_first_event_order",
+        lambda: test_fold_once.TestFoldOnDemand()
+        .test_a_read_of_a_new_entity_keeps_first_event_order(),
+    ),
+    Mutant(
+        "compaction_skips_the_structure_hook",
+        compaction_skips_the_structure_hook,
+        "tests/test_readcache.py::TestStructuralInvalidation::"
+        "test_compaction_drops_every_entry",
+        compaction_killer,
+    ),
+    Mutant(
+        "commit_drops_first_committer_wins",
+        commit_drops_first_committer_wins,
+        "tests/test_isolation_modes.py::TestSnapshotIsolation::"
+        "test_first_committer_wins",
+        lambda: test_isolation_modes.TestSnapshotIsolation().test_first_committer_wins(
+            Simulator(seed=42)
+        ),
+    ),
+    Mutant(
+        "quorum_write_acks_on_the_first_reply",
+        quorum_write_acks_on_the_first_reply,
+        "tests/test_failure_injection.py::TestQuorumFailures::"
+        "test_majority_crash_blocks_writes",
+        lambda: test_failure_injection.TestQuorumFailures()
+        .test_majority_crash_blocks_writes(),
+    ),
+]
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_mutant_is_killed_by_its_named_test(mutant, monkeypatch):
+    mutant.apply(monkeypatch)
+    with pytest.raises(AssertionError):
+        mutant.run_killer()

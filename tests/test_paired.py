@@ -1,6 +1,7 @@
-"""The paired-comparison summarizer (``benchmarks/paired.py``) on canned
+"""The paired-comparison tool (``benchmarks/paired.py``) on canned
 contract lines: medians, quartiles, ratios, win counts in each metric's
-direction, ties for neither side, and failed runs and operations."""
+direction, ties for neither side, failed runs and operations, and the
+one line each run prints before the table."""
 
 from __future__ import annotations
 
@@ -79,3 +80,45 @@ def test_failed_runs_and_operations_are_counted_per_side():
     text = paired.format_summary(summary, "A", "B")
     assert "read_p50_us" in text and "1/1" in text
     assert "failed B: 2 of 2 runs, 3 of 100 operations" in text
+
+
+def test_every_run_prints_its_own_line_before_the_table(monkeypatch, capsys):
+    """``main`` with git and the ladder stubbed: one line per run, in run
+    order, naming the pair, the side, whether it ran first or second and
+    every end-to-end metric; a run without a contract line says so."""
+    results = iter(
+        [
+            line(10.0, 5.0),  # pair 1: A first
+            line(8.0, 6.0),  # pair 1: B second
+            line(7.5, 6.5),  # pair 2: B first
+            None,  # pair 2: A second printed no contract line
+        ]
+    )
+    ran = []
+
+    def run(checkout, workload, seed):
+        ran.append((checkout.name, workload, seed))
+        text = next(results)
+        return None if text is None else json.loads(text)
+
+    monkeypatch.setattr(paired, "_git", lambda *args: args[-1])
+    monkeypatch.setattr(paired, "_run", run)
+    assert paired.main(["base", "change", "--workload", "ms_hot", "--seed", "3", "--pairs", "2"]) == 0
+
+    assert ran == [("a", "ms_hot", 3), ("b", "ms_hot", 3), ("b", "ms_hot", 3), ("a", "ms_hot", 3)]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "ms_hot seed=3 pairs=2 A=base B=change"
+    runs = out[1:5]
+    metrics = [spec["name"] for spec in json.loads(
+        (paired.ROOT / "BENCHMARK.json").read_text()
+    )["end_to_end"]]
+    for text, prefix in zip(
+        runs, ["pair 1 A first", "pair 1 B second", "pair 2 B first", "pair 2 A second"]
+    ):
+        assert text.startswith(prefix)
+        assert [field.split("=")[0] for field in text.split()[4:4 + len(metrics)]] == metrics
+    assert "read_p50_us=10 " in runs[0] and "ops_per_s=6 " in runs[1]
+    assert "write_p50_us=- " in runs[0]  # not in this contract line
+    assert runs[2].endswith("failed=0") and runs[3].endswith("no result")
+    assert out[5].startswith("metric")  # the table comes after every run
+

@@ -1,11 +1,11 @@
-"""The skew-aware hot path: watermark-validated read cache + coalescing.
+"""The skew-aware hot path: the watermark-validated read cache.
 
 Covers the cache primitive (hit/miss/watermark validation), bounded
 stale serving (honest measured staleness, never beyond the budget), the
-space-saving hot-set tracker and its LRU pinning, structural
+space-saving hot-set tracker and its LRU pinning, the store's deferred
+fold that coalesces a burst of writes into the read that needs it, structural
 invalidation (compaction, checkpoint install, recover, reducer change
-— the regression this PR exists to prevent), write coalescing
-(window/batch flushes, read-your-writes, state equivalence), and the
+— the regression this PR exists to prevent), and the
 replicated read path that bypasses the cache (every scheme's follower
 read, the warehouse rung, the cluster builder's wiring).
 """
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.consistency import ConsistencyLevel
 from repro.core.readpath import ConsistencyUnavailable, ReadRequest
-from repro.lsdb.readcache import HotSetTracker, ReadCache, WriteCoalescer
+from repro.lsdb.readcache import HotSetTracker, ReadCache
 from repro.lsdb.store import LSDBStore
 from repro.merge.deltas import Delta
 from repro.obs.metrics import MetricsRegistry
@@ -348,80 +348,42 @@ class TestStructuralInvalidation:
 
 
 class TestWriteCoalescer:
-    def test_burst_fuses_into_one_fold(self, store, clock):
-        coalescer = store.enable_coalescing(window=5.0, max_batch=64)
+    """Writes coalesce in the store's deferred fold: an append folds
+    nothing, and the read that needs an entity folds its rows at once.
+    (The class keeps the name of the store-wide write coalescer that
+    this fold replaced; the behaviour it checks is the deferred fold's.)"""
+
+    def test_burst_fuses_into_one_fold(self, store):
+        calls = []
+        fold = store.rollup.fold_slice_into
+
+        def counting(states, view, *args, **kwargs):
+            calls.append(len(view))
+            return fold(states, view, *args, **kwargs)
+
+        store.rollup.fold_slice_into = counting
         for _ in range(10):
             store.apply_delta("acct", "a", Delta.add("bal", 1))
-        assert coalescer.pending == 10
-        assert coalescer.flush() == 10
-        assert coalescer.flushes == 1
+        assert calls == [] and store.unfolded == 10
         assert store.get("acct", "a").fields == {"bal": 10}
-
-    def test_window_expiry_flushes_on_next_append(self, store, clock):
-        coalescer = store.enable_coalescing(window=5.0)
-        store.apply_delta("acct", "a", Delta.add("bal", 1))
-        clock.now = 6.0  # past the window
-        store.apply_delta("acct", "a", Delta.add("bal", 1))
-        assert coalescer.flushes == 1
-        assert coalescer.pending == 1  # the second append started anew
-
-    def test_max_batch_flushes_eagerly(self, store):
-        coalescer = store.enable_coalescing(window=100.0, max_batch=3)
-        for _ in range(7):
-            store.apply_delta("acct", "a", Delta.add("bal", 1))
-        assert coalescer.flushes == 2
-        assert coalescer.pending == 1
+        assert calls == [10]
+        assert store.unfolded == 0
 
     def test_read_your_writes_via_read_barrier(self, store):
-        store.enable_coalescing(window=100.0)
         store.apply_delta("acct", "a", Delta.add("bal", 7))
+        store.apply_delta("acct", "b", Delta.add("bal", 1))
         assert store.get("acct", "a").fields == {"bal": 7}
-        assert store.coalescer.pending == 0
-
-    def test_coalesced_state_identical_to_immediate(self, clock):
-        plain = LSDBStore(name="plain", origin="o", clock=clock)
-        fused = LSDBStore(name="fused", origin="o", clock=clock)
-        fused.enable_coalescing(window=50.0, max_batch=16)
-        for index in range(40):
-            key = f"k{index % 3}"
-            plain.apply_delta("acct", key, Delta.add("bal", index))
-            fused.apply_delta("acct", key, Delta.add("bal", index))
-            clock.now += 1.0
-        plain_view = {
-            ref: state.fields for ref, state in plain.current_state().items()
-        }
-        fused_view = {
-            ref: state.fields for ref, state in fused.current_state().items()
-        }
-        assert plain_view == fused_view
+        # The read folded its own entity's row and left the other's.
+        assert store.unfolded == 1
+        assert store.get("acct", "b").fields == {"bal": 1}
+        assert store.unfolded == 0
 
     def test_log_and_feeds_stay_immediate(self, store):
-        store.enable_coalescing(window=100.0)
         store.apply_delta("acct", "a", Delta.add("bal", 1))
         assert store.log.head_lsn == 1  # append not deferred
-        assert store.coalescer.pending == 1  # only the fold is
-
-    def test_discard_for_rebuilds(self, store):
-        store.enable_coalescing(window=100.0)
-        store.apply_delta("acct", "a", Delta.add("bal", 1))
-        assert store.coalescer.discard() == 1
-        store.rebuild_cache()
-        assert store.get("acct", "a").fields == {"bal": 1}
-
-    def test_compact_flushes_first(self, store):
-        store.enable_coalescing(window=100.0, max_batch=64)
-        for _ in range(5):
-            store.apply_delta("acct", "a", Delta.add("bal", 1))
-        store.compact()
-        assert store.get("acct", "a").fields == {"bal": 5}
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            WriteCoalescer(fold=lambda rows: None, clock=lambda: 0.0, window=-1)
-        with pytest.raises(ValueError):
-            WriteCoalescer(
-                fold=lambda rows: None, clock=lambda: 0.0, max_batch=0
-            )
+        assert store.version_vector.get("hot") == 1
+        assert len(store.events_from_origin("hot", 0)) == 1
+        assert store.unfolded == 1  # only the fold is
 
 
 def _cluster(mode: str = "master_slave", count: int = 3, **warehouse):
@@ -557,5 +519,7 @@ class TestReplicatedReadPath:
         assert not hasattr(cluster.warehouse, "read_cache")
         nodes = [cluster.replication.master, *cluster.replication.slaves.values()]
         assert [node.store.read_cache for node in nodes] == cluster.read_caches
+        # ``coalesce_window`` is accepted and arms nothing: no store
+        # coalesces its writes.
         for node in nodes:
-            assert node.store.coalescer is not None
+            assert node.store.coalescer is None

@@ -15,9 +15,12 @@ tests pin that by counting work, never by timing it:
   through the ladder's master/slave cluster stays inside its own budget:
   a commit with no isolation level, no deferred actions, no constraints
   and no metrics is one ``append_local`` plus its receipt;
-* that one ``append_local`` on the ladder's coalescing store stays
-  inside a budget of its own: the arena row, its log index and its
-  origin-feed record are one pass.
+* that one ``append_local`` on the ladder's store stays inside a budget
+  of its own: the arena row, its log index and its origin-feed record
+  are one pass, and nothing is folded or queued for a fold;
+* one warm ``store.get`` with k unfolded rows of its own entity makes
+  the same number of calls and folds exactly those k rows however many
+  rows of other entities are unfolded beside them.
 
 The clusters are built the way the end-to-end ladder builds them.
 """
@@ -45,26 +48,36 @@ WRITES = 600
 #: arena encoding ``EventKind.code`` without ``Enum.__hash__``, 16
 #: two set-map comprehensions for a numeric-only delta (CPython 3.11),
 #: 11 once the store append indexed the row and recorded its feed
-#: inline (``STORE_APPEND_CALL_BUDGET``).  Ratchet it down with the next
+#: inline (``STORE_APPEND_CALL_BUDGET``), 9 once the store append
+#: stopped queueing its row for a fold.  Ratchet it down with the next
 #: saving; never up without saying what the calls buy.
-WRITE_CALL_BUDGET = 13
+WRITE_CALL_BUDGET = 10
 #: Python ``call`` events for one warm plain ``begin -> apply_delta ->
 #: commit`` (delta built beforehand): 35 while ``PendingOp`` was a frozen
 #: dataclass, ``begin`` hopped through ``manager.now()``, and every
 #: commit went through ``_schedule_actions``, ``_count_outcome`` and
 #: ``_receipt_tracking`` for results it then discarded; 26 once they
-#: were skipped, 21 with the one-pass store append below it (CPython
-#: 3.11).  Same ratchet rule.
-TX_WRITE_CALL_BUDGET = 22
+#: were skipped, 21 with the one-pass store append below it, 19 once
+#: that append stopped queueing its row for a fold (CPython 3.11).  Same
+#: ratchet rule.
+TX_WRITE_CALL_BUDGET = 20
 #: Python ``call`` events for one warm ``LSDBStore.append_local`` on the
-#: ladder's coalescing master store: 12 while the arena interned the
-#: origin, the log indexed the row and the store recorded its origin
-#: feed through calls of their own (``intern``, ``_index_row``,
+#: ladder's master store: 12 while the arena interned the origin, the
+#: log indexed the row and the store recorded its origin feed through
+#: calls of their own (``intern``, ``_index_row``,
 #: ``_record_origin_run`` -> ``value`` -> ``record``); 7 with all three
-#: inline — ``append_local``, the clock, ``log.append_row``,
-#: ``cols.append_row``, ``_on_append_row``, the coalescer's ``defer``
-#: and its clock (CPython 3.11).  Same ratchet rule.
-STORE_APPEND_CALL_BUDGET = 8
+#: inline; 5 once the row was no longer handed to a write coalescer
+#: (its ``defer`` and a second clock read) — ``append_local``, the
+#: clock, ``log.append_row``, ``cols.append_row`` and ``_on_append_row``
+#: (CPython 3.11).  Same ratchet rule.
+STORE_APPEND_CALL_BUDGET = 6
+#: Python ``call`` events for one warm ``store.get`` of an entity with
+#: unfolded rows of its own: ``get``, ``_catch_up``, ``_fold_rows``, the
+#: ``EventSlice`` and ``fold_slice_into`` — 5 however many rows of other
+#: entities are unfolded beside them.  The store-wide write coalescer
+#: this replaced folded those too, one ``EntityState`` per new entity
+#: among them (CPython 3.11).  Same ratchet rule.
+STORE_GET_CALL_BUDGET = 6
 
 
 def ladder_builder(seed: int = 11):
@@ -260,6 +273,9 @@ def test_warm_geo_write_stays_inside_the_call_budget():
     assert not [c for c in calls if c.startswith("enum.py:")]
     # A numeric-only delta serialises without walking its empty set maps.
     assert "deltas.py:<dictcomp>" not in calls
+    # The append queues nothing for a fold and reads the clock once.
+    assert "readcache.py:defer" not in calls
+    assert calls.count("replica.py:<lambda>") == 1
 
 
 def test_warm_plain_commit_stays_inside_the_call_budget():
@@ -303,12 +319,14 @@ def test_warm_plain_commit_stays_inside_the_call_budget():
         if c.endswith((":_schedule_actions", ":_receipt_tracking", ":_count_outcome"))
     ]
     assert "deltas.py:<dictcomp>" not in calls
+    assert "readcache.py:defer" not in calls
+    assert calls.count("replica.py:<lambda>") == 1
 
 
 def test_warm_store_append_stays_inside_the_call_budget():
     cluster = master_slave_cluster()
     store = cluster.replication.master.store
-    assert store.coalescer is not None and store.tracer is None
+    assert store.coalescer is None and store.tracer is None
     for index in range(KEYS):
         store.append_local("entity", f"k{index}", EventKind.DELTA, {"numeric": {"n": 1}})
     for _ in range(3):  # warm: the store knows the key and its origin
@@ -330,9 +348,87 @@ def test_warm_store_append_stays_inside_the_call_budget():
     assert store.get("entity", "k7").fields["n"] == 5
     assert len(calls) <= STORE_APPEND_CALL_BUDGET, (len(calls), calls)
     # What the budget exists to keep out: a call per index, intern and
-    # feed record.
+    # feed record, and a fold (or a queue for one) with its own clock read.
     assert not [
         c
         for c in calls
         if c.endswith((":intern", ":_index_row", ":_record_origin_run", ":record"))
     ]
+    assert "readcache.py:defer" not in calls
+    assert not [c for c in calls if c.endswith(("fold_slice_into", ":_fold_rows"))]
+    assert calls.count("replica.py:<lambda>") == 1  # the one clock read
+
+
+class FoldedRows:
+    """Counts the rows ``store.rollup.fold_slice_into`` folds into the
+    store's state map — shadowed on the instance, the way the end-to-end
+    ladder counts ``fold.rows``.  Defined here, not shared with
+    ``test_fold_once.py``, so its frames stay out of ``python_calls``."""
+
+    def __init__(self, store: LSDBStore):
+        self.rows = 0
+        original = store.rollup.fold_slice_into
+
+        def counting(states, view, *args, **kwargs):
+            if states is store._states:
+                self.rows += len(view.rows)
+            return original(states, view, *args, **kwargs)
+
+        store.rollup.fold_slice_into = counting
+
+
+@pytest.mark.parametrize("others", [0, 63, 4096])
+@pytest.mark.parametrize("own", [1, 2, 5])
+def test_warm_store_get_folds_only_its_own_rows(own, others):
+    """A read pays for its own entity's unfolded rows and nothing else:
+    the same calls and exactly ``own`` rows folded, with 0, 63 (just
+    under the old coalescing batch) or 4096 rows of other entities
+    still unfolded."""
+    cluster = master_slave_cluster()
+    store = cluster.replication.master.store
+    assert store.coalescer is None
+    for index in range(KEYS):
+        store.append_local("entity", f"k{index}", EventKind.DELTA, {"numeric": {"n": 1}})
+    store.get("entity", "k7")
+    assert store.fold_pending() == KEYS - 1  # warm: every entity folded
+    for index in range(others):
+        key = f"k{index % KEYS}" if index % KEYS != 7 else "new"
+        store.append_local("entity", key, EventKind.DELTA, {"numeric": {"n": 1}})
+    for _ in range(own):
+        store.append_local("entity", "k7", EventKind.DELTA, {"numeric": {"n": 1}})
+    assert store.unfolded == own + others
+    folded = FoldedRows(store)
+    states = []
+    calls = python_calls(lambda: states.append(store.get("entity", "k7")))
+
+    (state,) = states
+    assert state.fields["n"] == 1 + own
+    assert folded.rows == own
+    assert store.unfolded == others
+    assert len(calls) <= STORE_GET_CALL_BUDGET, (len(calls), calls)
+    # No whole-suffix fold and no state built for another entity.
+    assert "store.py:fold_pending" not in calls
+    assert "<string>:__init__" not in calls
+    # Nothing of its own left, so a second read is one call.
+    assert python_calls(lambda: store.get("entity", "k7")) == ["store.py:get"]
+    assert store.states_view()[("entity", "k7")] is state
+    assert folded.rows == own + others and store.unfolded == 0
+
+
+def test_store_instances_keep_a_key_shared_attribute_dict():
+    """CPython 3.11 shares one keys table between the attribute dicts of
+    a class's instances only while each holds at most 29 attributes; one
+    more makes every ``self.x`` on the store's read and append paths a
+    slower lookup (the unfolded-row bookkeeping crossed it once, and
+    warm ladder reads got slower with no extra bytecode).  The ladder's
+    stores, with caches and checkpoints armed, stay inside it."""
+    cluster = master_slave_cluster()
+    stores = [node.store for node in scheme_nodes(cluster.replication)]
+    stores[0].enable_checkpoints()
+    stores.append(LSDBStore(origin="plain"))
+    for store in stores:
+        store.append_local("entity", "k", EventKind.DELTA, {"numeric": {"n": 1}})
+        store.get("entity", "k")
+        store.compact()
+        assert len(vars(store)) <= 29, sorted(vars(store))
+
