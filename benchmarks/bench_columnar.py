@@ -46,7 +46,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from bench_dataplane import best_of, check_determinism, populate  # noqa: E402
 from repro.bench.report import ExperimentReport  # noqa: E402
-from repro.lsdb.columnar import ColumnFrame, EventColumns  # noqa: E402
+from repro.lsdb.columnar import ColumnFrame  # noqa: E402
 from repro.lsdb.events import EventKind, LogEvent  # noqa: E402
 from repro.lsdb.log import AppendOnlyLog  # noqa: E402
 from repro.lsdb.rollup import Rollup  # noqa: E402
@@ -73,8 +73,10 @@ def bench_create(count: int) -> dict[str, float]:
     *Before* is the pre-columnar append: construct a ``LogEvent`` from
     loose fields, then ``with_lsn`` re-stamps it (a second construction)
     — two frozen-dataclass instantiations per event.  *After* is
-    :meth:`EventColumns.append_row` with the same field values: a few
-    array appends and one dictionary probe, no event object at all.
+    :meth:`AppendOnlyLog.append_row` with the same field values, the one
+    body that writes a row's columns: a few array appends and two
+    dictionary probes, plus the row's entity and type index entries, no
+    event object at all.
     """
 
     def create_objects() -> None:
@@ -86,11 +88,10 @@ def bench_create(count: int) -> dict[str, float]:
             ).with_lsn(index + 1)
 
     def create_rows() -> None:
-        cols = EventColumns()
-        append_row = cols.append_row
+        append_row = AppendOnlyLog().append_row
         for index in range(count):
             append_row(
-                index + 1, float(index), "acct", _KEYS[index % ENTITIES],
+                float(index), "acct", _KEYS[index % ENTITIES],
                 EventKind.DELTA, _PAYLOAD, "local", index + 1,
             )
 
@@ -337,7 +338,7 @@ def trajectory(metrics: dict[str, Any]) -> dict[str, Any]:
             "are events/sec (higher is better); before is the "
             "object-per-event path (LogEvent construction + with_lsn, "
             "per-event fold_into, per-event re-append), after is the "
-            "columnar path (EventColumns.append_row, grouped "
+            "columnar path (AppendOnlyLog.append_row, grouped "
             "Rollup.fold over an EventSlice, ColumnFrame encode + "
             "extend_frame decode). frame_codec_roundtrip_equal asserts "
             "the codec reproduced every event byte-for-byte."

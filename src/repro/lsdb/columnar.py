@@ -23,7 +23,8 @@ parallel columns —
     origin_seqs [1,     2,     1,     3]       array('q')
     schema_vs   [1,     1,     1,     1]       array('i')
     payloads    [{...}, {...}, {...}, {...}]   list
-    (tx/tags/trace/span: sparse dicts keyed by row; "" / frozenset())
+    tx_ids      ["t1",  "",    "t2",  "t2"]    list         "" = no tx
+    (tags/trace/span: sparse dicts keyed by row; frozenset() / "")
 
 — with entity refs and origin replica ids *dictionary-interned*: a
 string appears once in the arena no matter how many million rows carry
@@ -173,9 +174,11 @@ class EventColumns:
         self.origins = StringDictionary()
         self.ref_tuples: list[tuple[str, str]] = []
         self._ref_lookup: dict[str, dict[str, int]] = {}
-        # Sparse columns: almost every row has the default ("" or the
-        # empty tag set), so a dict keyed by row beats a dense column.
-        self.tx_ids: dict[int, str] = {}
+        # Dense: every transactional commit stamps its rows, and a list
+        # entry (8 bytes) costs less than a dict entry and a boxed row.
+        self.tx_ids: list[str] = []
+        # Sparse columns: almost every row has the default (the empty
+        # tag set or ""), so a dict keyed by row beats a dense column.
         self.tags: dict[int, frozenset[str]] = {}
         self.trace_ids: dict[int, str] = {}
         self.span_ids: dict[int, str] = {}
@@ -210,63 +213,8 @@ class EventColumns:
         return by_key.get(entity_key)
 
     # ------------------------------------------------------------- #
-    # Appends
+    # Appends (a single row is written by ``AppendOnlyLog.append_row``)
     # ------------------------------------------------------------- #
-
-    def append_row(
-        self,
-        lsn: int,
-        timestamp: float,
-        entity_type: str,
-        entity_key: str,
-        kind: EventKind,
-        payload: Mapping[str, Any],
-        origin: str = "local",
-        origin_seq: int = 0,
-        tx_id: str = "",
-        schema_version: int = 1,
-        tags: frozenset[str] = _EMPTY_TAGS,
-        trace_id: str = "",
-        span_id: str = "",
-    ) -> int:
-        """Append one event from loose fields; returns its arena row.
-
-        This is the hot ingestion path: eight C-array/list appends plus
-        two interning lookups, no ``LogEvent`` object.  The ref and
-        origin interning are :meth:`ref_id` and
-        :meth:`StringDictionary.intern` inlined — at millions of calls
-        the function-call overhead alone is measurable.
-        """
-        lsns = self.lsns
-        row = len(lsns)
-        lsns.append(lsn)
-        self.timestamps.append(timestamp)
-        self.kinds.append(kind.code)
-        by_key = self._ref_lookup.get(entity_type)
-        if by_key is None:
-            by_key = self._ref_lookup[entity_type] = {}
-        rid = by_key.get(entity_key)
-        if rid is None:
-            rid = by_key[entity_key] = len(self.ref_tuples)
-            self.ref_tuples.append((entity_type, entity_key))
-        self.ref_ids.append(rid)
-        origins = self.origins
-        oid = origins.ids.get(origin)
-        if oid is None:
-            oid = origins.intern(origin)
-        self.origin_ids.append(oid)
-        self.origin_seqs.append(origin_seq)
-        self.schema_versions.append(schema_version)
-        self.payloads.append(payload)
-        if tx_id:
-            self.tx_ids[row] = tx_id
-        if tags:
-            self.tags[row] = tags
-        if trace_id:
-            self.trace_ids[row] = trace_id
-        if span_id:
-            self.span_ids[row] = span_id
-        return row
 
     def intern_refs(self, table: list[tuple[str, str]]) -> list[int]:
         """Arena ref ids for a frame's ref table, in table order.
@@ -320,6 +268,7 @@ class EventColumns:
         self.origin_seqs.extend(frame.origin_seqs[start:stop])
         self.schema_versions.extend(frame.schema_versions[start:stop])
         self.payloads.extend(frame.payloads[start:stop])
+        self.tx_ids.extend(frame.tx_ids[start:stop])
         ref_ids = self.intern_refs(frame.ref_table)
         self.ref_ids.extend(map(ref_ids.__getitem__, frame.ref_codes[start:stop]))
         origin_ids = self.origins.intern_all(frame.origin_table)
@@ -331,7 +280,6 @@ class EventColumns:
             )
         offset = row0 - start
         for source, sink in (
-            (frame.tx_ids, self.tx_ids),
             (frame.tags, self.tags),
             (frame.trace_ids, self.trace_ids),
             (frame.span_ids, self.span_ids),
@@ -345,24 +293,6 @@ class EventColumns:
                     }
                 )
         return range(row0, row0 + count)
-
-    def append_event(self, event: LogEvent, lsn: int) -> int:
-        """Append a materialized event under ``lsn``; returns its row."""
-        return self.append_row(
-            lsn,
-            event.timestamp,
-            event.entity_type,
-            event.entity_key,
-            event.kind,
-            event.payload,
-            event.origin,
-            event.origin_seq,
-            event.tx_id,
-            event.schema_version,
-            event.tags,
-            event.trace_id,
-            event.span_id,
-        )
 
     # ------------------------------------------------------------- #
     # Row reads
@@ -380,7 +310,7 @@ class EventColumns:
             self.payloads[row],
             self.origins.value(self.origin_ids[row]),
             self.origin_seqs[row],
-            self.tx_ids.get(row, ""),
+            self.tx_ids[row],
             self.schema_versions[row],
             self.tags.get(row, _EMPTY_TAGS),
             self.trace_ids.get(row, ""),
@@ -521,6 +451,7 @@ class ColumnFrame:
             frame.origin_seqs = arena.origin_seqs[lo:hi]
             frame.schema_versions = arena.schema_versions[lo:hi]
             frame.payloads = arena.payloads[lo:hi]
+            frame.tx_ids = arena.tx_ids[lo:hi]
             ref_codes = arena.ref_ids[lo:hi]
             origin_codes = arena.origin_ids[lo:hi]
         else:
@@ -532,6 +463,7 @@ class ColumnFrame:
                 "i", map(arena.schema_versions.__getitem__, rows)
             )
             frame.payloads = list(map(arena.payloads.__getitem__, rows))
+            frame.tx_ids = list(map(arena.tx_ids.__getitem__, rows))
             ref_codes = array("i", map(arena.ref_ids.__getitem__, rows))
             origin_codes = array("i", map(arena.origin_ids.__getitem__, rows))
         # Re-code arena ids to frame-local tables: one table entry per
@@ -552,7 +484,6 @@ class ColumnFrame:
         # Sparse columns, re-keyed to frame positions.  Guarded on the
         # arena dict being non-empty so untagged/untraced arenas pay
         # nothing.
-        frame.tx_ids = cls._gather_sparse(arena.tx_ids, rows)
         frame.tags = cls._gather_sparse(arena.tags, rows)
         frame.trace_ids = cls._gather_sparse(arena.trace_ids, rows)
         frame.span_ids = cls._gather_sparse(arena.span_ids, rows)
@@ -586,7 +517,8 @@ class ColumnFrame:
         if not (
             len(self.timestamps) == len(self.kinds) == len(self.ref_codes)
             == len(self.origin_codes) == len(self.origin_seqs)
-            == len(self.schema_versions) == len(self.payloads) == count
+            == len(self.schema_versions) == len(self.payloads)
+            == len(self.tx_ids) == count
         ):
             raise MalformedFrame(f"ragged columns in a {count}-event frame")
         if not count:
@@ -648,7 +580,7 @@ class ColumnFrame:
             self.payloads[index],
             self.origin_table[self.origin_codes[index]],
             self.origin_seqs[index],
-            self.tx_ids.get(index, ""),
+            self.tx_ids[index],
             self.schema_versions[index],
             self.tags.get(index, _EMPTY_TAGS),
             self.trace_ids.get(index, ""),

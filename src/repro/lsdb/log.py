@@ -28,6 +28,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from collections import defaultdict, deque
+from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
@@ -41,6 +42,8 @@ from repro.lsdb.columnar import (
 from repro.lsdb.events import EventKind, LogEvent
 
 _TYPE_OF = itemgetter(0)
+#: A new per-entity row bucket: ``array('q')``, 8 bytes an entry.
+_ROW_BUCKET = partial(array, "q")
 
 
 class AppendOnlyLog:
@@ -90,10 +93,10 @@ class AppendOnlyLog:
         #: True while live LSNs form one gap-free run (enables the
         #: arithmetic position fast path in the explicit-row regime).
         self._contiguous = True
-        #: ref id -> live arena rows for that entity, in LSN order (a
-        #: ``defaultdict`` so the batch indexer appends with C-level
-        #: ``map``s; readers only ``.get``).
-        self._by_ref: defaultdict[int, list[int]] = defaultdict(list)
+        #: ref id -> live arena rows for that entity, in LSN order, as
+        #: ``array('q')`` (a ``defaultdict`` so the batch indexer appends
+        #: with C-level ``map``s; readers only ``.get``).
+        self._by_ref: defaultdict[int, array] = defaultdict(_ROW_BUCKET)
         #: entity type -> (rows, parallel lsns) in LSN order, as
         #: ``array('q')`` (8 bytes an entry, not a list's boxed int).
         self._by_type: dict[str, tuple[array, array]] = {}
@@ -118,15 +121,12 @@ class AppendOnlyLog:
             The stored event (a copy of ``event`` with its LSN set).
         """
         lsn = self._next_lsn
-        self._next_lsn = lsn + 1
-        row = self._cols.append_event(event, lsn)
-        self._index_rows((row,), (lsn,))
-        stored = event.with_lsn(lsn)
-        for on_row, _on_batch in self._columnar:
-            on_row(self._cols, row)
-        for counter in self._counts:
-            counter(1)
-        return stored
+        self.append_row(
+            event.timestamp, event.entity_type, event.entity_key, event.kind,
+            event.payload, event.origin, event.origin_seq, event.tx_id,
+            event.schema_version, event.tags, event.trace_id, event.span_id,
+        )
+        return event.with_lsn(lsn)
 
     def append_row(
         self,
@@ -144,8 +144,11 @@ class AppendOnlyLog:
         span_id: str = "",
     ) -> int:
         """Append one event from loose fields, without constructing a
-        :class:`LogEvent`.  The hot ingestion path: the row is indexed
-        inline (:meth:`_index_rows` for a run of one, without the call).
+        :class:`LogEvent` — the one body that writes a row's columns.
+        The hot ingestion path: nine C-array/list appends and two
+        interning probes into the arena, and the row indexed
+        (:meth:`_index_rows` for a run of one), all inline, since at
+        millions of calls each call saved is measurable.
 
         Returns:
             The arena row of the new event (its LSN is
@@ -154,11 +157,33 @@ class AppendOnlyLog:
         lsn = self._next_lsn
         self._next_lsn = lsn + 1
         cols = self._cols
-        row = cols.append_row(
-            lsn, timestamp, entity_type, entity_key, kind, payload,
-            origin, origin_seq, tx_id, schema_version, tags,
-            trace_id, span_id,
-        )
+        row = len(cols.lsns)
+        cols.lsns.append(lsn)
+        cols.timestamps.append(timestamp)
+        cols.kinds.append(kind.code)
+        by_key = cols._ref_lookup.get(entity_type)
+        if by_key is None:
+            by_key = cols._ref_lookup[entity_type] = {}
+        rid = by_key.get(entity_key)
+        if rid is None:
+            rid = by_key[entity_key] = len(cols.ref_tuples)
+            cols.ref_tuples.append((entity_type, entity_key))
+        cols.ref_ids.append(rid)
+        origins = cols.origins
+        oid = origins.ids.get(origin)
+        if oid is None:
+            oid = origins.intern(origin)
+        cols.origin_ids.append(oid)
+        cols.origin_seqs.append(origin_seq)
+        cols.schema_versions.append(schema_version)
+        cols.payloads.append(payload)
+        cols.tx_ids.append(tx_id)
+        if tags:
+            cols.tags[row] = tags
+        if trace_id:
+            cols.trace_ids[row] = trace_id
+        if span_id:
+            cols.span_ids[row] = span_id
         live = self._rows
         if live is not None:
             lsns = self._live_lsns
@@ -168,7 +193,7 @@ class AppendOnlyLog:
                 self._contiguous = True
             live.append(row)
             lsns.append(lsn)
-        self._by_ref[cols.ref_ids[row]].append(row)
+        self._by_ref[rid].append(row)
         entry = self._by_type.get(entity_type)
         if entry is None:
             self._by_type[entity_type] = (array("q", (row,)), array("q", (lsn,)))
@@ -241,8 +266,8 @@ class AppendOnlyLog:
             live.extend(rows)
             live_lsns.extend(lsns)
         # ``bucket.append(row)`` per row, driven by a zero-length deque so
-        # the loop runs in C (a missing bucket is the defaultdict's list).
-        deque(map(list.append, map(self._by_ref.__getitem__, rids), rows), 0)
+        # the loop runs in C (a missing bucket is the defaultdict's array).
+        deque(map(array.append, map(self._by_ref.__getitem__, rids), rows), 0)
         by_type = self._by_type
         known = cols.entity_types()
         if len(known) == 1:
@@ -530,14 +555,32 @@ class AppendOnlyLog:
         live = self._live_rows()
         cut = self._bisect_gt(up_to_lsn)
         removed = EventSlice(cols, live[:cut])
-        rows = [
-            cols.append_event(event, event.lsn) for event in replacement_list
-        ]
-        rows.extend(live[cut:])
+        kept = live[cut:]
+        # Summary rows reuse the LSNs they replace and are not appends:
+        # :meth:`append_row` writes them with no subscriber notified and
+        # the LSN counter put back, and each is then stamped with its
+        # event's LSN.  The indexing it does is rebuilt below.
+        subscribers, counters, next_lsn = self._columnar, self._counts, self._next_lsn
+        self._columnar, self._counts = [], []
+        rows = []
+        try:
+            for event in replacement_list:
+                row = self.append_row(
+                    event.timestamp, event.entity_type, event.entity_key,
+                    event.kind, event.payload, event.origin, event.origin_seq,
+                    event.tx_id, event.schema_version, event.tags,
+                    event.trace_id, event.span_id,
+                )
+                cols.lsns[row] = event.lsn
+                rows.append(row)
+        finally:
+            self._columnar, self._counts = subscribers, counters
+            self._next_lsn = next_lsn
+        rows.extend(kept)
         self._rows = []
         self._live_lsns = []
         self._contiguous = True
-        self._by_ref = defaultdict(list)
+        self._by_ref = defaultdict(_ROW_BUCKET)
         self._by_type = {}
         self._index_rows(rows, list(map(cols.lsns.__getitem__, rows)))
         for callback in self._structure:

@@ -97,20 +97,20 @@ class LSDBStore(ReadSurface):
         self.archive = Archive()
         self.version_vector = VersionVector()
         self._origin_seq = 0
-        #: origin -> arena rows in origin-sequence order, with a
-        #: parallel seq list so catch-up feeds bisect instead of
-        #: scanning.  Rows, not events: the arena is immortal, so this
-        #: feed keeps serving raw originals after compaction rewrites
-        #: the live log (anti-entropy repairs ship pre-compaction
-        #: events verbatim).  Rows are an ``array('q')`` (8 bytes an
-        #: entry); the seqs stay a list because every follower read's
-        #: staleness stamp bisects them, and ``bisect`` is faster on a
-        #: list.
+        #: origin -> arena rows in origin-sequence order, an
+        #: ``array('q')`` (8 bytes an entry).  Rows, not events: the
+        #: arena is immortal, so this feed keeps serving raw originals
+        #: after compaction rewrites the live log (anti-entropy repairs
+        #: ship pre-compaction events verbatim).  A row's sequence is
+        #: read from the arena's column, never copied.
         self._by_origin: dict[str, array] = {}
-        self._by_origin_seqs: dict[str, list[int]] = {}
-        #: Whether every feed's rows ascend (false only once an event
-        #: injected outside the replication protocol was insert-sorted).
-        self._feeds_in_row_order = True
+        #: Origins whose feed is not the one run of sequences
+        #: ``first..first+n-1`` every feed the replication protocol
+        #: builds is (it took an event injected out of sequence, a
+        #: repeat or a gap): a position in it is found by a bisect keyed
+        #: on the arena's sequence column, and in any other feed by
+        #: arithmetic.
+        self._keyed_feeds: set[str] = set()
         #: entity type -> refs in first-event order (entities are never
         #: physically removed, so this only grows).
         self._type_refs: dict[str, list[tuple[str, str]]] = {}
@@ -261,20 +261,33 @@ class LSDBStore(ReadSurface):
         if rows:
             self._fold_rows(rows)
         if self._early:
-            self._first_event_order(len(self._states) - size + self._early)
+            self._first_event_order(len(self._states) - size, self._early)
             self._early = 0
         return len(rows)
 
-    def _first_event_order(self, count: int) -> None:
-        """Re-insert the state map's last ``count`` entities — every one
-        first appended past the mark, some put there early by a read —
-        in the order of their first rows, so the map's order is the
-        first-event order an eager fold gives."""
+    def _first_event_order(self, added: int, early: int) -> None:
+        """Restore first-event order after a suffix fold, so the state
+        map's order is the one an eager fold gives.  The map ends with
+        the ``early`` entities reads put there ahead of their turn (in
+        read order), then the ``added`` ones this fold put there (in
+        first-row order).  Only the early ones, and the added ones whose
+        first row comes after the earliest of theirs, are out of place:
+        those alone are re-inserted, in first-row order."""
         states = self._states
-        tail = list(islice(reversed(states), count))
         by_ref, lookup = self.log._by_ref, self._arena._ref_lookup
-        firsts = [by_ref[lookup[kind][key]][0] for kind, key in tail]
-        for _first, ref in sorted(zip(firsts, tail)):
+        back = reversed(states)
+        newest_first = list(islice(back, added))
+        moved = [
+            (by_ref[lookup[kind][key]][0], (kind, key))
+            for kind, key in islice(back, early)
+        ]
+        earliest = min(moved)[0]
+        for kind, key in newest_first:
+            first = by_ref[lookup[kind][key]][0]
+            if first < earliest:
+                break
+            moved.append((first, (kind, key)))
+        for _first, ref in sorted(moved):
             states[ref] = states.pop(ref)
 
     def _read_folded_rows(self, mark: int) -> list[int]:
@@ -744,12 +757,13 @@ class LSDBStore(ReadSurface):
         rows = self._by_origin.get(origin)
         if rows is None:
             self._by_origin[origin] = array("q", (row,))
-            self._by_origin_seqs[origin] = [seq]
             return
-        seqs = self._by_origin_seqs[origin]
-        if seq >= seqs[-1]:
+        last = cols.origin_seqs[rows[-1]]
+        if seq == last + 1:
             rows.append(row)
-            seqs.append(seq)
+        elif seq >= last:
+            rows.append(row)
+            self._keyed_feeds.add(origin)
         else:
             self._insert_into_feed(cols, origin, row, row)
 
@@ -784,41 +798,52 @@ class LSDBStore(ReadSurface):
 
     def _record_origin_run(self, cols: EventColumns, first: int, last: int) -> None:
         """Record arena rows ``first..last`` (inclusive) — one origin's
-        run, in ascending sequence order — in the version vector and in
-        that origin's feed."""
+        run, in strictly ascending sequence order — in the version
+        vector and in that origin's feed."""
         origin = cols.origins.values[cols.origin_ids[first]]
-        seqs_col = cols.origin_seqs
+        seqs = cols.origin_seqs
         # Recording the run's last sequence is the same set of vector
         # updates as recording each (record keeps the max).
-        last_seq = seqs_col[last]
+        last_seq = seqs[last]
         if last_seq:
             self.version_vector.record(origin, last_seq)
+        # Strictly ascending, so its ends say whether it skips any.
+        gapped = last_seq - seqs[first] != last - first
         rows = self._by_origin.get(origin)
         if rows is None:
             self._by_origin[origin] = array("q", range(first, last + 1))
-            self._by_origin_seqs[origin] = seqs_col[first:last + 1].tolist()
-            return
-        seqs = self._by_origin_seqs[origin]
-        if seqs_col[first] >= seqs[-1]:
+        elif seqs[first] >= seqs[rows[-1]]:
+            gapped = gapped or seqs[first] != seqs[rows[-1]] + 1
             rows.extend(range(first, last + 1))
-            seqs.extend(seqs_col[first:last + 1])
         else:
             self._insert_into_feed(cols, origin, first, last)
+        if gapped:
+            self._keyed_feeds.add(origin)
 
     def _insert_into_feed(
         self, cols: EventColumns, origin: str, first: int, last: int
     ) -> None:
         """Insert-sort rows ``first..last`` into ``origin``'s feed — an
         out-of-sequence arrival, only possible for events injected
-        outside the replication protocol — so bisect stays correct."""
-        self._feeds_in_row_order = False
+        outside the replication protocol — so a keyed bisect stays
+        correct."""
+        self._keyed_feeds.add(origin)
         rows = self._by_origin[origin]
-        seqs = self._by_origin_seqs[origin]
+        seq_of = cols.origin_seqs.__getitem__
         for row in range(first, last + 1):
-            seq = cols.origin_seqs[row]
-            position = bisect_right(seqs, seq)
-            seqs.insert(position, seq)
-            rows.insert(position, row)
+            rows.insert(bisect_right(rows, seq_of(row), key=seq_of), row)
+
+    def _feed_start(self, origin: str, rows: array, after_seq: int) -> int:
+        """Position in ``origin``'s feed ``rows`` of its first row with
+        sequence > ``after_seq`` (``len(rows)`` or more if none): by
+        arithmetic on a feed of sequences ``first..first+n-1``, by a
+        bisect keyed on the arena's sequence column otherwise.
+        :meth:`origin_timestamp_after` inlines it."""
+        seqs = self._arena.origin_seqs
+        if origin in self._keyed_feeds:
+            return bisect_right(rows, after_seq, key=seqs.__getitem__)
+        start = after_seq - seqs[rows[0]] + 1
+        return start if start > 0 else 0
 
     # ------------------------------------------------------------------ #
     # Reads
@@ -1090,14 +1115,15 @@ class LSDBStore(ReadSurface):
         zero-copy range when the rows are arena-contiguous.
         Served from arena rows, so the feed still carries raw originals
         for sequences whose live-log events were compacted away."""
-        arena = self.log.arena
-        seqs = self._by_origin_seqs.get(origin)
-        if not seqs or after_seq >= seqs[-1]:
+        arena = self._arena
+        rows = self._by_origin.get(origin)
+        if not rows:
             return EventSlice(arena, ())
-        rows = self._by_origin[origin]
-        start = bisect_right(seqs, after_seq)
+        start = self._feed_start(origin, rows, after_seq)
+        if start >= len(rows):
+            return EventSlice(arena, ())
         first, last = rows[start], rows[-1]
-        if self._feeds_in_row_order and last - first == len(rows) - 1 - start:
+        if origin not in self._keyed_feeds and last - first == len(rows) - 1 - start:
             # Arena-contiguous (a single writer's feed always is): a
             # range view, which frame encoding slices without a copy.
             return EventSlice(arena, range(first, last + 1))
@@ -1107,20 +1133,36 @@ class LSDBStore(ReadSurface):
         """Timestamp of the oldest event from ``origin`` with sequence >
         ``after_seq`` (``None`` if there is none): the first row of
         :meth:`events_from_origin`'s feed, read without building it —
-        the staleness stamp of every follower read."""
-        seqs = self._by_origin_seqs.get(origin)
-        if not seqs or after_seq >= seqs[-1]:
+        the staleness stamp of every follower read, so
+        :meth:`_feed_start` is inlined and the common feed takes no
+        bisect (one on an ``array`` costs about 250 ns, five times one
+        on a list)."""
+        # The vector holds at least the feed's last sequence (each row
+        # recorded it; a checkpoint installs only on an empty store), so
+        # an up-to-date follower costs one probe.
+        if after_seq >= self.version_vector.counts.get(origin, 0):
             return None
-        row = self._by_origin[origin][bisect_right(seqs, after_seq)]
-        return self._arena.timestamps[row]
+        rows = self._by_origin.get(origin)
+        if not rows:
+            return None
+        arena = self._arena
+        if origin in self._keyed_feeds:
+            start = bisect_right(rows, after_seq, key=arena.origin_seqs.__getitem__)
+        else:
+            start = after_seq - arena.origin_seqs[rows[0]] + 1
+            if start < 0:
+                start = 0
+        if start < len(rows):
+            return arena.timestamps[rows[start]]
+        return None
 
     def count_from_origin(self, origin: str, after_seq: int) -> int:
         """How many events from ``origin`` have sequence > ``after_seq``,
         without materialising them (replication-lag probes)."""
-        seqs = self._by_origin_seqs.get(origin)
-        if not seqs:
+        rows = self._by_origin.get(origin)
+        if not rows:
             return 0
-        return len(seqs) - bisect_right(seqs, after_seq)
+        return max(0, len(rows) - self._feed_start(origin, rows, after_seq))
 
     def compact(self, keep_recent: int = 0) -> CompactionReport:
         """Summarise all but the newest ``keep_recent`` events.

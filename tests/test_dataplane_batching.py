@@ -13,8 +13,9 @@ import json
 
 import pytest
 
-from repro.lsdb.columnar import EventColumns, EventSlice
+from repro.lsdb.columnar import EventSlice
 from repro.lsdb.events import EventKind, LogEvent
+from repro.lsdb.log import AppendOnlyLog
 from repro.merge.deltas import Delta
 from repro.replication.batching import BatchPolicy, FrameShipper
 from repro.replication.active_active import ActiveActiveGroup
@@ -41,12 +42,16 @@ def make_events(count: int, origin: str = "src", start_lsn: int = 1) -> list[Log
 
 
 def as_slice(events: list[LogEvent]) -> EventSlice:
-    """The events as arena rows (each under its own LSN) — the only
-    form the data plane chunks and ships."""
-    arena = EventColumns()
+    """The events as arena rows (each re-stamped with its own LSN) —
+    the only form the data plane chunks and ships."""
+    log = AppendOnlyLog()
     for event in events:
-        arena.append_event(event, event.lsn)
-    return EventSlice(arena, range(len(arena)))
+        row = log.append_row(
+            event.timestamp, event.entity_type, event.entity_key, event.kind,
+            event.payload, event.origin, event.origin_seq,
+        )
+        log.arena.lsns[row] = event.lsn
+    return EventSlice(log.arena, range(len(log.arena)))
 
 
 class Recorder(Node):

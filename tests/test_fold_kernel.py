@@ -24,6 +24,7 @@ from repro.core.entity import EntityCatalog, EntityType, FieldSpec
 from repro.core.migration import MigratingReducer, SchemaMigrationManager
 from repro.lsdb.columnar import EventColumns, EventSlice
 from repro.lsdb.events import EventKind, LogEvent
+from repro.lsdb.log import AppendOnlyLog
 from repro.lsdb.rollup import EntityState, GenericReducer, Rollup
 
 TYPES = ("acct", "item", "ledger", "order")
@@ -119,14 +120,13 @@ PAYLOADS = {
 def arenas(draw) -> EventColumns:
     """An arena of 1-40 rows over every kind, type and two origins, with
     timestamp ties so ``SET_FIELDS`` stamps fall back to the origin."""
-    cols = EventColumns()
+    log = AppendOnlyLog()
     for lsn in range(1, draw(st.integers(min_value=1, max_value=40)) + 1):
         kind = draw(st.sampled_from(list(EventKind)))
         tags = frozenset()
         if kind is EventKind.SUMMARY:
             tags = frozenset(draw(st.sets(st.sampled_from(["deleted", "obsolete"]))))
-        cols.append_row(
-            lsn,
+        log.append_row(
             draw(st.sampled_from([0.0, 1.0, 2.0])),
             draw(st.sampled_from(TYPES)),
             draw(st.sampled_from(KEYS)),
@@ -138,7 +138,7 @@ def arenas(draw) -> EventColumns:
             draw(st.sampled_from([1, 2])),
             tags,
         )
-    return cols
+    return log.arena
 
 
 @st.composite
@@ -237,9 +237,10 @@ def test_folding_over_shared_states_leaves_them_untouched(data, shape):
 def test_a_reducer_registered_later_sees_only_its_own_rows():
     """Stock rows keep folding inline from the columns; only the custom
     type's rows reach its reducer, as events, in view order."""
-    cols = EventColumns()
+    log = AppendOnlyLog()
     for lsn, entity_type in enumerate(["acct", "ledger", "acct", "ledger"], 1):
-        cols.append_row(lsn, 0.0, entity_type, "k", EventKind.INSERT, {"a": lsn})
+        log.append_row(0.0, entity_type, "k", EventKind.INSERT, {"a": lsn})
+    cols = log.arena
     seen = []
 
     class Spy(CountingReducer):

@@ -199,6 +199,22 @@ class TestFoldOnDemand:
         assert [s.entity_key for s in store.entities_of_type("item")] == ["i0"]
         assert list(store.states_view()) == list(store.rollup_from_scratch())
 
+    def test_an_early_read_reinserts_only_the_entity_it_put_out_of_order(self):
+        """A read of the last of k new entities folds it ahead of the
+        other k - 1, which then still stand in first-event order: the
+        next suffix fold re-inserts that one entity, not all k."""
+        store = LSDBStore(origin="o")
+        store.insert("acct", "old", {"n": 0})
+        store.fold_pending()
+        k = 8
+        for index in range(k):
+            store.insert("acct", f"k{index}", {"n": index})
+        store.get("acct", f"k{k - 1}")
+        store._states = states = ReinsertCounting(store._states)
+        store.fold_pending()
+        assert states.reinserted == 1
+        assert list(store.states_view()) == list(store.rollup_from_scratch())
+
     def test_deferred_state_equals_an_eager_store(self):
         deferred, eager = LSDBStore(origin="o"), EagerStore(origin="o")
         for index in range(40):
@@ -230,6 +246,17 @@ class TestFoldOnDemand:
         assert store.rebuild_cache() == 2
         assert store.unfolded == 0
         assert store.get("acct", "b").fields == {"bal": 2}
+
+
+class ReinsertCounting(dict):
+    """A state map that counts the entities moved to its end by
+    ``states[ref] = states.pop(ref)``."""
+
+    reinserted = 0
+
+    def pop(self, *args):
+        self.reinserted += 1
+        return super().pop(*args)
 
 
 class EagerStore(LSDBStore):

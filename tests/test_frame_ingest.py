@@ -116,7 +116,7 @@ def fingerprint(store: LSDBStore):
         [log.entity_head_lsn(*ref) for ref in refs],
         [list(log.for_type_since(entity_type, 0)) for entity_type in TYPES],
         [store.events_from_origin(origin, 0).identities() for origin in ORIGINS],
-        [(cols.tx_ids.get(row, ""), cols.tags_at(row)) for row in range(len(cols))],
+        [(cols.tx_ids[row], cols.tags_at(row)) for row in range(len(cols))],
     )
 
 
@@ -214,6 +214,10 @@ def truncate_origin_seqs(frame):
     frame.origin_seqs = frame.origin_seqs[:-1]
 
 
+def truncate_tx_ids(frame):
+    frame.tx_ids = frame.tx_ids[:-1]
+
+
 def extra_timestamp(frame):
     frame.timestamps.append(9.0)
 
@@ -243,6 +247,7 @@ def unknown_kind_code(frame):
     [
         truncate_payloads,
         truncate_origin_seqs,
+        truncate_tx_ids,
         extra_timestamp,
         ref_code_past_table,
         negative_ref_code,

@@ -3,9 +3,10 @@ runs the one test named to catch that break, which must then fail.
 
 A mutant is a ``monkeypatch`` of the product, so the product needs no
 switch for it; it is undone when its row ends.  The killer is called
-directly (fixtures built by hand) under the mutant.  A row whose killer
-passes means a test has lost its teeth.  Every killer also runs, and
-passes, unmutated in its own file.
+directly (fixtures built by hand) under the mutant, and kills it by
+failing: an assertion, or a ``pytest.raises`` that saw nothing raised.
+A row whose killer passes means a test has lost its teeth.  Every
+killer also runs, and passes, unmutated in its own file.
 
 Rows, grouped by the mechanism each breaks:
 
@@ -14,7 +15,11 @@ Rows, grouped by the mechanism each breaks:
   did; the per-entity catch-up forgets how far it folded; a
   reinterpretation (a migration or a new reducer) skips the fold of the
   rows appended under the old meaning; an append skips its entity's
-  first-touch record;
+  first-touch record; a suffix fold leaves an entity a read folded early
+  out of first-event order;
+* a row costs bytes: a frame's decode drops its tx-id slice;
+  ``validate()`` skips the tx-id column; a position in a contiguous
+  feed is off by one;
 * older mechanisms: compaction skips the log's structure hook, snapshot
   commits drop first-committer-wins, and a quorum write acks before its
   quorum.
@@ -30,6 +35,7 @@ import pytest
 
 from repro.core.migration import SchemaMigrationManager
 from repro.core.transaction import TransactionManager
+from repro.lsdb.columnar import ColumnFrame, EventColumns
 from repro.lsdb.log import AppendOnlyLog
 from repro.lsdb.readcache import ReadCache
 from repro.lsdb.store import LSDBStore
@@ -39,9 +45,11 @@ from repro.sim.scheduler import Simulator
 from tests import (
     test_failure_injection,
     test_fold_once,
+    test_frame_ingest,
     test_isolation_modes,
     test_readcache,
     test_reinterpretation,
+    test_row_bytes,
     test_write_cost,
 )
 
@@ -116,6 +124,50 @@ def append_skips_the_first_touch_record(monkeypatch):
             del refs[lengths.get(name, 0):]
 
     monkeypatch.setattr(LSDBStore, "_on_append_row", on_append_row)
+
+
+def first_event_order_skips_an_early_entity(monkeypatch):
+    original = LSDBStore._first_event_order
+
+    def first_event_order(self, added, early):
+        if early > 1:
+            original(self, added, early - 1)
+
+    monkeypatch.setattr(LSDBStore, "_first_event_order", first_event_order)
+
+
+def decode_drops_the_tx_id_slice(monkeypatch):
+    original = EventColumns.append_frame
+
+    def append_frame(self, frame, start, stop, first_lsn):
+        rows = original(self, frame, start, stop, first_lsn)
+        self.tx_ids[rows.start:] = [""] * len(rows)
+        return rows
+
+    monkeypatch.setattr(EventColumns, "append_frame", append_frame)
+
+
+def validate_skips_the_tx_id_column(monkeypatch):
+    original = ColumnFrame.validate
+
+    def validate(self):
+        tx_ids, self.tx_ids = self.tx_ids, [""] * len(self.lsns)
+        try:
+            original(self)
+        finally:
+            self.tx_ids = tx_ids
+
+    monkeypatch.setattr(ColumnFrame, "validate", validate)
+
+
+def contiguous_feed_position_is_off_by_one(monkeypatch):
+    original = LSDBStore._feed_start
+
+    def feed_start(self, origin, rows, after_seq):
+        start = original(self, origin, rows, after_seq)
+        return start if origin in self._keyed_feeds else start + 1
+
+    monkeypatch.setattr(LSDBStore, "_feed_start", feed_start)
 
 
 def compaction_skips_the_structure_hook(monkeypatch):
@@ -210,6 +262,35 @@ MUTANTS = [
         .test_a_read_of_a_new_entity_keeps_first_event_order(),
     ),
     Mutant(
+        "first_event_order_skips_an_early_entity",
+        first_event_order_skips_an_early_entity,
+        "tests/test_fold_once.py::TestFoldOnDemand::"
+        "test_a_read_of_a_new_entity_keeps_first_event_order",
+        lambda: test_fold_once.TestFoldOnDemand()
+        .test_a_read_of_a_new_entity_keeps_first_event_order(),
+    ),
+    Mutant(
+        "decode_drops_the_tx_id_slice",
+        decode_drops_the_tx_id_slice,
+        "tests/test_frame_ingest.py::test_frame_ingest_equals_per_event_ingest",
+        test_frame_ingest.test_frame_ingest_equals_per_event_ingest,
+    ),
+    Mutant(
+        "validate_skips_the_tx_id_column",
+        validate_skips_the_tx_id_column,
+        "tests/test_frame_ingest.py::"
+        "test_malformed_frame_is_rejected_before_the_arena_moves[truncate_tx_ids]",
+        lambda: test_frame_ingest.test_malformed_frame_is_rejected_before_the_arena_moves(
+            test_frame_ingest.truncate_tx_ids
+        ),
+    ),
+    Mutant(
+        "contiguous_feed_position_is_off_by_one",
+        contiguous_feed_position_is_off_by_one,
+        "tests/test_row_bytes.py::test_feed_positions_equal_a_bisect_over_the_sequences",
+        test_row_bytes.test_feed_positions_equal_a_bisect_over_the_sequences,
+    ),
+    Mutant(
         "compaction_skips_the_structure_hook",
         compaction_skips_the_structure_hook,
         "tests/test_readcache.py::TestStructuralInvalidation::"
@@ -239,5 +320,5 @@ MUTANTS = [
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
 def test_mutant_is_killed_by_its_named_test(mutant, monkeypatch):
     mutant.apply(monkeypatch)
-    with pytest.raises(AssertionError):
+    with pytest.raises((AssertionError, pytest.fail.Exception)):
         mutant.run_killer()

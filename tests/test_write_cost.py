@@ -49,28 +49,31 @@ WRITES = 600
 #: two set-map comprehensions for a numeric-only delta (CPython 3.11),
 #: 11 once the store append indexed the row and recorded its feed
 #: inline (``STORE_APPEND_CALL_BUDGET``), 9 once the store append
-#: stopped queueing its row for a fold.  Ratchet it down with the next
-#: saving; never up without saying what the calls buy.
-WRITE_CALL_BUDGET = 10
+#: stopped queueing its row for a fold, 8 once the log wrote the row's
+#: columns itself.  Ratchet it down with the next saving; never up
+#: without saying what the calls buy.
+WRITE_CALL_BUDGET = 9
 #: Python ``call`` events for one warm plain ``begin -> apply_delta ->
 #: commit`` (delta built beforehand): 35 while ``PendingOp`` was a frozen
 #: dataclass, ``begin`` hopped through ``manager.now()``, and every
 #: commit went through ``_schedule_actions``, ``_count_outcome`` and
 #: ``_receipt_tracking`` for results it then discarded; 26 once they
 #: were skipped, 21 with the one-pass store append below it, 19 once
-#: that append stopped queueing its row for a fold (CPython 3.11).  Same
-#: ratchet rule.
-TX_WRITE_CALL_BUDGET = 20
+#: that append stopped queueing its row for a fold, 18 once the log
+#: wrote the row's columns itself (CPython 3.11).  Same ratchet rule.
+TX_WRITE_CALL_BUDGET = 19
 #: Python ``call`` events for one warm ``LSDBStore.append_local`` on the
 #: ladder's master store: 12 while the arena interned the origin, the
 #: log indexed the row and the store recorded its origin feed through
 #: calls of their own (``intern``, ``_index_row``,
 #: ``_record_origin_run`` -> ``value`` -> ``record``); 7 with all three
 #: inline; 5 once the row was no longer handed to a write coalescer
-#: (its ``defer`` and a second clock read) — ``append_local``, the
-#: clock, ``log.append_row``, ``cols.append_row`` and ``_on_append_row``
-#: (CPython 3.11).  Same ratchet rule.
-STORE_APPEND_CALL_BUDGET = 6
+#: (its ``defer`` and a second clock read); 4 once ``log.append_row``
+#: wrote the row's columns itself instead of calling
+#: ``EventColumns.append_row`` — ``append_local``, the clock,
+#: ``log.append_row`` and ``_on_append_row`` (CPython 3.11).  Same
+#: ratchet rule.
+STORE_APPEND_CALL_BUDGET = 5
 #: Python ``call`` events for one warm ``store.get`` of an entity with
 #: unfolded rows of its own: ``get``, ``_catch_up``, ``_fold_rows``, the
 #: ``EventSlice`` and ``fold_slice_into`` — 5 however many rows of other

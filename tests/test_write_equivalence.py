@@ -147,7 +147,7 @@ def fingerprint(node) -> dict:
         "refs": [arena.ref_tuples[i] for i in arena.ref_ids],
         "kinds": list(arena.kinds),
         "payloads": list(arena.payloads),
-        "tx_ids": dict(arena.tx_ids),
+        "tx_ids": list(arena.tx_ids),
         "states": store.current_state(),
         "version_vector": store.version_vector.to_dict(),
         "events_received": node.events_received,
