@@ -85,7 +85,6 @@ EXPERIMENTS = [
     "bench_dataplane",
     "bench_frontdoor",
     "bench_geo",
-    "bench_hotpath",
     "bench_isolation",
     "bench_e01_availability",
     "bench_e02_deferred_updates",

@@ -64,11 +64,6 @@ class SoakConfig:
     # one-event-per-frame wire behaviour.
     max_batch: Optional[int] = 32
     flush_interval: float = 5.0
-    # Hot-path knob.  Deliberately NOT part of the report's ``config``
-    # dict: a cache-on soak must produce a report byte-identical to the
-    # cache-off run (the cache may change performance, never answers —
-    # tests/test_cache_chaos_parity.py pins this).
-    read_cache: bool = False
 
     def resolved_staleness_bound(self) -> float:
         """The bound used when none is given: the longest fault window
@@ -112,11 +107,6 @@ def run_soak(config: SoakConfig) -> dict[str, Any]:
         ),
     )
     chaos = ChaosEngine(sim, network, group.replica_list(), profile=config.profile)
-    if config.read_cache:
-        from repro.lsdb.readcache import ReadCache
-
-        for replica in group.replica_list():
-            ReadCache.over_store(replica.store, metrics=metrics)
     recorder = _Recorder()
     recorder.sessions = {f"s{index}": [] for index in range(1, config.sessions + 1)}
 
@@ -160,15 +150,7 @@ def run_soak(config: SoakConfig) -> dict[str, Any]:
         if replica.crashed:
             recorder.skipped_reads += 1
             return
-        cache = replica.store.read_cache
-        if cache is not None:
-            # Revalidating lookup: watermark-equal hits only, so the
-            # values a cached soak observes are the values an uncached
-            # soak observes — byte parity by construction, while the
-            # hit/miss machinery is still fully exercised under chaos.
-            state, _ = cache.lookup("counter", hot_key, revalidate=True)
-        else:
-            state = replica.store.get("counter", hot_key)
+        state = replica.store.get("counter", hot_key)
         value = state.fields.get("value", 0) if state is not None else 0
         recorder.sessions[session_id].append(value)
         recorder.reads += 1

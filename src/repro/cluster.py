@@ -133,8 +133,7 @@ class Cluster:
         self.front_door: Any = None  # FrontDoor when with_front_door()
         self.topology: Any = None  # SiteTopology when with_topology()
         self.placement: Any = None  # PlacementPolicy when with_placement()
-        self.read_caches: list[Any] = []  # ReadCaches when with_read_cache()
-        self.read_cache: Any = None  # the primary store's cache, if any
+        self.read_caches: list[Any] = []  # always empty: reads use the fold
         self.default_requests: dict[str, ReadRequest] = {}
 
     @staticmethod
@@ -322,7 +321,6 @@ class ClusterBuilder:
         self._front_door_kwargs: Optional[dict[str, Any]] = None
         self._topology_kwargs: Optional[dict[str, Any]] = None
         self._placement_kwargs: Optional[dict[str, Any]] = None
-        self._read_cache_kwargs: Optional[dict[str, Any]] = None
         self._policies: tuple[ConsistencyPolicy, ...] = ()
 
     # ------------------------------------------------------------------ #
@@ -440,33 +438,13 @@ class ClusterBuilder:
         hot_capacity: int = 16,
         coalesce_window: float = 0.0,
     ) -> "ClusterBuilder":
-        """Put a watermark-validated read cache in front of every store
-        (:class:`~repro.lsdb.readcache.ReadCache`) — the skew-aware hot
-        path of DESIGN.md section 16.
+        """Accepted and ignored: arms nothing, and ``cluster.read_caches``
+        stays empty.
 
-        Every store built by the cluster (primary, backups, slaves,
-        replicas) gets its own cache, and the store's own typed reads
-        (:meth:`~repro.lsdb.store.LSDBStore.read` / ``serve``) route
-        through it: STRONG revalidates against the log watermark on
-        every hit, weaker levels may serve a cached fold stamped with
-        its honest measured age.  Replication schemes, the warehouse
-        extract and the front door's rungs do not consult it: a copy's
-        incrementally kept fold is already one dict probe away, so they
-        read it directly and stamp the replication lag.
-
-        Args:
-            capacity: LRU entry bound per cache.
-            hot_capacity: Size of the pinned hot set (space-saving
-                top-k tracker).
-            coalesce_window: Accepted and ignored.  It once armed write
-                coalescing; every store now folds each row once, when a
-                read of its entity or its ship round needs it, so there
-                is nothing left to coalesce.
+        Every read answers from the store's incrementally kept fold, one
+        dict probe (DESIGN.md section 16).  The signature stays because
+        the end-to-end benchmark still declares it.
         """
-        self._read_cache_kwargs = {
-            "capacity": capacity,
-            "hot_capacity": hot_capacity,
-        }
         return self
 
     def with_transactions(self, **kwargs: Any) -> "ClusterBuilder":
@@ -802,7 +780,6 @@ class ClusterBuilder:
             self._transactions_kwargs is not None
             or self._constraint_objs is not None
             or self._with_compensation
-            or self._read_cache_kwargs is not None
         ):
             store_kwargs = {"name": "store", "origin": "local"}
         if store_kwargs is not None:
@@ -848,21 +825,6 @@ class ClusterBuilder:
                 # per-round fold to one frame's worth of events.
                 warehouse_kwargs.setdefault("max_batch", self._batching.max_batch)
             cluster.warehouse = WarehouseExtract(sim, source, **warehouse_kwargs)
-
-        if self._read_cache_kwargs is not None:
-            from repro.lsdb.readcache import ReadCache
-
-            rc_kwargs = self._read_cache_kwargs
-            for store in self._all_stores_of(cluster):
-                cache = ReadCache.over_store(
-                    store,
-                    capacity=rc_kwargs["capacity"],
-                    hot_capacity=rc_kwargs["hot_capacity"],
-                    metrics=metrics,
-                )
-                cluster.read_caches.append(cache)
-                if store is cluster.store:
-                    cluster.read_cache = cache
 
         if self._chaos_kwargs is not None:
             from repro.chaos.engine import ChaosEngine
@@ -954,36 +916,6 @@ class ClusterBuilder:
             replica_ids = [f"q{i}" for i in range(1, count + 1)]
             return QuorumGroup(sim, network, replica_ids, **options)
         raise AssertionError(f"unhandled mode {mode!r}")  # pragma: no cover
-
-    @staticmethod
-    def _all_stores_of(cluster: Cluster) -> list[LSDBStore]:
-        """Every store the cluster built, primary first, deduplicated
-        (the primary is usually also a member of the scheme's replica
-        collection)."""
-        stores: list[LSDBStore] = []
-        seen: set[int] = set()
-
-        def add(store: Optional[LSDBStore]) -> None:
-            if store is not None and id(store) not in seen:
-                seen.add(id(store))
-                stores.append(store)
-
-        add(cluster.store)
-        scheme = cluster.replication
-        if scheme is not None:
-            for attr in ("primary", "master", "backup"):
-                node = getattr(scheme, attr, None)
-                if node is not None:
-                    add(node.store)
-            for attr in ("slaves", "replicas"):
-                members = getattr(scheme, attr, None)
-                if isinstance(members, dict):
-                    for node in members.values():
-                        add(node.store)
-                elif isinstance(members, list):
-                    for node in members:
-                        add(node.store)
-        return stores
 
     @staticmethod
     def _primary_store_of(scheme: Any) -> Optional[LSDBStore]:

@@ -8,7 +8,9 @@ be implemented efficiently using main memory database techniques."
 
 Public surface:
 
-* :class:`LSDBStore` — the facade replicas run on.
+* :class:`LSDBStore` — the facade replicas run on.  Its state map is
+  the rollup, kept incrementally: every read, typed or not, answers
+  from it (each row is folded once, by the first read that needs it).
 * :class:`LogEvent` / :class:`EventKind` — the storage records.
 * :class:`AppendOnlyLog`, :class:`Rollup`, :class:`EntityState`,
   :class:`CheckpointManager` / :class:`Checkpoint` (the one frozen
@@ -26,7 +28,6 @@ from repro.lsdb.compaction import Archive, CompactionReport, Compactor
 from repro.lsdb.events import EventKind, LogEvent
 from repro.lsdb.index import SecondaryIndex
 from repro.lsdb.log import AppendOnlyLog
-from repro.lsdb.readcache import HotSetTracker, ReadCache
 from repro.lsdb.rollup import EntityState, GenericReducer, Reducer, Rollup
 from repro.lsdb.store import LSDBStore
 
@@ -41,8 +42,6 @@ __all__ = [
     "LogEvent",
     "SecondaryIndex",
     "AppendOnlyLog",
-    "HotSetTracker",
-    "ReadCache",
     "EntityState",
     "GenericReducer",
     "Reducer",

@@ -1,17 +1,17 @@
 """Rollup checkpoints: O(delta) recovery for the LSDB.
 
-Without checkpoints, every cold start of the current-state cache —
+Without checkpoints, every cold start of the current-state map —
 :meth:`~repro.lsdb.store.LSDBStore.rebuild_cache`, a promoted backup
 warming up, a brand-new replica joining — replays the **entire** log
 from LSN 0.  That is the paper's section 3.1 rollup done the slow way:
 correct, but linear in history, and history only grows (principle 2.7:
 nothing is ever erased).
 
-A :class:`Checkpoint` freezes the four things the incremental cache is
+A :class:`Checkpoint` freezes the four things the incremental state is
 made of, all consistent **as of one LSN**:
 
 * the rolled-up ``states`` map (deep-enough copies, never aliased with
-  the live cache),
+  the live map),
 * the per-type ref order (so type-scoped scans keep their first-event
   iteration order),
 * the per-origin sequence watermarks (the version vector — what the
@@ -22,8 +22,8 @@ made of, all consistent **as of one LSN**:
 
 Recovery is then *checkpoint + suffix*: restore the frozen maps and fold
 only ``log.since(checkpoint.lsn)`` — O(delta since the checkpoint), not
-O(log).  Because the incremental cache **is** the fold of the log, the
-restored cache is byte-identical to the one that was never torn down
+O(log).  Because the incremental state map **is** the fold of the log,
+the restored map is byte-identical to the one that was never torn down
 (including audit counters like ``event_count``), an invariant the test
 suite pins.
 

@@ -129,10 +129,6 @@ class StringDictionary:
         """The string behind ``ident`` (O(1) list index)."""
         return self.values[ident]
 
-    def lookup(self, value: str) -> Optional[int]:
-        """Id for ``value`` if already interned, else ``None``."""
-        return self._ids.get(value)
-
 
 class EventColumns:
     """The immortal columnar arena: one growing column per event field.

@@ -103,7 +103,6 @@ class AppendOnlyLog:
         self._next_lsn = 1
         self._columnar: list[tuple[Callable, Callable]] = []
         self._counts: list[Callable[[int], None]] = []
-        self._structure: list[Callable[[], None]] = []
 
     @property
     def arena(self) -> EventColumns:
@@ -311,18 +310,6 @@ class AppendOnlyLog:
         the events themselves."""
         self._counts.append(callback)
 
-    def subscribe_structure(self, callback: Callable[[], None]) -> None:
-        """Invoke ``callback()`` after every *structural* rewrite of the
-        live log (:meth:`rewrite_prefix`).
-
-        Appends extend history; a rewrite *changes* it: summary events
-        replace originals while reusing their LSNs, so any consumer
-        whose validity rests on "LSN x still means the same prefix of
-        folds" (the read cache's watermarks, most importantly) must drop
-        its state here.  Append notifications never fire this channel.
-        """
-        self._structure.append(callback)
-
     # ------------------------------------------------------------------ #
     # Reading
     # ------------------------------------------------------------------ #
@@ -442,9 +429,8 @@ class AppendOnlyLog:
 
     def entity_head_lsn(self, entity_type: str, entity_key: str) -> int:
         """The LSN of the entity's newest live event (0 if it has none)
-        — the O(1) "any events since my watermark?" probe the read
-        cache validates against: two dictionary lookups and one array
-        index, no view, no materialization."""
+        — two dictionary lookups and one array index, no view, no
+        materialization."""
         rid = self._cols.lookup_ref(entity_type, entity_key)
         if rid is None:
             return 0
@@ -452,33 +438,6 @@ class AppendOnlyLog:
         if not rows:
             return 0
         return self._cols.lsns[rows[-1]]
-
-    def entity_first_timestamp_after(
-        self, entity_type: str, entity_key: str, lsn: int
-    ) -> Optional[float]:
-        """Timestamp of the entity's oldest live event with LSN >
-        ``lsn`` (``None`` if there is none) — how the read cache
-        measures the honest age of a stale fold: "the oldest write this
-        snapshot is missing happened at t".  O(log h) bisect over the
-        per-entity row index, h = the entity's history length.
-        """
-        rid = self._cols.lookup_ref(entity_type, entity_key)
-        if rid is None:
-            return None
-        rows = self._by_ref.get(rid)
-        if not rows:
-            return None
-        lsns = self._cols.lsns
-        low, high = 0, len(rows)
-        while low < high:
-            mid = (low + high) // 2
-            if lsns[rows[mid]] <= lsn:
-                low = mid + 1
-            else:
-                high = mid
-        if low == len(rows):
-            return None
-        return self._cols.timestamps[rows[low]]
 
     def for_type_since(
         self,
@@ -583,8 +542,6 @@ class AppendOnlyLog:
         self._by_ref = defaultdict(_ROW_BUCKET)
         self._by_type = {}
         self._index_rows(rows, list(map(cols.lsns.__getitem__, rows)))
-        for callback in self._structure:
-            callback()
         return removed
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -71,9 +71,9 @@ class LSDBStore(ReadSurface):
     #: fold needs no batching; see :meth:`get` and :meth:`fold_pending`).
     coalescer = None
 
-    # ``__init__`` sets 29 instance attributes, CPython 3.11's limit for a
-    # key-shared instance dict: one more makes every ``self.x`` on the
-    # read and append paths a slower lookup.  Cold helpers (the
+    # ``__init__`` sets 28 instance attributes; CPython 3.11's limit for
+    # a key-shared instance dict is 29, and past it every ``self.x`` on
+    # the read and append paths is a slower lookup.  Cold helpers (the
     # compactor, the reorder gauge) are therefore built or looked up
     # where they are used.
 
@@ -141,9 +141,6 @@ class LSDBStore(ReadSurface):
         #: Checkpoint manager (None until :meth:`enable_checkpoints`);
         #: when armed, cache rebuilds become checkpoint + suffix.
         self.checkpoints: Optional[CheckpointManager] = None
-        #: Watermark-validated snapshot cache (None until
-        #: :meth:`attach_read_cache`); typed reads route through it.
-        self.read_cache = None
         #: The first LSN no whole-suffix fold has reached (the mark).  A
         #: row appended on its own is not folded on the spot, so the rows
         #: owed to the state map are always a suffix of the arena: its
@@ -181,17 +178,14 @@ class LSDBStore(ReadSurface):
         """The log now means something else (a new reducer, a schema
         migration): drop every fold frozen under the old meaning.
 
-        The checkpoint and the read cache are discarded — restoring or
-        serving either would keep the old reading of history — and every
-        secondary index is reset, so its next refresh re-folds from LSN 0
-        (its lag shows the work still owed).  The incremental state map
-        itself re-folds on the caller's :meth:`rebuild_cache`, which also
-        drops any cache entry filled in between.
+        The checkpoint is discarded — restoring it would bring back the
+        old reading of history — and every secondary index is reset, so
+        its next refresh re-folds from LSN 0 (its lag shows the work
+        still owed).  The incremental state map itself re-folds on the
+        caller's :meth:`rebuild_cache`.
         """
         if self.checkpoints is not None:
             self.checkpoints.invalidate()
-        if self.read_cache is not None:
-            self.read_cache.invalidate_all("reinterpret")
         for index in self._indexes.values():
             index.reset()
 
@@ -209,22 +203,6 @@ class LSDBStore(ReadSurface):
         elif policy is not None:
             self.checkpoints.policy = policy
         return self.checkpoints
-
-    def attach_read_cache(self, cache) -> None:
-        """Serve this store's typed reads through ``cache`` (a
-        :class:`~repro.lsdb.readcache.ReadCache`).
-
-        Also wires the structural-invalidation contract: a compaction
-        (``rewrite_prefix``) reuses the last summarised LSN, so a cached
-        entry's watermark can match the post-compaction head while its
-        frozen fold is the *pre*-compaction one — the log's
-        structure-change subscription drops every entry whenever that
-        can happen.  Replacing the state map (:meth:`rebuild_cache`,
-        :meth:`recover`, :meth:`install_checkpoint`) and
-        :meth:`reinterpret` invalidate likewise.
-        """
-        self.read_cache = cache
-        self.log.subscribe_structure(cache.on_structure_change)
 
     def fold_pending(self) -> int:
         """Fold every appended row no fold has reached yet, in row
@@ -884,19 +862,10 @@ class LSDBStore(ReadSurface):
         """The read protocol's primitive (see :mod:`repro.core.readpath`).
 
         A single store has one copy of the data, so every consistency
-        level reads the same rollup and is delivered as asked at zero
-        staleness (this *is* the copy of record in an unreplicated
-        deployment).
-
-        With a read cache attached (:meth:`attach_read_cache`) the read
-        routes through it: ``STRONG`` revalidates the watermark every
-        time, ``BOUNDED_STALENESS``/``EVENTUAL`` may serve a cached
-        fold stamped with its honest measured age.
+        level reads the same rollup, :meth:`get`, and is delivered as
+        asked at zero staleness (this *is* the copy of record in an
+        unreplicated deployment).
         """
-        if self.read_cache is not None:
-            return self.read_cache.serve(
-                entity_type, entity_key, level, max_staleness=max_staleness
-            )
         return self.get(entity_type, entity_key), level, 0.0, self.name, ""
 
     def require(self, entity_type: str, entity_key: str) -> EntityState:
@@ -972,18 +941,12 @@ class LSDBStore(ReadSurface):
         """Install a checkpoint's state map (``None``: an empty one) and
         fold the live log after it over it.  Returns the number of
         events folded.
-
-        The read cache is dropped: its entries froze folds of the map
-        being replaced, and a watermark still equal to the head would
-        keep serving them.
         """
         # Unfolded rows are in the log and the replay folds them, so
         # folding them first would be redundant work.
         self._fold_from = self.log._next_lsn
         self._caught_up = {}
         self._early = 0
-        if self.read_cache is not None:
-            self.read_cache.invalidate_all("restore")
         if checkpoint is None:
             self._states, self._type_refs, lsn = {}, {}, 0
         else:
@@ -1052,8 +1015,7 @@ class LSDBStore(ReadSurface):
                 "is a bootstrap-only operation"
             )
         # The log is empty, so the restore folds nothing after the
-        # installed map; it also drops cached negative entries (absent
-        # entities at watermark 0) that the installed states contradict.
+        # installed map.
         self._restore_states(checkpoint)
         self.version_vector = VersionVector(dict(checkpoint.version_vector))
         # If this node's id appears in the donor's watermarks (a rejoin

@@ -20,9 +20,10 @@ Rows, grouped by the mechanism each breaks:
 * a row costs bytes: a frame's decode drops its tx-id slice;
   ``validate()`` skips the tx-id column; a position in a contiguous
   feed is off by one;
-* older mechanisms: compaction skips the log's structure hook, snapshot
-  commits drop first-committer-wins, and a quorum write acks before its
-  quorum.
+* the one read path: a store's ``serve`` answers from its state map
+  without folding the entity's unfolded rows;
+* older mechanisms: snapshot commits drop first-committer-wins, and a
+  quorum write acks before its quorum.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ import pytest
 from repro.core.migration import SchemaMigrationManager
 from repro.core.transaction import TransactionManager
 from repro.lsdb.columnar import ColumnFrame, EventColumns
-from repro.lsdb.log import AppendOnlyLog
-from repro.lsdb.readcache import ReadCache
 from repro.lsdb.store import LSDBStore
 from repro.replication.quorum import QuorumCoordinator
 from repro.replication.replica import ReplicaNode
@@ -47,7 +46,7 @@ from tests import (
     test_fold_once,
     test_frame_ingest,
     test_isolation_modes,
-    test_readcache,
+    test_read_path,
     test_reinterpretation,
     test_row_bytes,
     test_write_cost,
@@ -170,17 +169,12 @@ def contiguous_feed_position_is_off_by_one(monkeypatch):
     monkeypatch.setattr(LSDBStore, "_feed_start", feed_start)
 
 
-def compaction_skips_the_structure_hook(monkeypatch):
-    original = AppendOnlyLog.rewrite_prefix
+def serve_skips_the_pending_fold(monkeypatch):
+    def serve(self, entity_type, entity_key, level, **options):
+        state = self._states.get((entity_type, entity_key))
+        return state, level, 0.0, self.name, ""
 
-    def rewrite_prefix(self, up_to_lsn, replacement):
-        hooks, self._structure = self._structure, []
-        try:
-            return original(self, up_to_lsn, replacement)
-        finally:
-            self._structure = hooks
-
-    monkeypatch.setattr(AppendOnlyLog, "rewrite_prefix", rewrite_prefix)
+    monkeypatch.setattr(LSDBStore, "serve", serve)
 
 
 def commit_drops_first_committer_wins(monkeypatch):
@@ -198,11 +192,11 @@ def quorum_write_acks_on_the_first_reply(monkeypatch):
     monkeypatch.setattr(QuorumCoordinator, "start", start)
 
 
-def compaction_killer():
-    clock = test_readcache.Clock()
+def read_your_writes_killer():
+    clock = test_read_path.Clock()
     store = LSDBStore(name="hot", origin="hot", clock=clock)
-    test_readcache.TestStructuralInvalidation().test_compaction_drops_every_entry(
-        store, ReadCache.over_store(store)
+    test_read_path.TestTypedStoreRead().test_typed_read_sees_its_own_unfolded_writes(
+        store, clock, "strong"
     )
 
 
@@ -240,9 +234,9 @@ MUTANTS = [
     Mutant(
         "migration_skips_the_fold",
         migration_skips_the_fold,
-        "tests/test_reinterpretation.py::TestCachedStoreAfterMigration::"
+        "tests/test_reinterpretation.py::TestStoreReadAfterMigration::"
         "test_read_serves_the_rebuilt_fold[read_between]",
-        lambda: test_reinterpretation.TestCachedStoreAfterMigration()
+        lambda: test_reinterpretation.TestStoreReadAfterMigration()
         .test_read_serves_the_rebuilt_fold(("between",)),
     ),
     Mutant(
@@ -291,11 +285,11 @@ MUTANTS = [
         test_row_bytes.test_feed_positions_equal_a_bisect_over_the_sequences,
     ),
     Mutant(
-        "compaction_skips_the_structure_hook",
-        compaction_skips_the_structure_hook,
-        "tests/test_readcache.py::TestStructuralInvalidation::"
-        "test_compaction_drops_every_entry",
-        compaction_killer,
+        "serve_skips_the_pending_fold",
+        serve_skips_the_pending_fold,
+        "tests/test_read_path.py::TestTypedStoreRead::"
+        "test_typed_read_sees_its_own_unfolded_writes[strong]",
+        read_your_writes_killer,
     ),
     Mutant(
         "commit_drops_first_committer_wins",

@@ -17,7 +17,6 @@ from repro.core.readpath import (
     deliver,
     is_weaker,
 )
-from repro.lsdb.readcache import ReadCache
 from repro.lsdb.store import LSDBStore
 from repro.merge.deltas import Delta
 from repro.partition.placement import PlacementPolicy
@@ -45,17 +44,6 @@ def _store():
     store = LSDBStore(name="s")
     store.insert(ET, KEY, FIELDS)
     return store
-
-
-def _cache():
-    now = [0.0]
-    store = LSDBStore(name="s", clock=lambda: now[0])
-    store.insert(ET, KEY, FIELDS)
-    cache = ReadCache.over_store(store)
-    cache.lookup(ET, KEY)  # fill, then fall behind the watermark
-    store.apply_delta(ET, KEY, Delta.add("total", 1))
-    now[0] = 3.0
-    return cache
 
 
 def _warehouse():
@@ -135,7 +123,6 @@ def _quorum():
 
 SURFACES = {
     "store": _store,
-    "cache": _cache,
     "warehouse": _warehouse,
     "async": _async,
     "sync": _sync,
@@ -170,8 +157,7 @@ def _fields(result: ReadResult) -> dict:
     return {name: getattr(result, name) for name in ReadResult.__slots__}
 
 
-#: Weakest first, so the cache fixture's stale entry is served (at its
-#: measured age) before a tighter request refreshes it.
+#: Weakest first.
 REQUESTS = [
     ReadRequest(level=ConsistencyLevel.EXTRACT, tenant="t"),
     ReadRequest.eventual(),
@@ -181,8 +167,8 @@ REQUESTS = [
 ]
 
 
-def test_nine_surfaces_are_covered():
-    assert len(SURFACES) == 9
+def test_eight_surfaces_are_covered():
+    assert len(SURFACES) == 8
     assert {type(build()) for build in SURFACES.values()} == _leaves(ReadSurface)
 
 

@@ -1,11 +1,11 @@
 """A change of the log's meaning drops every fold frozen under the old one.
 
 A schema migration (or a new reducer) reinterprets events already in
-the log.  Three derived structures hold folds of those events — the
-read cache, the secondary indexes and the rollup checkpoint — and each
-must stop answering under the old schema once the store's state map is
-rebuilt: ``store.read`` agrees with ``store.get``, and an index sees the
-upcast field on entities written before the migration.
+the log.  Two derived structures hold folds of those events — the
+secondary indexes and the rollup checkpoint — and each must stop
+answering under the old schema once the store's state map is rebuilt:
+``store.read`` agrees with ``store.get``, and an index sees the upcast
+field on entities written before the migration.
 
 Until that rebuild, a row appended before the change folds under the
 old meaning even if nothing had folded it yet: the same history must
@@ -20,7 +20,6 @@ import pytest
 from repro import Cluster
 from repro.core.entity import EntityCatalog, EntityType, FieldSpec
 from repro.core.migration import SchemaMigrationManager
-from repro.lsdb.readcache import ReadCache
 from repro.lsdb.rollup import GenericReducer
 from repro.lsdb.store import LSDBStore
 
@@ -43,13 +42,11 @@ def migrating_store(store=None):
 
 
 def ladder_store() -> LSDBStore:
-    """A master store built the way the end-to-end ladder builds one,
-    ``coalesce_window`` included."""
+    """A master store built the way the end-to-end ladder builds one."""
     cluster = (
         Cluster.build(seed=5)
         .with_network(latency=2.0)
         .with_batching(max_batch=64)
-        .with_read_cache(capacity=32, hot_capacity=8, coalesce_window=2.0)
         .with_replicas(3, mode="master_slave", ship_interval=10.0)
         .create()
     )
@@ -69,7 +66,7 @@ def migrate(migrations: SchemaMigrationManager) -> None:
     migrations.apply(V2, upcast=lambda payload: {**payload, "currency": "EUR"})
 
 
-class TestCachedStoreAfterMigration:
+class TestStoreReadAfterMigration:
     @pytest.mark.parametrize(
         "reads",
         [("before_apply",), ("between",), ("before_apply", "between")],
@@ -77,14 +74,12 @@ class TestCachedStoreAfterMigration:
     )
     def test_read_serves_the_rebuilt_fold(self, reads):
         store, migrations = migrating_store()
-        ReadCache.over_store(store)
         store.insert("order", "o1", {"total": 9})
         if "before_apply" in reads:
             assert store.read("order", "o1").fields == {"total": 9}
         migrate(migrations)
         if "between" in reads:
-            # The state map is not rebuilt yet: the old fold is served,
-            # and cached at the head's watermark.
+            # The state map is not rebuilt yet: the old fold is served.
             assert store.read("order", "o1").fields == {"total": 9}
         store.rebuild_cache()
         expected = {"total": 9, "currency": "EUR"}

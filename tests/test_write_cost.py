@@ -276,8 +276,7 @@ def test_warm_geo_write_stays_inside_the_call_budget():
     assert not [c for c in calls if c.startswith("enum.py:")]
     # A numeric-only delta serialises without walking its empty set maps.
     assert "deltas.py:<dictcomp>" not in calls
-    # The append queues nothing for a fold and reads the clock once.
-    assert "readcache.py:defer" not in calls
+    # The append reads the clock once.
     assert calls.count("replica.py:<lambda>") == 1
 
 
@@ -322,7 +321,6 @@ def test_warm_plain_commit_stays_inside_the_call_budget():
         if c.endswith((":_schedule_actions", ":_receipt_tracking", ":_count_outcome"))
     ]
     assert "deltas.py:<dictcomp>" not in calls
-    assert "readcache.py:defer" not in calls
     assert calls.count("replica.py:<lambda>") == 1
 
 
@@ -357,7 +355,6 @@ def test_warm_store_append_stays_inside_the_call_budget():
         for c in calls
         if c.endswith((":intern", ":_index_row", ":_record_origin_run", ":record"))
     ]
-    assert "readcache.py:defer" not in calls
     assert not [c for c in calls if c.endswith(("fold_slice_into", ":_fold_rows"))]
     assert calls.count("replica.py:<lambda>") == 1  # the one clock read
 
@@ -424,7 +421,7 @@ def test_store_instances_keep_a_key_shared_attribute_dict():
     more makes every ``self.x`` on the store's read and append paths a
     slower lookup (the unfolded-row bookkeeping crossed it once, and
     warm ladder reads got slower with no extra bytecode).  The ladder's
-    stores, with caches and checkpoints armed, stay inside it."""
+    stores, with checkpoints armed, stay inside it."""
     cluster = master_slave_cluster()
     stores = [node.store for node in scheme_nodes(cluster.replication)]
     stores[0].enable_checkpoints()
