@@ -1,20 +1,21 @@
 """The read protocol: one primitive per surface, one shared stamp.
 
-Every copy of the data that can answer a point read — a store, a read
-cache, a warehouse extract, each replication scheme — is a
-:class:`ReadSurface`.  A surface implements exactly one thing::
+Every copy of the data that can answer a point read — a store, a
+warehouse extract, each replication scheme — is a :class:`ReadSurface`.
+A surface implements exactly one thing::
 
-    surface.serve(entity_type, entity_key, level, *, max_staleness=None,
-                  site=None) -> (state, delivered_level, staleness,
-                                 served_by, site)
+    surface.serve(entity_type, entity_key, level, *, site=None)
+        -> (state, delivered_level, staleness, served_by, site)
 
 *Pick the copy the level selects and report what it honestly holds.*
 ``serve`` knows nothing about the caller's policy: it never raises for
 a weaker-than-asked answer, never compares staleness with a bound and
-never builds a :class:`ReadResult`.  ``max_staleness`` is only the
-budget a store's read cache may spend (it may serve an entry that old);
-replication schemes ignore it and read the copy itself.  ``site`` is
-where the reader sits, for surfaces that span datacenters.
+never builds a :class:`ReadResult`.  ``site`` is where the reader sits,
+for surfaces that span datacenters.
+
+A surface also says what it can serve — :attr:`ReadSurface.levels` —
+and how live the copies behind its STRONG and BOUNDED answers are —
+:meth:`ReadSurface.health`; the front door builds its rungs from them.
 
 Callers get the one shared entry point, inherited from the base class::
 
@@ -35,7 +36,8 @@ node-addressed one (master/slave, active/active).
 :class:`~repro.replication.quorum.QuorumGroup` is the one surface that
 overrides ``read``: a quorum answer arrives later, so its STRONG read
 returns a pending :class:`ReadResult` completed in place, and its
-``serve(STRONG)`` raises :class:`ConsistencyUnavailable`.
+``serve(STRONG)`` raises :class:`ConsistencyUnavailable` — which is
+why it does not declare STRONG.
 
 The front door (:mod:`repro.frontdoor`) calls ``serve`` too, not
 ``read``: a ladder rung stamps its own :class:`ReadResult` once, with
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.core.consistency import ConsistencyLevel
 from repro.core.policy import Deadline
@@ -283,6 +285,15 @@ def deliver(
 #: What :meth:`ReadSurface.serve` returns: ``(state, delivered_level,
 #: staleness, served_by, site)``.
 Served = tuple[Any, ConsistencyLevel, Optional[float], str, str]
+#: A liveness probe: ``True`` while the unit it watches is up.
+Health = Callable[[], bool]
+#: The :attr:`ReadSurface.levels` of a surface that answers every level
+#: a point read can be promised at.
+READ_LEVELS = (
+    ConsistencyLevel.STRONG,
+    ConsistencyLevel.BOUNDED_STALENESS,
+    ConsistencyLevel.EVENTUAL,
+)
 
 
 class ReadSurface(ABC):
@@ -293,6 +304,14 @@ class ReadSurface(ABC):
     #: Registry :meth:`read` counts ``read.staleness_violations`` in;
     #: surfaces bound to a simulator set it to the simulator's.
     metrics: Any = None
+    #: The levels :meth:`serve` answers synchronously at the strength
+    #: asked (on a quiesced surface), strongest first; asked for another,
+    #: it delivers weaker or raises.  Every concrete surface declares it.
+    levels: tuple[ConsistencyLevel, ...]
+    #: Follower copies' refresh cadence, on a surface that ships on one.
+    ship_interval: Optional[float] = None
+    #: Events the furthest-behind follower has not applied, if counted.
+    replication_lag_events: Optional[int] = None
 
     @abstractmethod
     def serve(
@@ -301,12 +320,16 @@ class ReadSurface(ABC):
         entity_key: str,
         level: ConsistencyLevel,
         *,
-        max_staleness: Optional[float] = None,
         site: Optional[str] = None,
     ) -> Served:
         """Pick the copy ``level`` selects and report what it honestly
         holds.  No request policy: a weaker ``delivered_level`` than
         ``level`` is reported, not raised."""
+
+    def health(self) -> tuple[Optional[Health], Optional[Health]]:
+        """``(strong, bounded)`` probes: whether the copy behind a STRONG,
+        and a BOUNDED, answer is up (``None``: no unit to watch)."""
+        return None, None
 
     def read(
         self,
@@ -326,11 +349,7 @@ class ReadSurface(ABC):
         if request is None:
             request = ReadRequest()
         state, delivered, staleness, served_by, served_site = self.serve(
-            entity_type,
-            entity_key,
-            request.level,
-            max_staleness=request.max_staleness,
-            site=site,
+            entity_type, entity_key, request.level, site=site
         )
         return deliver(
             state,

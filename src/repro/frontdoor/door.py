@@ -11,8 +11,9 @@ The flow of :meth:`FrontDoor.read`:
 1. expired deadline → reject (``deadline``) — serving a dead request
    is work the requester will never see;
 2. admission — charge the tenant's token bucket the cheapest eligible
-   rung's cost; a throttled tenant is rejected (``quota``) before any
-   replica is touched;
+   rung's cost; a throttled tenant is rejected (``quota``), and a
+   request no rung may serve (``no_rung``), before any replica is
+   touched;
 3. walk the :class:`~repro.frontdoor.ladder.DegradeLadder` from the
    requested level down: skip rungs whose breaker is open or whose
    capacity bucket is dry; when backpressure has tripped, skip the
@@ -35,7 +36,7 @@ from repro.frontdoor.admission import AdmissionController, TenantQuota, TokenBuc
 from repro.frontdoor.backpressure import BackpressureMonitor
 from repro.frontdoor.breaker import BreakerBoard
 from repro.frontdoor.ladder import DegradeLadder, Rung
-from repro.replication.replica import PrimaryCopySurface
+from repro.replication.geo import GeoReplicaGroup
 
 
 class FrontDoor:
@@ -268,22 +269,23 @@ class FrontDoor:
     ) -> "FrontDoor":
         """Wire a door over whatever the cluster was built with.
 
-        Each rung is the cluster's read surface — the replication
-        scheme, else the store — ``serve``-d at the rung's level (see
-        :mod:`repro.core.readpath`); a copy that honestly holds less
-        than the rung's level makes the rung refuse and the walk go on:
+        The cluster's read surface — the replication scheme, else the
+        store — gets one rung per level it declares
+        (:attr:`~repro.core.readpath.ReadSurface.levels`), ``serve``-d
+        at the rung's level; a copy that holds less than that right now
+        makes the rung refuse and the walk go on.  An undeclared level
+        has no rung: a request for it degrades, or is rejected
+        ``no_rung`` when it may not:
 
         * **STRONG** — master / primary / home replica; breaker on the
-          primary node's live crash state, optional capacity bucket
-          (``strong_capacity`` reads per unit time).  A scheme with no
-          synchronous strong copy (active/active, quorum) refuses here;
-        * **BOUNDED_STALENESS** — the scheme's replica copy, present
-          when the scheme has one; refuses above ``bounded_staleness``
-          (default: twice the scheme's shipping interval when it has
-          one, else 100 time units);
-        * **EVENTUAL** — the cheapest copy that never says no: the
-          warehouse extract when one was built, else the primary
-          store's latest rollup checkpoint, else the store itself.
+          surface's STRONG :meth:`~repro.core.readpath.ReadSurface.health`
+          probe, optional capacity bucket (``strong_capacity``);
+        * **BOUNDED_STALENESS** — the follower copy; breaker on the
+          BOUNDED probe; refuses above ``bounded_staleness`` (default:
+          twice the surface's ``ship_interval``, else 100 time units);
+        * **EVENTUAL** — on a flat cluster the cheapest copy that never
+          says no: the warehouse extract, else the primary store's
+          latest rollup checkpoint, else the store itself.
 
         On a geo-replicated cluster the door is additionally *sited*:
         ``site`` names the datacenter this door fronts, and every rung
@@ -295,11 +297,13 @@ class FrontDoor:
         Backpressure signals are registered for ``queue_depth_limit``
         (over ``sim.pending``), ``lag_limit_events`` (over the scheme's
         replication-lag view) and — when the cluster has a rebalancer —
-        rebalance-in-progress.
+        rebalance-in-progress.  ``apologies`` defaults to the cluster's
+        compensation ledger, when it has one.
         """
         sim = cluster.sim
         scheme = cluster.replication
-        if scheme is None and cluster.store is None:
+        surface = scheme if scheme is not None else cluster.store
+        if surface is None:
             raise ValueError("front door needs a readable surface")
         clock = lambda: sim.now
         board = BreakerBoard(
@@ -310,6 +314,7 @@ class FrontDoor:
         )
         rungs = _rungs(
             cluster,
+            surface,
             clock=clock,
             board=board,
             bounded_staleness=bounded_staleness,
@@ -322,15 +327,17 @@ class FrontDoor:
             monitor.add(
                 "queue_depth", lambda: float(sim.pending), queue_depth_limit
             )
-        if lag_limit_events is not None:
-            lag_probe = _lag_probe_for(scheme)
-            if lag_probe is not None:
-                monitor.add("replication_lag", lag_probe, lag_limit_events)
-        rebalancer = getattr(cluster, "rebalancer", None)
+        if lag_limit_events is not None and surface.replication_lag_events is not None:
+            monitor.add(
+                "replication_lag",
+                lambda: float(surface.replication_lag_events),
+                lag_limit_events,
+            )
+        rebalancer = cluster.rebalancer
         if rebalancer is not None:
             monitor.add(
                 "rebalance",
-                lambda: 1.0 if _rebalance_in_progress(cluster) else 0.0,
+                lambda: 1.0 if any(not run.done for run in rebalancer.runs) else 0.0,
                 0.5,
             )
 
@@ -340,10 +347,8 @@ class FrontDoor:
             quotas=quotas,
             metrics=sim.metrics,
         )
-        if apologies is None:
-            apologies = getattr(
-                getattr(cluster, "compensation", None), "apologies", None
-            )
+        if apologies is None and cluster.compensation is not None:
+            apologies = cluster.compensation.ledger
         door = cls(
             sim,
             DegradeLadder(rungs),
@@ -362,6 +367,7 @@ class FrontDoor:
 
 def _rungs(
     cluster,
+    surface,
     *,
     clock,
     board,
@@ -369,54 +375,32 @@ def _rungs(
     strong_capacity,
     bounded_capacity,
 ) -> list:
-    """The ladder over the cluster's read surface: each rung serves it
-    at the rung's level, except the flat clusters' bottom rung, which
-    reads the cheapest copy."""
-    scheme = cluster.replication
-    surface = scheme if scheme is not None else cluster.store
-    # A geo group (per-site WAN gateways) answers every level itself,
-    # site-aware; a flat cluster bottoms out in its cheapest copy.
-    geo = hasattr(scheme, "gateways")
+    """One rung per level the cluster's read ``surface`` declares, each
+    serving the surface at its level, except a flat cluster's bottom
+    rung, which reads the cheapest copy."""
+    strong_health, bounded_health = surface.health()
+    if bounded_staleness is None:
+        ship = surface.ship_interval
+        bounded_staleness = 2.0 * ship if ship else 100.0
 
     def bucket(capacity):
         if capacity is None:
             return None
         return TokenBucket(capacity, capacity, clock)
 
-    def up(node):
-        if node is None:
-            return None
-        return lambda: not getattr(node, "crashed", False)
-
-    if geo:
-
-        def any_gateway_up() -> bool:
-            for gateway in scheme.gateways.values():
-                if not gateway.crashed:
-                    return True
-            return False
-
-        strong_health = bounded_health = any_gateway_up
-    elif isinstance(scheme, PrimaryCopySurface):
-        authority, follower = scheme._read_nodes()
-        strong_health, bounded_health = up(authority), up(follower)
-    else:
-        strong_health = up(getattr(scheme, "coordinator", None))
-        bounded_health = None
-
-    rungs = [
-        Rung(
-            level=ConsistencyLevel.STRONG,
-            surface=surface,
-            cost=4.0,
-            capacity=bucket(strong_capacity),
-            breaker=board.get("strong", health=strong_health),
+    declared = surface.levels
+    rungs = []
+    if ConsistencyLevel.STRONG in declared:
+        rungs.append(
+            Rung(
+                level=ConsistencyLevel.STRONG,
+                surface=surface,
+                cost=4.0,
+                capacity=bucket(strong_capacity),
+                breaker=board.get("strong", health=strong_health),
+            )
         )
-    ]
-    if _has_replica_copy(scheme):
-        if bounded_staleness is None:
-            ship = getattr(scheme, "ship_interval", None)
-            bounded_staleness = 2.0 * ship if ship else 100.0
+    if ConsistencyLevel.BOUNDED_STALENESS in declared:
         rungs.append(
             Rung(
                 level=ConsistencyLevel.BOUNDED_STALENESS,
@@ -427,40 +411,13 @@ def _rungs(
                 declared_bound=bounded_staleness,
             )
         )
-    rungs.append(
-        Rung(
-            level=ConsistencyLevel.EVENTUAL,
-            surface=surface if geo else _CheapestCopy(cluster),
-            cost=1.0,
-        )
-    )
+    if ConsistencyLevel.EVENTUAL in declared:
+        # A geo group answers site-aware itself (a geo cluster's
+        # ``store`` is one shard's replica, never a bottom).
+        geo = isinstance(surface, GeoReplicaGroup)
+        bottom = surface if geo else _CheapestCopy(cluster)
+        rungs.append(Rung(level=ConsistencyLevel.EVENTUAL, surface=bottom, cost=1.0))
     return rungs
-
-
-# ---------------------------------------------------------------------- #
-# Cluster introspection helpers
-# ---------------------------------------------------------------------- #
-
-
-def _has_replica_copy(scheme) -> bool:
-    """Whether the scheme has a weaker second copy worth a rung."""
-    return (
-        isinstance(scheme, PrimaryCopySurface)
-        or getattr(scheme, "replicas", None) is not None
-    )
-
-
-def _lag_probe_for(scheme):
-    if hasattr(scheme, "replication_lag_events"):
-        return lambda: float(scheme.replication_lag_events)
-    return None
-
-
-def _rebalance_in_progress(cluster) -> bool:
-    runs = getattr(cluster.rebalancer, "runs", None)
-    if not runs:
-        return False
-    return any(not getattr(run, "done", True) for run in runs)
 
 
 class _CheapestCopy:
@@ -471,17 +428,15 @@ class _CheapestCopy:
     Preference order: the warehouse extract (already a read model),
     else the primary store's latest rollup checkpoint (a frozen
     snapshot — zero marginal load on the serving path), else the
-    store's own fold at staleness zero.  None of them goes through a
-    read cache: each is already a fold, and a probe in front of a
-    dict probe only adds cost and age.
+    store's own fold at staleness zero.
     """
 
     def __init__(self, cluster):
         self.sim = cluster.sim
-        self.warehouse = getattr(cluster, "warehouse", None)
+        self.warehouse = cluster.warehouse
         self.store = cluster.store
 
-    def serve(self, entity_type, entity_key, level, *, max_staleness=None, site=None):
+    def serve(self, entity_type, entity_key, level, *, site=None):
         eventual = ConsistencyLevel.EVENTUAL
         warehouse = self.warehouse
         if warehouse is not None and warehouse.extracted_at >= 0:
@@ -490,7 +445,7 @@ class _CheapestCopy:
             )
             return state, eventual, staleness, "warehouse", ""
         store = self.store
-        manager = getattr(store, "checkpoints", None)
+        manager = store.checkpoints
         checkpoint = manager.latest() if manager is not None else None
         if checkpoint is not None:
             state = checkpoint.states.get((entity_type, entity_key))

@@ -7,9 +7,12 @@ Tendency* argues single-system-image semantics are the wrong default
 for exactly this case).  The ladder encodes that as an ordered list of
 :class:`Rung` s, strongest first::
 
-    STRONG            master / quorum read        staleness 0
-    BOUNDED_STALENESS slave / backup read         staleness <= declared bound
-    EVENTUAL          checkpoint snapshot read    staleness measured, unbounded
+    STRONG            master / primary / home     staleness 0
+    BOUNDED_STALENESS slave / backup / replica    staleness <= declared bound
+    EVENTUAL          warehouse / checkpoint      staleness measured, unbounded
+
+A rung exists only for a level its surface declares
+(:attr:`~repro.core.readpath.ReadSurface.levels`).
 
 Each rung owns a read surface (served at the rung's level — see
 :mod:`repro.core.readpath`), an optional service-capacity
@@ -96,11 +99,7 @@ class Rung:
         level = self.level
         try:
             state, held, staleness, served_by, served_site = self.surface.serve(
-                entity_type,
-                entity_key,
-                level,
-                max_staleness=request.max_staleness,
-                site=site,
+                entity_type, entity_key, level, site=site
             )
         except ReproError:
             return self._failed()

@@ -427,18 +427,6 @@ class AppendOnlyLog:
             return EventSlice(self._cols, ())
         return EventSlice(self._cols, rows[:])
 
-    def entity_head_lsn(self, entity_type: str, entity_key: str) -> int:
-        """The LSN of the entity's newest live event (0 if it has none)
-        — two dictionary lookups and one array index, no view, no
-        materialization."""
-        rid = self._cols.lookup_ref(entity_type, entity_key)
-        if rid is None:
-            return 0
-        rows = self._by_ref.get(rid)
-        if not rows:
-            return 0
-        return self._cols.lsns[rows[-1]]
-
     def for_type_since(
         self,
         entity_type: str,

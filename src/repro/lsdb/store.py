@@ -24,7 +24,7 @@ from itertools import compress, islice
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 from repro.core.consistency import ConsistencyLevel
-from repro.core.readpath import ReadSurface, Served
+from repro.core.readpath import READ_LEVELS, ReadSurface, Served
 from repro.errors import EntityNotFound, ReproError
 from repro.lsdb.checkpoint import (
     Checkpoint,
@@ -70,6 +70,8 @@ class LSDBStore(ReadSurface):
     #: Always ``None``: there is no write coalescer to report on (the
     #: fold needs no batching; see :meth:`get` and :meth:`fold_pending`).
     coalescer = None
+    #: The copy of record answers every level at staleness zero.
+    levels = READ_LEVELS
 
     # ``__init__`` sets 28 instance attributes; CPython 3.11's limit for
     # a key-shared instance dict is 29, and past it every ``self.x`` on
@@ -856,7 +858,6 @@ class LSDBStore(ReadSurface):
         entity_key: str,
         level: ConsistencyLevel,
         *,
-        max_staleness: Optional[float] = None,
         site: Optional[str] = None,
     ) -> Served:
         """The read protocol's primitive (see :mod:`repro.core.readpath`).

@@ -180,6 +180,8 @@ class Rebalancer:
         self.batch_size = batch_size
         self.batch_interval = batch_interval
         self.gate = gate
+        #: Every run :meth:`execute` started, oldest first.
+        self.runs: list[RebalanceRun] = []
         self._rng: Any = None  # forked lazily, only for jittered policies
         tracer = getattr(sim, "tracer", None)
         metrics = getattr(sim, "metrics", None)
@@ -215,6 +217,7 @@ class Rebalancer:
             on_done: Called once, with the finished run.
         """
         run = RebalanceRun(self, plan, new_router, on_done)
+        self.runs.append(run)
         run.report.started_at = self._now()
         run._deadline = self.timeout.start(run.report.started_at)
         if self.tracer is not None:

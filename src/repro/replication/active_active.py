@@ -65,6 +65,9 @@ class ActiveActiveGroup(ReadSurface):
         True
     """
 
+    #: No strong copy exists: every replica holds its subjective view.
+    levels = (ConsistencyLevel.EVENTUAL,)
+
     def __init__(
         self,
         sim: Simulator,
@@ -163,7 +166,6 @@ class ActiveActiveGroup(ReadSurface):
         entity_key: str,
         level: ConsistencyLevel,
         *,
-        max_staleness: Optional[float] = None,
         site: Optional[str] = None,
     ) -> Served:
         """The read protocol's primitive (see :mod:`repro.core.readpath`).

@@ -34,7 +34,9 @@ from typing import Any, Mapping, Optional
 
 from repro.core.consistency import ConsistencyLevel
 from repro.core.readpath import (
+    READ_LEVELS,
     ConsistencyUnavailable,
+    Health,
     ReadSurface,
     Served,
     replica_level,
@@ -219,6 +221,8 @@ class GeoReplicaGroup(ReadSurface):
         True
     """
 
+    levels = READ_LEVELS
+
     def __init__(
         self,
         sim: Simulator,
@@ -344,13 +348,23 @@ class GeoReplicaGroup(ReadSurface):
     # Reads: site-local preference, honest delivered-level stamping
     # ------------------------------------------------------------------ #
 
+    def health(self) -> tuple[Health, Health]:
+        """Both levels are up while any site's gateway is."""
+
+        def any_gateway_up() -> bool:
+            for gateway in self.gateways.values():
+                if not gateway.crashed:
+                    return True
+            return False
+
+        return any_gateway_up, any_gateway_up
+
     def serve(
         self,
         entity_type: str,
         entity_key: str,
         level: ConsistencyLevel,
         *,
-        max_staleness: Optional[float] = None,
         site: Optional[str] = None,
     ) -> Served:
         """The read protocol's primitive (see :mod:`repro.core.readpath`).
@@ -363,8 +377,8 @@ class GeoReplicaGroup(ReadSurface):
         has genuinely seen every group write (measured staleness zero);
         anything else is reported at the replica floor with the
         measured cross-site staleness, which is what the front door's
-        bounded rung gates on.  The replicas' read caches are not
-        consulted (``max_staleness`` is unused).
+        bounded rung gates on.  Every answer is the serving replica's
+        own fold.
 
         Routing is constant work: the shard comes from the placement's
         per-key memo, and the candidates from a per-``(shard, site)``

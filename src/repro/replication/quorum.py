@@ -302,6 +302,8 @@ class QuorumGroup(ReadSurface):
 
     #: The historical single-knob timeout.
     DEFAULT_TIMEOUT = TimeoutPolicy(per_attempt=100.0)
+    #: Not STRONG: a quorum answer arrives later, through :meth:`read`.
+    levels = (ConsistencyLevel.BOUNDED_STALENESS, ConsistencyLevel.EVENTUAL)
 
     def __init__(
         self,
@@ -387,7 +389,6 @@ class QuorumGroup(ReadSurface):
         entity_key: str,
         level: ConsistencyLevel,
         *,
-        max_staleness: Optional[float] = None,
         site: Optional[str] = None,
     ) -> Served:
         """The read protocol's primitive (see :mod:`repro.core.readpath`).
@@ -400,7 +401,7 @@ class QuorumGroup(ReadSurface):
         Raises:
             ConsistencyUnavailable: ``STRONG`` — a quorum answer arrives
                 later and ``serve`` answers now; :meth:`read` is the
-                strong path.
+                strong path, and :attr:`levels` does not declare it.
         """
         if level is ConsistencyLevel.STRONG:
             raise ConsistencyUnavailable(

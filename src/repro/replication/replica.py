@@ -30,7 +30,7 @@ from abc import abstractmethod
 from typing import Any, Iterable, Mapping, Optional
 
 from repro.core.consistency import ConsistencyLevel
-from repro.core.readpath import ReadSurface, Served
+from repro.core.readpath import READ_LEVELS, Health, ReadSurface, Served
 from repro.lsdb.columnar import ColumnFrame, EventSlice
 from repro.lsdb.store import LSDBStore
 from repro.replication.batching import BatchPolicy, FrameShipper
@@ -343,11 +343,11 @@ class PrimaryCopySurface(ReadSurface):
     """``serve`` for schemes with one authoritative copy: ``STRONG``
     reads the authority at staleness zero, anything weaker reads the
     follower's own fold at the replica floor, stamped with how far it
-    lags (:func:`staleness_behind`).  ``max_staleness`` is not consulted:
-    the copy holds what it holds, and the stamp says how old it is.
-    A subclass sets :attr:`_h_staleness` when follower reads should
-    record their lag in events."""
+    lags (:func:`staleness_behind`): the copy holds what it holds, and
+    the stamp says how old it is.  A subclass sets :attr:`_h_staleness`
+    when follower reads should record their lag in events."""
 
+    levels = READ_LEVELS
     #: :meth:`_read_nodes`, asked once: membership is fixed at
     #: construction.
     _read_pair: Optional[tuple[ReplicaNode, ReplicaNode]] = None
@@ -358,13 +358,18 @@ class PrimaryCopySurface(ReadSurface):
     def _read_nodes(self) -> tuple[ReplicaNode, ReplicaNode]:
         """``(authority, follower)``."""
 
+    def health(self) -> tuple[Health, Health]:
+        """STRONG reads the authority and BOUNDED the follower: each is
+        up while its node is not crashed."""
+        authority, follower = self._read_nodes()
+        return (lambda: not authority.crashed), (lambda: not follower.crashed)
+
     def serve(
         self,
         entity_type: str,
         entity_key: str,
         level: ConsistencyLevel,
         *,
-        max_staleness: Optional[float] = None,
         site: Optional[str] = None,
     ) -> Served:
         pair = self._read_pair

@@ -39,6 +39,9 @@ class WarehouseExtract(ReadSurface):
             behaviour).
     """
 
+    #: One level: every answer comes from the last extract.
+    levels = (ConsistencyLevel.EXTRACT,)
+
     def __init__(
         self,
         sim: Simulator,
@@ -126,7 +129,6 @@ class WarehouseExtract(ReadSurface):
         entity_key: str,
         level: ConsistencyLevel,
         *,
-        max_staleness: Optional[float] = None,
         site: Optional[str] = None,
     ) -> Served:
         """The read protocol's primitive (see :mod:`repro.core.readpath`).

@@ -113,7 +113,6 @@ def fingerprint(store: LSDBStore):
         store._reorder_buffer,
         log.events().identities(),
         [list(log.for_entity(*ref)) for ref in refs],
-        [log.entity_head_lsn(*ref) for ref in refs],
         [list(log.for_type_since(entity_type, 0)) for entity_type in TYPES],
         [store.events_from_origin(origin, 0).identities() for origin in ORIGINS],
         [(cols.tx_ids[row], cols.tags_at(row)) for row in range(len(cols))],

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.consistency import ConsistencyLevel
-from repro.core.readpath import ReadRequest, ReadResult, ReadSurface
+from repro.core.readpath import READ_LEVELS, ReadRequest, ReadResult, ReadSurface
 from repro.errors import ReplicationError
 from repro.frontdoor import (
     AdmissionController,
@@ -168,8 +168,7 @@ class FakeSurface(ReadSurface):
         self.staleness = staleness
         self.errors = list(errors)
 
-    def serve(self, entity_type, entity_key, level, *, max_staleness=None,
-              site=None):
+    def serve(self, entity_type, entity_key, level, *, site=None):
         if self.errors:
             raise self.errors.pop(0)
         return self.value, self.level, self.staleness, "fake", ""
@@ -606,3 +605,150 @@ class TestForCluster:
         assert result.ok and result.degraded
         assert result.delivered_level is ConsistencyLevel.BOUNDED_STALENESS
         assert result.fields["total"] == 4
+
+
+# ---------------------------------------------------------------------- #
+# A rung exists only for a level its surface declares
+# ---------------------------------------------------------------------- #
+
+def flat_door_cluster(mode: str, **door_kwargs):
+    from repro import Cluster
+
+    return (
+        Cluster.build(seed=5)
+        .with_network(latency=2.0)
+        .with_replicas(3, mode=mode)
+        .with_front_door(**door_kwargs)
+        .create()
+    )
+
+
+def flat_write(cluster, key: str, total: int) -> None:
+    from repro.replication.quorum import QuorumGroup
+
+    scheme = cluster.replication
+    if isinstance(scheme, QuorumGroup):
+        scheme.write("order", key, {"total": total})
+    else:
+        scheme.write_insert("r2", "order", key, {"total": total})
+
+
+def breakers_of(door) -> list[CircuitBreaker]:
+    return [rung.breaker for rung in door.ladder.rungs if rung.breaker]
+
+
+@pytest.mark.parametrize("mode", ["quorum", "active_active"])
+def test_a_fault_free_door_never_trips_a_breaker(mode):
+    """No rung promises a level its surface never offered, so a healthy
+    cluster's reads record no breaker failure at any level (a bounded
+    rung may still refuse a copy past its bound, which is no failure);
+    a request above what the scheme declares is a degraded read with an
+    apology."""
+    cluster = flat_door_cluster(mode)
+    declared = cluster.replication.levels
+    door = cluster.front_door
+    assert [rung.level for rung in door.ladder.rungs] == [
+        level for level in READ_LEVELS if level in declared
+    ]
+    for step in range(12):
+        flat_write(cluster, f"o-{step % 3}", step)
+        cluster.sim.run(until=10.0 * (step + 1))
+        for level in READ_LEVELS:
+            result = cluster.read(
+                "order", f"o-{step % 3}", request=ReadRequest(level=level)
+            )
+            assert result.ok and result.delivered_level in declared
+            assert (result.apology is not None) == result.degraded
+            if level not in declared:
+                assert result.degraded
+            for breaker in breakers_of(door):
+                assert breaker.state is BreakerState.CLOSED
+                assert breaker.failures == 0
+    assert all(breaker.opens == 0 for breaker in breakers_of(door))
+
+
+def test_a_strict_read_above_every_declared_level_is_rejected_first():
+    """A quorum declares no STRONG: a STRONG read that forbids degrading
+    is rejected ``no_rung`` before admission charges or a breaker
+    hears of it."""
+    cluster = flat_door_cluster(
+        "quorum", default_quota=TenantQuota(rate=0.0, burst=4.0)
+    )
+    flat_write(cluster, "o-1", 5)
+    cluster.sim.run(until=50.0)
+    strict = ReadRequest.strong(allow_degraded=False)
+
+    result = cluster.read("order", "o-1", request=strict)
+
+    assert result.rejected and result.reject_reason == "no_rung"
+    assert all(breaker.failures == 0 for breaker in breakers_of(cluster.front_door))
+    # The whole burst is still there: two BOUNDED reads at cost 2 each.
+    bounded = ReadRequest.bounded(1000.0, allow_degraded=False)
+    for _ in range(2):
+        served = cluster.read("order", "o-1", request=bounded)
+        assert served.ok and served.fields["total"] == 5
+    assert cluster.read("order", "o-1", request=bounded).reject_reason == "quota"
+
+
+def test_a_store_only_door_serves_bounded_at_bounded():
+    from repro import Cluster
+
+    cluster = Cluster.build(seed=1).with_store().with_front_door().create()
+    cluster.store.insert("order", "o-1", {"total": 4})
+    assert [rung.level for rung in cluster.front_door.ladder.rungs] == list(READ_LEVELS)
+
+    result = cluster.read("order", "o-1", request=ReadRequest.bounded(5.0))
+
+    assert result.delivered_level is ConsistencyLevel.BOUNDED_STALENESS
+    assert result.staleness == 0.0 and not result.degraded
+    assert result.apology is None and result.fields["total"] == 4
+
+
+def test_a_compensation_ledger_records_the_doors_apologies():
+    from repro import Cluster
+
+    cluster = (
+        Cluster.build(seed=1)
+        .with_replicas(2, mode="master_slave", ship_interval=10.0)
+        .with_compensation()
+        .with_front_door()
+        .create()
+    )
+    cluster.replication.write_insert("order", "o-1", {"total": 4})
+    cluster.sim.run(until=30.0)
+    cluster.replication.master.crash()
+
+    result = cluster.read("order", "o-1", request=ReadRequest.strong())
+
+    assert result.degraded
+    assert cluster.compensation.ledger.all() == [result.apology]
+    assert result.apology.reason == "degraded_read"
+
+
+def test_a_rebalance_in_progress_sheds_the_strong_rung():
+    from repro import Cluster
+
+    cluster = (
+        Cluster.build(seed=11)
+        .with_ring("u1", "u2", "u3", vnodes=32, batch_size=8)
+        .with_replicas(2, mode="master_slave", ship_interval=10.0)
+        .with_front_door()
+        .create()
+    )
+    for index in range(30):
+        key = f"k{index}"
+        owner = cluster.directory.unit_for("order", key)
+        cluster.units[owner].store.insert("order", key, {"n": index})
+    cluster.replication.write_insert("order", "o-1", {"total": 4})
+    cluster.sim.run(until=30.0)
+    strong = ReadRequest.strong()
+
+    run = cluster.scale_out("u4")
+    during = cluster.read("order", "o-1", request=strong)
+    run.wait()
+    after = cluster.read("order", "o-1", request=strong)
+
+    assert during.degraded
+    assert during.delivered_level is ConsistencyLevel.BOUNDED_STALENESS
+    assert after.delivered_level is ConsistencyLevel.STRONG and not after.degraded
+    assert cluster.rebalancer.runs == [run]

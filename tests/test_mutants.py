@@ -22,6 +22,8 @@ Rows, grouped by the mechanism each breaks:
   feed is off by one;
 * the one read path: a store's ``serve`` answers from its state map
   without folding the entity's unfolded rows;
+* a surface says what it can serve: a quorum declares STRONG, which its
+  ``serve`` cannot answer; an active/active group declares BOUNDED;
 * older mechanisms: snapshot commits drop first-committer-wins, and a
   quorum write acks before its quorum.
 """
@@ -34,19 +36,24 @@ from typing import Callable
 
 import pytest
 
+from repro.core.consistency import ConsistencyLevel
 from repro.core.migration import SchemaMigrationManager
+from repro.core.readpath import READ_LEVELS
 from repro.core.transaction import TransactionManager
 from repro.lsdb.columnar import ColumnFrame, EventColumns
 from repro.lsdb.store import LSDBStore
-from repro.replication.quorum import QuorumCoordinator
+from repro.replication.active_active import ActiveActiveGroup
+from repro.replication.quorum import QuorumCoordinator, QuorumGroup
 from repro.replication.replica import ReplicaNode
 from repro.sim.scheduler import Simulator
 from tests import (
     test_failure_injection,
     test_fold_once,
     test_frame_ingest,
+    test_frontdoor,
     test_isolation_modes,
     test_read_path,
+    test_read_protocol,
     test_reinterpretation,
     test_row_bytes,
     test_write_cost,
@@ -177,6 +184,18 @@ def serve_skips_the_pending_fold(monkeypatch):
     monkeypatch.setattr(LSDBStore, "serve", serve)
 
 
+def quorum_declares_strong(monkeypatch):
+    monkeypatch.setattr(QuorumGroup, "levels", READ_LEVELS)
+
+
+def active_active_declares_bounded(monkeypatch):
+    monkeypatch.setattr(
+        ActiveActiveGroup,
+        "levels",
+        (ConsistencyLevel.BOUNDED_STALENESS, ConsistencyLevel.EVENTUAL),
+    )
+
+
 def commit_drops_first_committer_wins(monkeypatch):
     monkeypatch.setattr(
         TransactionManager, "_first_committer_conflict", lambda self, tx: ""
@@ -290,6 +309,21 @@ MUTANTS = [
         "tests/test_read_path.py::TestTypedStoreRead::"
         "test_typed_read_sees_its_own_unfolded_writes[strong]",
         read_your_writes_killer,
+    ),
+    Mutant(
+        "quorum_declares_strong",
+        quorum_declares_strong,
+        "tests/test_frontdoor.py::test_a_fault_free_door_never_trips_a_breaker[quorum]",
+        lambda: test_frontdoor.test_a_fault_free_door_never_trips_a_breaker("quorum"),
+    ),
+    Mutant(
+        "active_active_declares_bounded",
+        active_active_declares_bounded,
+        "tests/test_read_protocol.py::"
+        "test_a_surface_serves_exactly_what_it_declares[active_active]",
+        lambda: test_read_protocol.test_a_surface_serves_exactly_what_it_declares(
+            test_read_protocol.SURFACES["active_active"]()
+        ),
     ),
     Mutant(
         "commit_drops_first_committer_wins",

@@ -53,27 +53,31 @@ READS = 1_000
 #: EVENTUAL) on master/slave-3 and master/slave-2, 29 / 27 / 21 on geo,
 #: 23 / 23 / 17 on sync-2, 37 / 27 / 13 on quorum-3 and 26 / 22 / 13 on
 #: active_active-3; the master/slave BOUNDED read took 59 calls before the
-#: read path was made constant-work.  The STRONG rows on a primary copy
-#: include the master's 5-call fold of the pending row.  Ratchet a budget
-#: down with the next saving; never up without saying what the calls buy.
+#: read path was made constant-work.  Before each surface declared its
+#: levels, the door also built rungs the surface never offered, and the
+#: degraded reads that tried and failed them measured 23 on quorum-3
+#: STRONG and 18 / 15 on active_active-3 STRONG / BOUNDED.  The STRONG
+#: rows on a primary copy include the master's 5-call fold of the pending
+#: row.  Ratchet a budget down with the next saving; never up without
+#: saying what the calls buy.
 READ_BUDGETS = [
-    ("master_slave-3", "strong", 16),
+    ("master_slave-3", "strong", 15),
     ("master_slave-3", "bounded", 12),
-    ("master_slave-3", "eventual", 14),
-    ("master_slave-2", "strong", 16),
+    ("master_slave-3", "eventual", 13),
+    ("master_slave-2", "strong", 15),
     ("master_slave-2", "bounded", 12),
-    ("master_slave-2", "eventual", 14),
-    ("geo", "strong", 20),
+    ("master_slave-2", "eventual", 13),
+    ("geo", "strong", 19),
     ("geo", "bounded", 16),
     ("geo", "eventual", 14),
-    ("sync-2", "strong", 16),
+    ("sync-2", "strong", 15),
     ("sync-2", "bounded", 12),
-    ("sync-2", "eventual", 14),
-    ("quorum-3", "strong", 25),
+    ("sync-2", "eventual", 13),
+    ("quorum-3", "strong", 21),
     ("quorum-3", "bounded", 16),
     ("quorum-3", "eventual", 9),
-    ("active_active-3", "strong", 20),
-    ("active_active-3", "bounded", 17),
+    ("active_active-3", "strong", 14),
+    ("active_active-3", "bounded", 14),
     ("active_active-3", "eventual", 9),
 ]
 #: Frames an idle door, a closed breaker and an empty coalescer must not

@@ -145,7 +145,7 @@ def _answers_later(surface, level) -> bool:
 
 def _stamped(surface, request, site=None) -> ReadResult:
     state, level, staleness, served_by, served_site = surface.serve(
-        ET, KEY, request.level, max_staleness=request.max_staleness, site=site
+        ET, KEY, request.level, site=site
     )
     return deliver(
         state, request, level,
@@ -259,6 +259,35 @@ def test_no_degrade_raises_exactly_where_the_level_is_not_held(surface):
         else:
             result = surface.read(ET, KEY, request=strict)
             assert result.delivered_level is held and not result.degraded
+
+
+def _quiesced(surface):
+    """``surface`` once every write has shipped, been acked or extracted."""
+    sim = getattr(surface, "sim", None)
+    if sim is not None:
+        sim.run(until=sim.now + 500.0)
+    return surface
+
+
+def test_a_surface_serves_exactly_what_it_declares(surface):
+    """``levels`` is a promise the door builds rungs on.  Quiesced, a
+    surface serves each declared level as asked; asked a level it does
+    not declare, it delivers a weaker one or raises — unless that level
+    is weaker than all it declares (a fold answers an extract honestly)."""
+    surface = _quiesced(surface)
+    declared = surface.levels
+    assert declared and list(declared) == sorted(declared, key=lambda l: l.strength)
+    weakest = declared[-1]
+    for level in ConsistencyLevel:
+        try:
+            held = surface.serve(ET, KEY, level)[1]
+        except ConsistencyUnavailable:
+            assert level not in declared
+            continue
+        if level in declared:
+            assert held is level
+        else:
+            assert is_weaker(held, level) or is_weaker(level, weakest), (level, held)
 
 
 def _subclasses(cls) -> set[type]:
